@@ -201,7 +201,8 @@ def run_decompose(path, groups, algorithm="auto", keep=None, out_dir="tenspec-ou
     """Decompose a TZ1 file; write factor files, manifest.json, report.json."""
     tensor = read_tensor(path)
     a = GroupedTensor(tensor, groups)
-    if algorithm == "auto":
+    auto = algorithm == "auto"
+    if auto:
         if a.group_count == 3:
             algorithm = "triple"
         elif is_self_adjoint(a):
@@ -216,7 +217,14 @@ def run_decompose(path, groups, algorithm="auto", keep=None, out_dir="tenspec-ou
         raise ValueError(f"unknown algorithm {algorithm!r}")
 
     started = time.perf_counter()
-    dec = _decompose_by_name(a, algorithm)
+    try:
+        dec = _decompose_by_name(a, algorithm)
+    except NotNND:
+        # A symmetric but indefinite operator is still a transformation.
+        if not auto:
+            raise
+        algorithm = "transform"
+        dec = decompose_transform(a)
     count = component_count(dec)
     kept = count if keep is None else int(keep)
     rebuilt = reconstruct(dec, kept)
@@ -300,6 +308,11 @@ def run_verify(tensor_path, manifest_path):
             loaded[family] = [read_tensor(base / n) for n in factor_names[family]]
         except (KeyError, FileNotFoundError) as exc:
             raise ParseError(f"{manifest_path}: missing factor file: {exc}") from exc
+        if len(loaded[family]) != len(weights):
+            raise ParseError(
+                f"{manifest_path}: {len(weights)} weights but "
+                f"{len(loaded[family])} {family} factors"
+            )
 
     a = GroupedTensor(tensor, groups)
     declared = manifest.get("shapes")
@@ -332,6 +345,11 @@ def run_verify(tensor_path, manifest_path):
             [[int(p) - 1, int(s) - 1] for p, s in manifest.get("pairMap", [])],
             dtype=np.intp,
         ).reshape(-1, 2)
+        if len(pair_map) != len(weights):
+            raise ParseError(
+                f"{manifest_path}: {len(weights)} weights but {len(pair_map)} "
+                "pairMap entries"
+            )
         result = TripleDecomposition(
             weights=weights,
             factors_u=loaded["u"],

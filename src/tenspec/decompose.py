@@ -245,9 +245,9 @@ def decompose_sa_nnd(a, rank_tol=RANK_TOL, sym_tol=SELF_ADJOINT_TOL):
 
     The operator is linearized over its (equal) groups, the resulting
     symmetric matrix is diagonalized, and eigenvector columns above the rank
-    threshold are mapped back to eigentensors over I.  The input is
-    symmetrized within ``sym_tol`` before linearization; an eigenvalue below
-    ``-rank_tol * lambda_1`` raises NotNND.
+    threshold are mapped back to eigentensors over I.  The input must be
+    self-adjoint within ``sym_tol`` (the eigensolver symmetrizes it
+    exactly); an eigenvalue below ``-rank_tol * lambda_1`` raises NotNND.
     """
     _require_groups(a, 2, "decompose_sa_nnd")
     check = is_self_adjoint(a, sym_tol)
@@ -256,7 +256,7 @@ def decompose_sa_nnd(a, rank_tol=RANK_TOL, sym_tol=SELF_ADJOINT_TOL):
     d = a.group_orders[0]
     shape_i = a.group_shapes[0]
     m = unfold(a.tensor, d).data
-    eig = jacobi.sym_eig(0.5 * (m + m.T), sym_tol=sym_tol, rank_tol=rank_tol)
+    eig = jacobi.sym_eig(m, sym_tol=sym_tol, rank_tol=rank_tol)
     lam = eig.eigenvalues
     floor = -rank_tol * max(float(lam[0]), 0.0)
     if float(lam[-1]) < floor:
@@ -276,25 +276,31 @@ def decompose_sa_nnd(a, rank_tol=RANK_TOL, sym_tol=SELF_ADJOINT_TOL):
 def decompose_transform(a, rank_tol=RANK_TOL):
     """Singular-value style decomposition of a two-group tensor.
 
-    The spectrum of the right Gram operator (over J x J) gives the squared
-    weights and the right factors; left factors follow as ``A . V_p / s_p``.
-    Components whose Gram eigenvalue falls below the rank threshold are
-    dropped before any inversion, so a zero tensor yields an empty (r = 0)
-    decomposition rather than an error.
+    The Gram operator over the smaller group (I x I when I has fewer
+    elements than J, otherwise J x J) is diagonalized: its eigenvalues are
+    the squared weights and its eigenvectors that group's factors.  The
+    other group's factors follow as ``A . X_p / s_p``, contracting the
+    solved group.  ``spectrum`` holds the min(I, J) singular values, the
+    count that exists.  Components whose Gram eigenvalue falls below the
+    rank threshold are dropped before any inversion, so a zero tensor
+    yields an empty (r = 0) decomposition rather than an error.
     """
     _require_groups(a, 2, "decompose_transform")
     shape_i, shape_j = a.group_shapes
-    g = gram_operator(a, side="right")
+    solve_left = shape_i.element_count < shape_j.element_count
+    side, group = ("left", 0) if solve_left else ("right", 1)
+    g = gram_operator(a, side=side)
     gm = unfold(g.tensor, g.group_orders[0]).data
-    eig = jacobi.sym_eig(0.5 * (gm + gm.T), rank_tol=rank_tol)
+    eig = jacobi.sym_eig(gm, rank_tol=rank_tol)
     r = eig.rank
     singulars = np.sqrt(eig.eigenvalues[:r])
-    right = _columns_to_tensors(eig.vectors, r, shape_j)
-    j_axes = a.positions(1)
-    left = [
-        contract(a.tensor, v, j_axes, tuple(range(v.order))) * (1.0 / s)
-        for v, s in zip(right, singulars)
+    solved = _columns_to_tensors(eig.vectors, r, a.group_shapes[group])
+    axes = a.positions(group)
+    mapped = [
+        contract(a.tensor, x, axes, tuple(range(x.order))) * (1.0 / s)
+        for x, s in zip(solved, singulars)
     ]
+    left, right = (solved, mapped) if solve_left else (mapped, solved)
     return TransformDecomposition(
         singulars=singulars,
         left=left,
@@ -324,7 +330,7 @@ def decompose_triple(a, rank_tol=RANK_TOL):
     two_group = GroupedTensor(a.tensor, (d, e + f))
     op1 = gram_operator(two_group, side="left")
     m1 = unfold(op1.tensor, d).data
-    eig1 = jacobi.sym_eig(0.5 * (m1 + m1.T), rank_tol=rank_tol)
+    eig1 = jacobi.sym_eig(m1, rank_tol=rank_tol)
     r1 = eig1.rank
     sigma = np.sqrt(eig1.eigenvalues[:r1])
     u_basis = _columns_to_tensors(eig1.vectors, r1, shape_i)
@@ -341,7 +347,7 @@ def decompose_triple(a, rank_tol=RANK_TOL):
     for v in coupling:
         part = contract(v, v, k_axes_in_coupling, k_axes_in_coupling)
         h += part.data.reshape(l_j, l_j)
-    eig2 = jacobi.sym_eig(0.5 * (h + h.T), rank_tol=rank_tol)
+    eig2 = jacobi.sym_eig(h, rank_tol=rank_tol)
     r2 = eig2.rank
     gamma = np.sqrt(eig2.eigenvalues[:r2])
     z_basis = _columns_to_tensors(eig2.vectors, r2, shape_j)

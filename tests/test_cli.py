@@ -163,6 +163,22 @@ def test_decompose_auto_picks_operator(tmp_path):
     assert read_json(out / "manifest.json")["algorithm"] == "op"
 
 
+def test_decompose_auto_falls_back_on_indefinite_operator(tmp_path):
+    path = tmp_path / "indef.tz1"
+    write_tensor(path, DenseTensor(np.diag([3.0, -1.0, 2.0])))
+    out = tmp_path / "indefout"
+    assert main(["decompose", str(path), "--groups", "1,1", "--out", str(out)]) == 0
+    manifest = read_json(out / "manifest.json")
+    assert manifest["algorithm"] == "transform"
+    assert manifest["weights"] == pytest.approx([3.0, 2.0, 1.0], rel=1e-14)
+    assert read_json(out / "report.json")["passed"] is True
+    assert main(["verify", str(path), str(out / "manifest.json")]) == 0
+    # Asked for by name, the operator decomposition still refuses it.
+    code = main(["decompose", str(path), "--groups", "1,1", "--algorithm", "op",
+                 "--out", str(tmp_path / "x")])
+    assert code == 2
+
+
 def test_decompose_triple_manifest_has_pair_map(tmp_path):
     from tenspec import GroupedTensor as GT, decompose_triple
 
@@ -262,6 +278,25 @@ def test_verify_corrupted_weight_fails(tmp_path):
     bad = manifest.parent / "bad.json"
     bad.write_text(json.dumps(data))
     assert main(["verify", str(src), str(bad)]) == 1
+
+
+def test_verify_orphan_weights_exit_2(tmp_path):
+    src, manifest = make_verified_run(tmp_path)
+    data = json.loads(manifest.read_text())
+    data["weights"] += [0.0, 0.0]
+    orphan = manifest.parent / "orphan.json"
+    orphan.write_text(json.dumps(data))
+    assert main(["verify", str(src), str(orphan)]) == 2
+
+    src3 = tmp_path / "in3.tz1"
+    write_tensor(src3, random_tensor((3, 3, 2), 68))
+    out3 = tmp_path / "fac3"
+    assert main(["decompose", str(src3), "--groups", "1,1,1", "--out", str(out3)]) == 0
+    data = json.loads((out3 / "manifest.json").read_text())
+    data["pairMap"] = data["pairMap"][:-1]
+    short = out3 / "short.json"
+    short.write_text(json.dumps(data))
+    assert main(["verify", str(src3), str(short)]) == 2
 
 
 def test_verify_truncated_factor_exits_2(tmp_path):

@@ -307,6 +307,29 @@ def test_transform_random_properties():
     )
 
 
+@pytest.mark.parametrize("dims, groups", [((3, 4, 5), (1, 2)), ((6, 2, 3), (2, 1))])
+def test_transform_solves_smaller_side(monkeypatch, dims, groups):
+    from tenspec.decompose import jacobi
+
+    orders = []
+    solve = jacobi.sym_eig
+
+    def recording(a, *args, **kwargs):
+        orders.append(np.shape(a)[0])
+        return solve(a, *args, **kwargs)
+
+    monkeypatch.setattr(jacobi, "sym_eig", recording)
+    a = GroupedTensor(random_tensor(dims, 25), groups)
+    dec = decompose_transform(a)
+    smaller = min(s.element_count for s in a.group_shapes)
+    assert orders == [smaller]
+    assert len(dec.spectrum) == smaller
+    for family in (dec.left, dec.right):
+        flat = np.array([f.data.ravel() for f in family])
+        assert np.abs(flat @ flat.T - np.eye(len(family))).max() <= 1e-12
+    assert rel_err(a.tensor, reconstruct(dec)) <= 1e-12
+
+
 # ------------------------------------------------------- decompose_triple
 
 

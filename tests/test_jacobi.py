@@ -61,6 +61,22 @@ def test_not_symmetric_raises():
         sym_eig(np.ones((2, 3)))
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_non_finite_entries_raise(bad):
+    with pytest.raises(NotSymmetric):
+        sym_eig(np.array([[1.0, bad], [bad, 1.0]]))
+
+
+@pytest.mark.parametrize("scale", [1e199, 1e-200])
+def test_extreme_magnitudes(scale):
+    # Squared entries overflow (or underflow) here; the eigenvalues must not.
+    base = np.array([[10.0, 1.0], [1.0, 1.0]])
+    res = sym_eig(base * scale)
+    expected = (11.0 + np.array([1.0, -1.0]) * math.sqrt(85.0)) / 2.0 * scale
+    assert np.allclose(res.eigenvalues, expected, rtol=1e-14, atol=0.0)
+    assert np.allclose(res.vectors.T @ res.vectors, np.eye(2), atol=1e-15)
+
+
 def test_no_convergence_reports_residual():
     a = random_symmetric(6, 99)
     with pytest.raises(NoConvergence) as exc:
