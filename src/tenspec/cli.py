@@ -22,9 +22,9 @@ from .core import DenseTensor, norm, random_tensor
 from .decompose import (
     GroupedTensor,
     OperatorDecomposition,
-    RawTriple,
     TransformDecomposition,
     TripleDecomposition,
+    _families,
     component_count,
     decompose_sa_nnd,
     decompose_transform,
@@ -189,14 +189,6 @@ _FAMILY_BY_ALGORITHM = {
 }
 
 
-def _component_families(dec):
-    if isinstance(dec, OperatorDecomposition):
-        return dec.eigenvalues, {"u": dec.eigentensors}
-    if isinstance(dec, TransformDecomposition):
-        return dec.singulars, {"u": dec.left, "v": dec.right}
-    return dec.weights, {"u": dec.factors_u, "z": dec.factors_z, "w": dec.factors_w}
-
-
 def run_decompose(path, groups, algorithm="auto", keep=None, out_dir="tenspec-out"):
     """Decompose a TZ1 file; write factor files, manifest.json, report.json."""
     tensor = read_tensor(path)
@@ -246,15 +238,15 @@ def run_decompose(path, groups, algorithm="auto", keep=None, out_dir="tenspec-ou
         wall_time_ms=wall_ms,
     )
 
-    weights, families = _component_families(dec)
+    weights, families = _families(dec)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     factor_names = {}
-    for family in _FAMILY_BY_ALGORITHM[algorithm]:
+    for family, (tensors, _) in zip(_FAMILY_BY_ALGORITHM[algorithm], families):
         names = []
         for m in range(kept):
             fname = f"{family}-{m + 1:04d}.tz1"
-            write_tensor(out_dir / fname, families[family][m])
+            write_tensor(out_dir / fname, tensors[m])
             names.append(fname)
         factor_names[family] = names
     manifest = {
@@ -341,30 +333,14 @@ def run_verify(tensor_path, manifest_path):
             spectrum=weights,
         )
     else:
-        pair_map = np.array(
-            [[int(p) - 1, int(s) - 1] for p, s in manifest.get("pairMap", [])],
-            dtype=np.intp,
-        ).reshape(-1, 2)
-        if len(pair_map) != len(weights):
-            raise ParseError(
-                f"{manifest_path}: {len(weights)} weights but {len(pair_map)} "
-                "pairMap entries"
-            )
+        _check_pair_map(manifest.get("pairMap", []), loaded, manifest_path)
         result = TripleDecomposition(
             weights=weights,
             factors_u=loaded["u"],
             factors_z=loaded["z"],
             factors_w=loaded["w"],
             shapes=shapes,
-            raw=RawTriple(
-                sigma=np.array([]),
-                gamma=np.array([]),
-                u_basis=[],
-                z_basis=[],
-                coupling=[],
-                w_joint=None,
-                pair_map=pair_map,
-            ),
+            raw=None,
         )
     return verify_decomposition(
         a,
@@ -372,6 +348,38 @@ def run_verify(tensor_path, manifest_path):
         singular_tol=float(tolerances.get("singular_tol", SINGULAR_TOL)),
         reconstruction_tol=float(tolerances.get("reconstruction_tol", 1e-8)),
     )
+
+
+def _check_pair_map(entries, loaded, manifest_path):
+    """Require distinct 1-based ``pairMap`` pairs in [1, M] (the k-th largest
+    weight sigma_p * gamma_s has p, s <= k) whose components share their U
+    factor when they share p, and their Z factor when they share s."""
+    count = len(loaded["u"])
+    if not isinstance(entries, list) or len(entries) != count:
+        raise ParseError(
+            f"{manifest_path}: pairMap needs one entry per weight ({count})"
+        )
+    for entry in entries:
+        if not (
+            isinstance(entry, list)
+            and len(entry) == 2
+            and all(type(i) is int and 1 <= i <= count for i in entry)
+        ):
+            raise ParseError(
+                f"{manifest_path}: pairMap entry {entry!r} is not a pair of "
+                f"integers in [1, {count}]"
+            )
+    if len({tuple(entry) for entry in entries}) != count:
+        raise ParseError(f"{manifest_path}: pairMap repeats a pair")
+    for column, family in ((0, "u"), (1, "z")):
+        first = {}
+        for m, entry in enumerate(entries):
+            k = first.setdefault(entry[column], m)
+            if not np.array_equal(loaded[family][k].data, loaded[family][m].data):
+                raise ParseError(
+                    f"{manifest_path}: components {k + 1} and {m + 1} share "
+                    f"index {entry[column]} but not their {family} factor"
+                )
 
 
 def _write_spectrum_csv(path, spectrum):
@@ -445,7 +453,9 @@ def _cmd_decompose(args):
         f"wall time {report.wall_time_ms} ms",
         file=sys.stderr,
     )
-    return 0
+    # A truncated reconstruction misses the tolerance on purpose.
+    full = args.keep is None or args.keep == report.rank
+    return 1 if full and not report.passed else 0
 
 
 def _cmd_verify(args):

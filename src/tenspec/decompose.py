@@ -37,6 +37,10 @@ from .errors import (
 
 SELF_ADJOINT_TOL = 1e-10
 RANK_TOL = jacobi.RANK_TOL
+# reconstruct and residual_curve take components this many at a time: each
+# block is one BLAS product, and no temporary holds more than a few blocks
+# of Khatri-Rao rows (TERM_BLOCK x I*J entries for a triple).
+TERM_BLOCK = 32
 
 
 class GroupedTensor:
@@ -393,96 +397,137 @@ def decompose_triple(a, rank_tol=RANK_TOL):
     )
 
 
+def _families(decomposition):
+    # Weights and one (factor tensors, shape) pair per factor family, in
+    # reconstruction order: component m is weights[m] times the outer
+    # product of factor m of every family.
+    d = decomposition
+    if isinstance(d, OperatorDecomposition):
+        return d.eigenvalues, ((d.eigentensors, d.operand_shape),) * 2
+    if isinstance(d, TransformDecomposition):
+        return d.singulars, ((d.left, d.left_shape), (d.right, d.right_shape))
+    if isinstance(d, TripleDecomposition):
+        return d.weights, tuple(zip((d.factors_u, d.factors_z, d.factors_w), d.shapes))
+    raise TypeError(f"not a decomposition result: {type(d).__name__}")
+
+
 def component_count(decomposition):
     """Number of stored components (r, or M for a triple decomposition)."""
-    if isinstance(decomposition, OperatorDecomposition):
-        return decomposition.rank
-    if isinstance(decomposition, TransformDecomposition):
-        return decomposition.rank
-    if isinstance(decomposition, TripleDecomposition):
-        return decomposition.count
-    raise TypeError(f"not a decomposition result: {type(decomposition).__name__}")
-
-
-def _terms(decomposition):
-    # (weight, factor tensors) per component, in stored order.
-    if isinstance(decomposition, OperatorDecomposition):
-        for lam, u in zip(decomposition.eigenvalues, decomposition.eigentensors):
-            yield float(lam), (u, u)
-    elif isinstance(decomposition, TransformDecomposition):
-        for s, u, v in zip(
-            decomposition.singulars, decomposition.left, decomposition.right
-        ):
-            yield float(s), (u, v)
-    elif isinstance(decomposition, TripleDecomposition):
-        for lam, u, z, w in zip(
-            decomposition.weights,
-            decomposition.factors_u,
-            decomposition.factors_z,
-            decomposition.factors_w,
-        ):
-            yield float(lam), (u, z, w)
-    else:
-        raise TypeError(f"not a decomposition result: {type(decomposition).__name__}")
+    return len(_families(decomposition)[0])
 
 
 def reconstructed_dims(decomposition):
     """Dims of the tensor the decomposition reproduces."""
-    if isinstance(decomposition, OperatorDecomposition):
-        dims = decomposition.operand_shape.dims
-        return dims + dims
-    if isinstance(decomposition, TransformDecomposition):
-        return decomposition.left_shape.dims + decomposition.right_shape.dims
-    if isinstance(decomposition, TripleDecomposition):
-        i, j, k = decomposition.shapes
-        return i.dims + j.dims + k.dims
-    raise TypeError(f"not a decomposition result: {type(decomposition).__name__}")
+    return sum((shape.dims for _, shape in _families(decomposition)[1]), ())
+
+
+def _stacked_terms(decomposition):
+    # Weights, and per family (stack, index): each distinct factor tensor
+    # flattened into one row of `stack`, and the row of every component, so
+    # a triple's U and Z families take r1 and r2 rows rather than M.
+    weights, families = _families(decomposition)
+    stacks = []
+    for tensors, shape in families:
+        distinct = list({id(t): t for t in tensors}.values())
+        row_of = {id(t): k for k, t in enumerate(distinct)}
+        stack = np.empty((len(distinct), shape.element_count))
+        for row, t in zip(stack, distinct):
+            if t.dims != shape.dims:
+                raise ShapeMismatch(f"factor of shape {t.dims}, expected {shape.dims}")
+            row[:] = t.data.reshape(-1)
+        index = np.array([row_of[id(t)] for t in tensors], dtype=np.intp)
+        stacks.append((stack, index))
+    return np.asarray(weights, dtype=np.float64), stacks
+
+
+def _blocks(count):
+    # Slices of at most TERM_BLOCK consecutive components covering [0, count).
+    return [
+        slice(lo, min(lo + TERM_BLOCK, count)) for lo in range(0, count, TERM_BLOCK)
+    ]
+
+
+def _rows(family, rows):
+    # The factors of the components in `rows`, one flattened factor a row.
+    stack, index = family
+    return stack[index[rows]]
+
+
+def _lead_rows(weights, families, rows):
+    # Weighted row-wise Khatri-Rao product of every family but the last over
+    # the components in `rows`: row m is weights[m] * (F_1[m] o ... o
+    # F_{n-1}[m]), flattened.
+    lead = weights[rows, None] * _rows(families[0], rows)
+    for f in families[1:-1]:
+        lead = (lead[:, :, None] * _rows(f, rows)[:, None, :]).reshape(len(lead), -1)
+    return lead
+
+
+def _sum_terms(weights, families, count):
+    # Sum of the leading `count` terms as an (N x K) matrix, K the size of
+    # the last family: one product of Khatri-Rao rows with it per block.
+    n = math.prod(stack.shape[1] for stack, _ in families[:-1])
+    acc = np.zeros((n, families[-1][0].shape[1]))
+    for rows in _blocks(count):
+        acc += _lead_rows(weights, families, rows).T @ _rows(families[-1], rows)
+    return acc
 
 
 def reconstruct(decomposition, keep=None):
     """Sum of the leading ``keep`` components (all of them by default).
 
     ``keep=0`` returns the zero tensor of the original shape; the full count
-    reproduces the decomposed input to floating point accuracy.
+    reproduces the decomposed input to floating point accuracy.  Components
+    are added ``TERM_BLOCK`` at a time, each block as one matrix product of
+    its Khatri-Rao rows with the last factor family.
     """
-    count = component_count(decomposition)
-    if keep is None:
-        keep = count
-    keep = int(keep)
-    if not 0 <= keep <= count:
-        raise InvalidKeep(f"keep {keep} not in [0, {count}]")
-    acc = np.zeros(reconstructed_dims(decomposition))
-    for m, (weight, factors) in enumerate(_terms(decomposition)):
-        if m >= keep:
-            break
-        term = factors[0].data
-        for factor in factors[1:]:
-            term = np.multiply.outer(term, factor.data)
-        acc += weight * term
-    return DenseTensor(acc, check_finite=False)
+    weights, families = _stacked_terms(decomposition)
+    keep = len(weights) if keep is None else int(keep)
+    if not 0 <= keep <= len(weights):
+        raise InvalidKeep(f"keep {keep} not in [0, {len(weights)}]")
+    acc = _sum_terms(weights, families, keep)
+    return DenseTensor(acc.reshape(reconstructed_dims(decomposition)), check_finite=False)
 
 
 def residual_curve(a, decomposition):
     """Relative reconstruction error after each truncation depth.
 
-    Entry k is (k, ||A - sum of k leading terms|| / ||A||); a zero input
-    yields [(0, 0.0)] by the 0/0 -> 0 convention.  The curve is monotone
-    non-increasing because distinct components are mutually orthogonal.
+    Entry k is (k, ||A - S_k|| / ||A||), S_k being the sum of the k leading
+    terms; a zero input yields [(0, 0.0)] by the 0/0 -> 0 convention.  The
+    curve is monotone non-increasing because distinct components are
+    mutually orthogonal.
+
+    No partial sum is subtracted from A.  From R = A - S_M (M the count),
+    the exact identity for term t_m
+
+        ||A - S_m||^2 = ||A - S_(m+1)||^2 + ||t_m||^2 + 2 <t_m, A - S_(m+1)>
+
+    runs backwards a block at a time: A - S_(m+1) is one running matrix
+    plus the block's later terms, which enter through the block's term
+    Gram.  Each point is ||R||^2 plus the small increments after it.
     """
     reference = a.tensor
     scale = norm(reference)
     if scale == 0.0:
         return [(0, 0.0)]
-    count = component_count(decomposition)
-    acc = np.zeros(reference.dims)
-    curve = [(0, 1.0)]
-    for k, (weight, factors) in enumerate(_terms(decomposition), start=1):
-        term = factors[0].data
-        for factor in factors[1:]:
-            term = np.multiply.outer(term, factor.data)
-        acc += weight * term
-        err = norm(DenseTensor(reference.data - acc, check_finite=False)) / scale
-        curve.append((k, err))
-        if k >= count:
-            break
-    return curve
+    weights, families = _stacked_terms(decomposition)
+    count = len(weights)
+    tail = _sum_terms(weights, families, count)
+    np.subtract(reference.data.reshape(tail.shape), tail, out=tail)
+    resid2 = float(np.vdot(tail, tail))
+    # drop[m] = ||A - S_m||^2 - ||A - S_(m+1)||^2; `tail` is A - S_hi for
+    # the block [lo, hi) being visited.
+    drop = np.empty(count)
+    for rows in reversed(_blocks(count)):
+        lead = _lead_rows(weights, families, rows)
+        last = _rows(families[-1], rows)
+        gram = np.outer(weights[rows], weights[rows])
+        for f in families:
+            gram *= _rows(f, rows) @ _rows(f, rows).T
+        overlap = ((lead @ tail) * last).sum(axis=1) + np.triu(gram, 1).sum(axis=1)
+        drop[rows] = np.diagonal(gram) + 2.0 * overlap
+        tail += lead.T @ last
+    err2 = resid2 + np.append(np.cumsum(drop[::-1])[::-1], 0.0)
+    return [(0, 1.0)] + [
+        (k, math.sqrt(max(float(err2[k]), 0.0)) / scale) for k in range(1, count + 1)
+    ]

@@ -70,8 +70,8 @@ def check_symmetric(a, tol=SYMMETRY_TOL):
         raise NotSymmetric(f"expected a square matrix, got shape {a.shape}")
     if not np.isfinite(a).all():
         raise NotSymmetric("matrix has non-finite entries")
-    scale = float(np.abs(a).max()) if a.size else 0.0
-    asym = float(np.abs(a - a.T).max())
+    scale = float(np.abs(a).max(initial=0.0))
+    asym = float(np.abs(a - a.T).max(initial=0.0))
     if asym > tol * scale:
         raise NotSymmetric(
             f"asymmetry {asym:.3e} exceeds {tol:.1e} * max|a| = {tol * scale:.3e}"
@@ -183,6 +183,8 @@ def sym_eig(
     """
     a = check_symmetric(a, sym_tol)
     n = a.shape[0]
+    if n == 0:
+        return EigenResult(np.empty(0), np.empty((0, 0)), 0)
     # The sweeps run on a copy scaled by a power of two to max|w| < 1, so
     # squaring entries for the norms can neither overflow (entries above
     # ~1e154) nor underflow (below ~1e-154).  Power-of-two scaling is exact,

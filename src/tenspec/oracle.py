@@ -1,10 +1,12 @@
-"""Brute-force references used by tests and the ``verify`` command.
+"""Independent references used by tests and the ``verify`` command.
 
-Deliberately disjoint from the main path: singular values come from a
-one-sided Jacobi iteration on the unfolded matrix itself (never from the
-Gram spectrum the decompositions diagonalize), contraction is redone with
-explicit nested loops, and reconstructions are replayed by plain outer-
-product accumulation.  Shared code is limited to tensor storage.
+Deliberately disjoint from the main path: singular values come from
+LAPACK's SVD of the unfolded matrix itself (never from the Gram spectrum
+the decompositions diagonalize with their own Jacobi solver), contraction
+is redone with explicit nested loops, and reconstructions are replayed
+block by block with ``np.einsum`` rather than the Khatri-Rao products of
+``reconstruct``.  Shared code is limited to tensor storage and to stacking
+each factor family into one array.
 """
 
 import math
@@ -15,17 +17,15 @@ import numpy as np
 
 from .core import DenseTensor, norm
 from .decompose import (
-    OperatorDecomposition,
-    TransformDecomposition,
+    TERM_BLOCK,
     TripleDecomposition,
-    _terms,
+    _families,
+    _stacked_terms,
     reconstructed_dims,
 )
-from .errors import GroupingMismatch, InvalidAxis, NoConvergence, ShapeMismatch
+from .errors import GroupingMismatch, InvalidAxis, ShapeMismatch
 
-ORTHO_TOL = 1e-13
 RANK_TOL = 1e-10
-MAX_SWEEPS = 60
 
 
 @dataclass(frozen=True)
@@ -38,69 +38,19 @@ class OracleReport:
     passed: bool
 
 
-def one_sided_jacobi_singulars(matrix, ortho_tol=ORTHO_TOL, rank_tol=RANK_TOL):
-    """Singular values of a matrix by one-sided (Hestenes) Jacobi rotations.
-
-    Columns are rotated pairwise until all are mutually orthogonal relative
-    to their norms; the surviving column norms are the singular values.
-    Values at or below ``rank_tol`` times the largest are dropped, so a zero
-    matrix yields an empty sequence.
-    """
-    a = np.array(matrix, dtype=np.float64)
-    if a.ndim != 2:
-        raise ShapeMismatch(f"expected a matrix, got {a.ndim} modes")
-    if not a.any():
-        return np.array([])
-    if a.shape[0] < a.shape[1]:
-        a = np.ascontiguousarray(a.T)
-    m = a.shape[1]
-    for _ in range(MAX_SWEEPS):
-        worst = 0.0
-        for i in range(m - 1):
-            for j in range(i + 1, m):
-                alpha = float(np.dot(a[:, i], a[:, i]))
-                beta = float(np.dot(a[:, j], a[:, j]))
-                gam = float(np.dot(a[:, i], a[:, j]))
-                if alpha == 0.0 or beta == 0.0:
-                    continue
-                rel = abs(gam) / math.sqrt(alpha * beta)
-                worst = max(worst, rel)
-                if rel <= ortho_tol:
-                    continue
-                zeta = (beta - alpha) / (2.0 * gam)
-                if zeta >= 0.0:
-                    t = 1.0 / (zeta + math.sqrt(1.0 + zeta * zeta))
-                else:
-                    t = -1.0 / (-zeta + math.sqrt(1.0 + zeta * zeta))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                ci = c * a[:, i] - s * a[:, j]
-                cj = s * a[:, i] + c * a[:, j]
-                a[:, i] = ci
-                a[:, j] = cj
-        if worst <= ortho_tol:
-            break
-    else:
-        raise NoConvergence(
-            f"one-sided Jacobi did not orthogonalize columns in {MAX_SWEEPS} "
-            f"sweeps (worst relative overlap {worst:.3e})",
-            residual=worst,
-        )
-    sig = np.sqrt((a * a).sum(axis=0))
-    sig = np.sort(sig)[::-1]
-    top = float(sig[0]) if sig.size else 0.0
-    return np.ascontiguousarray(sig[sig > rank_tol * top])
-
-
 def matricized_singulars(a):
-    """Reference singular values of a two-group tensor's unfolding."""
+    """Reference singular values of a two-group tensor's unfolding.
+
+    LAPACK's SVD of the unfolded matrix; values at or below ``RANK_TOL``
+    times the largest are dropped, so a zero tensor yields an empty array.
+    """
     if a.group_count != 2:
         raise GroupingMismatch(
             f"matricized_singulars needs 2 groups, got {a.group_count}"
         )
-    d = a.group_orders[0]
-    n = int(np.prod(a.tensor.dims[:d]))
-    return one_sided_jacobi_singulars(a.tensor.data.reshape(n, -1))
+    n = int(np.prod(a.tensor.dims[: a.group_orders[0]]))
+    sig = np.linalg.svd(a.tensor.data.reshape(n, -1), compute_uv=False)
+    return sig[sig > RANK_TOL * sig[0]]
 
 
 def naive_contract(x, y, axes_x, axes_y):
@@ -156,14 +106,17 @@ def _check_axes(t, axes):
 
 
 def replay_reconstruction(decomposition):
-    """Rebuild the decomposed tensor by plain outer-product accumulation."""
-    acc = np.zeros(reconstructed_dims(decomposition))
-    for weight, factors in _terms(decomposition):
-        term = factors[0].data
-        for factor in factors[1:]:
-            term = np.multiply.outer(term, factor.data)
-        acc += weight * term
-    return DenseTensor(acc, check_finite=False)
+    """Rebuild the decomposed tensor with one ``np.einsum`` per block of
+    ``TERM_BLOCK`` components."""
+    weights, families = _stacked_terms(decomposition)
+    modes = "ijk"[: len(families)]
+    expr = "m," + ",".join("m" + c for c in modes) + "->" + modes
+    acc = np.zeros(tuple(stack.shape[1] for stack, _ in families))
+    for lo in range(0, len(weights), TERM_BLOCK):
+        rows = slice(lo, lo + TERM_BLOCK)
+        block = [stack[index[rows]] for stack, index in families]
+        acc += np.einsum(expr, weights[rows], *block, optimize=True)
+    return DenseTensor(acc.reshape(reconstructed_dims(decomposition)), check_finite=False)
 
 
 def verify_decomposition(a, result, singular_tol=1e-8, reconstruction_tol=1e-8):
@@ -171,8 +124,8 @@ def verify_decomposition(a, result, singular_tol=1e-8, reconstruction_tol=1e-8):
 
     Reconstruction error is relative Frobenius (0/0 counts as 0).  For
     two-group decompositions the stored weights are also checked against
-    the one-sided-Jacobi singular values, zero-padded to a common length
-    and measured relative to the largest reference value; no independent
+    the LAPACK singular values, zero-padded to a common length and
+    measured relative to the largest reference value; no independent
     singular reference exists for triple decompositions, so only the
     reconstruction replay applies there.
     """
@@ -181,28 +134,17 @@ def verify_decomposition(a, result, singular_tol=1e-8, reconstruction_tol=1e-8):
     diff = norm(DenseTensor(a.tensor.data - rebuilt.data, check_finite=False))
     recon_err = diff / scale if scale > 0.0 else (0.0 if diff == 0.0 else math.inf)
 
-    if isinstance(result, (OperatorDecomposition, TransformDecomposition)):
-        reference = matricized_singulars(a)
-        if isinstance(result, OperatorDecomposition):
-            weights = np.asarray(result.eigenvalues, dtype=np.float64)
-        else:
-            weights = np.asarray(result.singulars, dtype=np.float64)
-        width = max(len(reference), len(weights))
-        ref = np.zeros(width)
-        got = np.zeros(width)
-        ref[: len(reference)] = reference
-        got[: len(weights)] = weights
-        if width == 0:
-            deviation = 0.0
-        elif ref[0] > 0.0:
-            deviation = float(np.abs(got - ref).max() / ref[0])
-        else:
-            deviation = float(np.abs(got).max())
-    elif isinstance(result, TripleDecomposition):
+    if isinstance(result, TripleDecomposition):
         reference = np.array([])
         deviation = 0.0
     else:
-        raise TypeError(f"not a decomposition result: {type(result).__name__}")
+        reference = matricized_singulars(a)
+        weights = np.asarray(_families(result)[0], dtype=np.float64)
+        width = max(len(reference), len(weights))
+        ref, got = (np.pad(v, (0, width - len(v))) for v in (reference, weights))
+        # A non-empty reference is positive; against none, weights are absolute.
+        top = ref[0] if len(reference) else 1.0
+        deviation = float(np.abs(got - ref).max(initial=0.0) / top)
 
     return OracleReport(
         singulars_reference=reference,

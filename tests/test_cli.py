@@ -226,6 +226,30 @@ def test_decompose_keep_truncates(tmp_path):
     assert report["reconstruction_relative_error"] > 1e-8  # truncated on purpose
 
 
+def test_decompose_failed_reconstruction_exits_1(tmp_path, monkeypatch):
+    import dataclasses
+
+    from tenspec import cli, decompose_transform
+
+    def scaled_weight(a):
+        dec = decompose_transform(a)
+        singulars = dec.singulars.copy()
+        singulars[0] *= 1.01
+        return dataclasses.replace(dec, singulars=singulars)
+
+    monkeypatch.setattr(cli, "decompose_transform", scaled_weight)
+    path = tmp_path / "f.tz1"
+    write_tensor(path, random_tensor((4, 3), 70))
+    for keep, code in ((None, 1), (3, 1), (2, 0)):
+        out = tmp_path / f"keep-{keep}"
+        args = ["decompose", str(path), "--groups", "1,1", "--algorithm", "transform",
+                "--out", str(out)]
+        if keep is not None:
+            args += ["--keep", str(keep)]
+        assert main(args) == code, keep
+        assert read_json(out / "report.json")["passed"] is False
+
+
 def test_decompose_keep_out_of_range_exit_2(tmp_path):
     path = tmp_path / "k.tz1"
     write_tensor(path, random_tensor((4, 3), 69))
@@ -299,10 +323,42 @@ def test_verify_orphan_weights_exit_2(tmp_path):
     assert main(["verify", str(src3), str(short)]) == 2
 
 
+def test_verify_bad_pair_map_exits_2(tmp_path):
+    src = tmp_path / "in3.tz1"
+    write_tensor(src, random_tensor((3, 3, 2), 68))
+    out = tmp_path / "fac3"
+    assert main(["decompose", str(src), "--groups", "1,1,1", "--out", str(out)]) == 0
+    data = json.loads((out / "manifest.json").read_text())
+    pairs = data["pairMap"]
+    count = len(pairs)
+    assert count > 2
+    bad_maps = {
+        "out_of_range": [[99, 99]] + pairs[1:],
+        "bare_integers": [1] * count,
+        "repeated": [pairs[0]] + pairs[:-1],
+        # Reordered: every pair in range and distinct, but components that
+        # now claim the same p (or s) hold different factors.
+        "reversed": pairs[::-1],
+    }
+    for name, bad in bad_maps.items():
+        data["pairMap"] = bad
+        path = out / f"{name}.json"
+        path.write_text(json.dumps(data))
+        assert main(["verify", str(src), str(path)]) == 2, name
+
+
 def test_verify_truncated_factor_exits_2(tmp_path):
     src, manifest = make_verified_run(tmp_path)
     factor = manifest.parent / json.loads(manifest.read_text())["factors"]["u"][0]
     factor.write_bytes(factor.read_bytes()[:-8])
+    assert main(["verify", str(src), str(manifest)]) == 2
+
+
+def test_verify_misshapen_factor_exits_2(tmp_path):
+    # A one-element factor would broadcast over its whole group.
+    src, manifest = make_verified_run(tmp_path)
+    factor = manifest.parent / json.loads(manifest.read_text())["factors"]["u"][0]
+    write_tensor(factor, DenseTensor([1.0]))
     assert main(["verify", str(src), str(manifest)]) == 2
 
 

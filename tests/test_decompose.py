@@ -9,6 +9,7 @@ from tenspec import (
     DenseTensor,
     GroupedTensor,
     apply_operator,
+    component_count,
     decompose_sa_nnd,
     decompose_transform,
     decompose_triple,
@@ -23,6 +24,7 @@ from tenspec import (
     sym_eig,
     unfold,
 )
+from tenspec.decompose import TERM_BLOCK
 from tenspec.errors import (
     GroupingMismatch,
     InvalidKeep,
@@ -463,7 +465,71 @@ def test_reconstruct_completeness_all_algorithms():
     assert rel_err(tp.tensor, reconstruct(decompose_triple(tp))) <= 1e-10
 
 
+def term_sum(dec, keep):
+    # Explicit loop over the leading `keep` terms, one outer product each.
+    if hasattr(dec, "eigentensors"):
+        terms = zip(dec.eigenvalues, dec.eigentensors, dec.eigentensors)
+    elif hasattr(dec, "singulars"):
+        terms = zip(dec.singulars, dec.left, dec.right)
+    else:
+        terms = zip(dec.weights, dec.factors_u, dec.factors_z, dec.factors_w)
+    acc = 0.0
+    for _, (weight, *factors) in zip(range(keep), terms):
+        term = factors[0].data
+        for f in factors[1:]:
+            term = np.multiply.outer(term, f.data)
+        acc = acc + float(weight) * term
+    return acc
+
+
+def blocked_cases():
+    # Component counts 40, 37 and 35: more than one block, not a multiple
+    # of TERM_BLOCK.
+    op = gram_operator(GroupedTensor(random_tensor((5, 8, 5, 8), 35), (2, 2)))
+    tr = GroupedTensor(random_tensor((37, 6, 8), 36), (1, 2))
+    tp = GroupedTensor(random_tensor((7, 5, 9), 37), (1, 1, 1))
+    cases = [
+        (op, decompose_sa_nnd(op)),
+        (tr, decompose_transform(tr)),
+        (tp, decompose_triple(tp)),
+    ]
+    assert [component_count(dec) for _, dec in cases] == [40, 37, 35]
+    return cases
+
+
+def test_reconstruct_blocks_match_term_loop():
+    for a, dec in blocked_cases():
+        count = component_count(dec)
+        scale = norm(a.tensor)
+        for keep in (1, TERM_BLOCK - 1, TERM_BLOCK, TERM_BLOCK + 1, count):
+            got = reconstruct(dec, keep).data
+            assert np.abs(got - term_sum(dec, keep)).max() <= 1e-14 * scale
+
+
 # --------------------------------------------------------- residual curve
+
+
+def graded_transform():
+    # Singular values 1 down to 1e-9: the Gram rank cut keeps those above
+    # 1e-5, so the curve ends near 1e-6 and must stay exact down there.
+    rng = np.random.Generator(np.random.PCG64(38))
+    q1, _ = np.linalg.qr(rng.standard_normal((40, 12)))
+    q2, _ = np.linalg.qr(rng.standard_normal((12, 12)))
+    a = GroupedTensor(DenseTensor((q1 * np.logspace(0, -9, 12)) @ q2.T), (1, 1))
+    return a, decompose_transform(a)
+
+
+def test_residual_curve_matches_partial_sums_across_blocks():
+    for a, dec in blocked_cases() + [graded_transform()]:
+        curve = residual_curve(a, dec)
+        count = component_count(dec)
+        assert [k for k, _ in curve] == list(range(count + 1))
+        scale = norm(a.tensor)
+        for keep, err in curve:
+            direct = np.sqrt(((a.tensor.data - term_sum(dec, keep)) ** 2).sum()) / scale
+            assert err == pytest.approx(direct, rel=1e-10, abs=1e-14)
+        errs = [e for _, e in curve]
+        assert all(errs[i] >= errs[i + 1] for i in range(count))
 
 
 def test_residual_curve_rank_one():

@@ -91,6 +91,13 @@ def test_zero_matrix():
     assert res.rank == 0
 
 
+def test_empty_matrix():
+    res = sym_eig(np.zeros((0, 0)))
+    assert res.eigenvalues.shape == (0,)
+    assert res.vectors.shape == (0, 0)
+    assert res.rank == 0
+
+
 def test_sign_convention():
     res = sym_eig(random_symmetric(12, 5))
     for p in range(12):
