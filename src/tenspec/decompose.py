@@ -10,9 +10,10 @@ to tensors.
 * ``decompose_transform``: a transformation from R^J to R^I is written as a
   weighted sum of outer products of left/right orthonormal factor tensors,
   the weights being the singular values of its unfolding.
-* ``decompose_triple``: a three-group tensor is factored in two stages (an
-  eigenproblem over I, then one over J) into weights and three factor
-  families indexed by a flattened pair index.
+* ``decompose_triple``: a three-group tensor is factored in two stages (the
+  SVD of its (I x JK) unfolding, then that of the couplings arranged over
+  J) into weights and three factor families indexed by a flattened pair
+  index.
 
 Reconstruction from the full factor set reproduces the input to floating
 point accuracy; truncating to the leading components gives the best-aligned
@@ -26,7 +27,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import jacobi
-from .core import DenseTensor, Shape, contract, norm, unfold
+from .core import DenseTensor, Shape, norm, unfold
 from .errors import (
     GroupingMismatch,
     InvalidKeep,
@@ -132,12 +133,13 @@ class TransformDecomposition:
 class RawTriple:
     """Stage outputs of the triple decomposition before pair flattening.
 
-    ``sigma``/``u_basis`` come from the eigenproblem over I, ``gamma``/
-    ``z_basis`` from the one over J.  ``coupling[p]`` is the stage-one
-    factor over J x K paired with ``sigma[p]``; ``w_joint`` is the order-
-    (f+2) tensor over K x r1 x r2 whose fibers become the W factors (None
-    for an empty decomposition).  ``pair_map[m] = (p, s)`` records the
-    flattening, zero-based, in final (sorted) component order.
+    ``sigma``/``u_basis`` come from the SVD of the (I x JK) unfolding,
+    ``gamma``/``z_basis`` from that of the couplings over J.
+    ``coupling[p]`` is the stage-one factor over J x K paired with
+    ``sigma[p]``; ``w_joint`` is the order-(f+2) tensor over K x r1 x r2
+    whose fibers become the W factors (None for an empty decomposition).
+    ``pair_map[m] = (p, s)`` records the flattening, zero-based, in final
+    (sorted) component order.
     """
 
     sigma: np.ndarray
@@ -192,7 +194,9 @@ def apply_operator(a, x):
         raise ShapeMismatch(
             f"operand shape {x.dims} does not match second group {shapes[1].dims}"
         )
-    return contract(a.tensor, x, a.positions(1), tuple(range(x.order)))
+    m = unfold(a.tensor, a.group_orders[0]).data
+    y = m @ x.data.reshape(-1)
+    return DenseTensor(y.reshape(shapes[0].dims), check_finite=False)
 
 
 def gram_operator(a, side="right"):
@@ -200,17 +204,19 @@ def gram_operator(a, side="right"):
 
     ``right`` contracts the first group of both copies, giving an operator
     over J x J; ``left`` contracts the second group, giving one over I x I.
+    Either is one product of the unfolding with its transpose.
     """
     _require_groups(a, 2, "gram_operator")
+    m = unfold(a.tensor, a.group_orders[0]).data
     if side == "right":
-        axes = a.positions(0)
-        order = a.group_orders[1]
+        g, shape = m.T @ m, a.group_shapes[1]
     elif side == "left":
-        axes = a.positions(1)
-        order = a.group_orders[0]
+        g, shape = m @ m.T, a.group_shapes[0]
     else:
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    return GroupedTensor(contract(a.tensor, a.tensor, axes, axes), (order, order))
+    return GroupedTensor(
+        DenseTensor(g.reshape(shape.dims * 2), check_finite=False), (shape.order,) * 2
+    )
 
 
 def is_self_adjoint(a, tol=SELF_ADJOINT_TOL):
@@ -235,13 +241,28 @@ def is_self_adjoint(a, tol=SELF_ADJOINT_TOL):
     return SelfAdjointCheck(True, asym)
 
 
-def _columns_to_tensors(vectors, count, shape):
-    shape = Shape(shape) if not isinstance(shape, Shape) else shape
-    return [
-        DenseTensor(np.ascontiguousarray(vectors[:, p]).reshape(shape.dims),
-                    check_finite=False)
-        for p in range(count)
-    ]
+def _columns_to_tensors(vectors, shape):
+    return [DenseTensor(c.reshape(shape.dims), check_finite=False) for c in vectors.T]
+
+
+def _matrix_svd(m, rank_tol):
+    # SVD of the matrix m from the Gram on its smaller side: m m^T when m
+    # has fewer rows than columns, else m^T m.  The Gram's eigenvalues are
+    # the squared weights and its eigenvectors that side's columns; the
+    # other side's follow in one product (m^T x / s for solved rows, m x / s
+    # for solved columns).  Components below the rank cut are dropped
+    # before the division, so a zero matrix gives none.  Returns the kept
+    # weights, the left and right factor columns, and the full spectrum
+    # (min(rows, cols) values).
+    by_rows = m.shape[0] < m.shape[1]
+    t = m if by_rows else m.T
+    eig = jacobi.sym_eig(t @ t.T, rank_tol=rank_tol)
+    r = eig.rank
+    weights = np.sqrt(eig.eigenvalues[:r])
+    solved = eig.vectors[:, :r]
+    mapped = (t.T @ solved) / weights
+    left, right = (solved, mapped) if by_rows else (mapped, solved)
+    return weights, left, right, np.sqrt(np.clip(eig.eigenvalues, 0.0, None))
 
 
 def decompose_sa_nnd(a, rank_tol=RANK_TOL, sym_tol=SELF_ADJOINT_TOL):
@@ -271,7 +292,7 @@ def decompose_sa_nnd(a, rank_tol=RANK_TOL, sym_tol=SELF_ADJOINT_TOL):
     r = eig.rank
     return OperatorDecomposition(
         eigenvalues=lam[:r].copy(),
-        eigentensors=_columns_to_tensors(eig.vectors, r, shape_i),
+        eigentensors=_columns_to_tensors(eig.vectors[:, :r], shape_i),
         operand_shape=shape_i,
         spectrum=lam,
     )
@@ -280,119 +301,81 @@ def decompose_sa_nnd(a, rank_tol=RANK_TOL, sym_tol=SELF_ADJOINT_TOL):
 def decompose_transform(a, rank_tol=RANK_TOL):
     """Singular-value style decomposition of a two-group tensor.
 
-    The Gram operator over the smaller group (I x I when I has fewer
-    elements than J, otherwise J x J) is diagonalized: its eigenvalues are
-    the squared weights and its eigenvectors that group's factors.  The
-    other group's factors follow as ``A . X_p / s_p``, contracting the
-    solved group.  ``spectrum`` holds the min(I, J) singular values, the
-    count that exists.  Components whose Gram eigenvalue falls below the
-    rank threshold are dropped before any inversion, so a zero tensor
-    yields an empty (r = 0) decomposition rather than an error.
+    The Gram of the unfolding over the smaller group (I x I when I has
+    fewer elements than J, otherwise J x J) is diagonalized: its eigenvalues
+    are the squared weights and its eigenvectors that group's factors.  The
+    other group's factors follow as ``A . X_p / s_p``, one matrix product.
+    ``spectrum`` holds the min(I, J) singular values, the count that exists.
+    Components whose Gram eigenvalue falls below the rank threshold are
+    dropped before any inversion, so a zero tensor yields an empty (r = 0)
+    decomposition rather than an error.
     """
     _require_groups(a, 2, "decompose_transform")
     shape_i, shape_j = a.group_shapes
-    solve_left = shape_i.element_count < shape_j.element_count
-    side, group = ("left", 0) if solve_left else ("right", 1)
-    g = gram_operator(a, side=side)
-    gm = unfold(g.tensor, g.group_orders[0]).data
-    eig = jacobi.sym_eig(gm, rank_tol=rank_tol)
-    r = eig.rank
-    singulars = np.sqrt(eig.eigenvalues[:r])
-    solved = _columns_to_tensors(eig.vectors, r, a.group_shapes[group])
-    axes = a.positions(group)
-    mapped = [
-        contract(a.tensor, x, axes, tuple(range(x.order))) * (1.0 / s)
-        for x, s in zip(solved, singulars)
-    ]
-    left, right = (solved, mapped) if solve_left else (mapped, solved)
+    singulars, left, right, spectrum = _matrix_svd(
+        unfold(a.tensor, a.group_orders[0]).data, rank_tol
+    )
     return TransformDecomposition(
         singulars=singulars,
-        left=left,
-        right=right,
+        left=_columns_to_tensors(left, shape_i),
+        right=_columns_to_tensors(right, shape_j),
         left_shape=shape_i,
         right_shape=shape_j,
-        spectrum=np.sqrt(np.clip(eig.eigenvalues, 0.0, None)),
+        spectrum=spectrum,
     )
 
 
 def decompose_triple(a, rank_tol=RANK_TOL):
     """Two-stage decomposition of a three-group tensor.
 
-    Stage one diagonalizes the operator over I obtained by contracting the
-    J and K groups of two copies, giving weights ``sigma`` and the U basis;
-    the couplings ``V_p = A . U_p / sigma_p`` live over J x K.  Stage two
-    diagonalizes the operator over J built from the couplings, giving
-    ``gamma`` and the Z basis, and the joint W tensor carries what remains.
-    Components are the flattened (p, s) pairs with weights
-    ``sigma_p * gamma_s``, sorted non-increasing.
+    Stage one is the SVD of the (I x JK) unfolding, giving weights
+    ``sigma``, the U basis over I and the couplings ``V_p = A . U_p /
+    sigma_p`` over J x K.  Stage two is the SVD of the couplings arranged
+    as one (J x K r1) matrix, giving ``gamma``, the Z basis over J, and as
+    its right columns the joint W tensor over K x r1 x r2.  Each stage
+    diagonalizes the Gram on the smaller side of its matrix.  Components
+    are the flattened (p, s) pairs with weights ``sigma_p * gamma_s``,
+    sorted non-increasing with lexicographic (p, s) tie-breaks.
     """
     _require_groups(a, 3, "decompose_triple")
-    shape_i, shape_j, shape_k = a.group_shapes
-    d, e, f = a.group_orders
+    shape_i, shape_j, shape_k = shapes = a.group_shapes
+    sigma, u_cols, v_cols, _ = _matrix_svd(
+        unfold(a.tensor, a.group_orders[0]).data, rank_tol
+    )
+    r1 = len(sigma)
+    # Row j of the stage-two matrix holds V_p[j, k] at column (k, p).
+    gamma, z_cols, w_cols, _ = _matrix_svd(
+        v_cols.reshape(shape_j.element_count, shape_k.element_count * r1), rank_tol
+    )
+    r2 = len(gamma)
+    w_joint = w_cols.reshape(shape_k.dims + (r1, r2))
+    u_basis = _columns_to_tensors(u_cols, shape_i)
+    z_basis = _columns_to_tensors(z_cols, shape_j)
 
-    # Stage one: eigenproblem over I (contract both trailing groups).
-    two_group = GroupedTensor(a.tensor, (d, e + f))
-    op1 = gram_operator(two_group, side="left")
-    m1 = unfold(op1.tensor, d).data
-    eig1 = jacobi.sym_eig(m1, rank_tol=rank_tol)
-    r1 = eig1.rank
-    sigma = np.sqrt(eig1.eigenvalues[:r1])
-    u_basis = _columns_to_tensors(eig1.vectors, r1, shape_i)
-    i_axes = two_group.positions(0)
-    coupling = [
-        contract(a.tensor, u, i_axes, tuple(range(u.order))) * (1.0 / s)
-        for u, s in zip(u_basis, sigma)
-    ]
-
-    # Stage two: eigenproblem over J, summing the couplings' K modes.
-    l_j = shape_j.element_count
-    k_axes_in_coupling = tuple(range(e, e + f))
-    h = np.zeros((l_j, l_j))
-    for v in coupling:
-        part = contract(v, v, k_axes_in_coupling, k_axes_in_coupling)
-        h += part.data.reshape(l_j, l_j)
-    eig2 = jacobi.sym_eig(h, rank_tol=rank_tol)
-    r2 = eig2.rank
-    gamma = np.sqrt(eig2.eigenvalues[:r2])
-    z_basis = _columns_to_tensors(eig2.vectors, r2, shape_j)
-
-    # Joint W over K x r1 x r2: coupling against Z, scaled by 1/gamma.
-    j_axes_in_coupling = tuple(range(e))
-    w_joint = np.zeros(shape_k.dims + (r1, r2))
-    for p, v in enumerate(coupling):
-        for s, z in enumerate(z_basis):
-            slab = contract(v, z, j_axes_in_coupling, tuple(range(z.order)))
-            w_joint[..., p, s] = slab.data * (1.0 / gamma[s])
-
-    # Flatten (p, s) pairs, s fastest, then sort by weight descending with
-    # lexicographic tie-breaks so truncation by count is meaningful.
-    pairs = [(p, s) for p in range(r1) for s in range(r2)]
-    weights = np.array([sigma[p] * gamma[s] for p, s in pairs])
-    order = sorted(range(len(pairs)), key=lambda m: (-weights[m], pairs[m]))
-    pair_map = np.array([pairs[m] for m in order], dtype=np.intp).reshape(-1, 2)
-    weights = weights[order] if len(order) else weights
-
-    factors_u = [u_basis[p] for p, _ in pair_map]
-    factors_z = [z_basis[s] for _, s in pair_map]
-    factors_w = [
-        DenseTensor(np.ascontiguousarray(w_joint[..., p, s]), check_finite=False)
-        for p, s in pair_map
-    ]
+    # Flatten (p, s) pairs, s fastest; a stable sort by weight descending
+    # keeps equal weights in lexicographic (p, s) order, so truncation by
+    # count is meaningful.
+    products = np.outer(sigma, gamma).ravel()
+    order = np.argsort(-products, kind="stable")
+    weights = products[order]
+    pair_map = np.stack(np.unravel_index(order, (r1, r2)), axis=1)
     raw = RawTriple(
         sigma=sigma,
         gamma=gamma,
         u_basis=u_basis,
         z_basis=z_basis,
-        coupling=coupling,
+        coupling=_columns_to_tensors(v_cols, Shape(shape_j.dims + shape_k.dims)),
         w_joint=DenseTensor(w_joint, check_finite=False) if w_joint.size else None,
         pair_map=pair_map,
     )
     return TripleDecomposition(
         weights=weights,
-        factors_u=factors_u,
-        factors_z=factors_z,
-        factors_w=factors_w,
-        shapes=(shape_i, shape_j, shape_k),
+        factors_u=[u_basis[p] for p in pair_map[:, 0]],
+        factors_z=[z_basis[s] for s in pair_map[:, 1]],
+        factors_w=[
+            DenseTensor(w_joint[..., p, s], check_finite=False) for p, s in pair_map
+        ],
+        shapes=shapes,
         raw=raw,
     )
 

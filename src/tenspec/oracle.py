@@ -19,7 +19,6 @@ from .core import DenseTensor, norm
 from .decompose import (
     TERM_BLOCK,
     TripleDecomposition,
-    _families,
     _stacked_terms,
     reconstructed_dims,
 )
@@ -35,6 +34,7 @@ class OracleReport:
     singulars_reference: np.ndarray
     max_singular_deviation: float
     max_reconstruction_error: float
+    max_orthonormality_error: float
     passed: bool
 
 
@@ -127,28 +127,41 @@ def verify_decomposition(a, result, singular_tol=1e-8, reconstruction_tol=1e-8):
     the LAPACK singular values, zero-padded to a common length and
     measured relative to the largest reference value; no independent
     singular reference exists for triple decompositions, so only the
-    reconstruction replay applies there.
+    reconstruction replay applies there.  The distinct factors of each
+    family (a triple's U and Z; its W fibers are orthonormal only jointly)
+    must be orthonormal: their Gram may differ from the identity by at most
+    ``singular_tol`` in any entry.
     """
     rebuilt = replay_reconstruction(result)
     scale = norm(a.tensor)
     diff = norm(DenseTensor(a.tensor.data - rebuilt.data, check_finite=False))
     recon_err = diff / scale if scale > 0.0 else (0.0 if diff == 0.0 else math.inf)
 
+    weights, stacks = _stacked_terms(result)
     if isinstance(result, TripleDecomposition):
+        stacks = stacks[:2]
         reference = np.array([])
         deviation = 0.0
     else:
         reference = matricized_singulars(a)
-        weights = np.asarray(_families(result)[0], dtype=np.float64)
         width = max(len(reference), len(weights))
         ref, got = (np.pad(v, (0, width - len(v))) for v in (reference, weights))
         # A non-empty reference is positive; against none, weights are absolute.
         top = ref[0] if len(reference) else 1.0
         deviation = float(np.abs(got - ref).max(initial=0.0) / top)
+    ortho = max(
+        float(np.abs(stack @ stack.T - np.eye(len(stack))).max(initial=0.0))
+        for stack, _ in stacks
+    )
 
     return OracleReport(
         singulars_reference=reference,
         max_singular_deviation=deviation,
         max_reconstruction_error=recon_err,
-        passed=bool(recon_err <= reconstruction_tol and deviation <= singular_tol),
+        max_orthonormality_error=ortho,
+        passed=bool(
+            recon_err <= reconstruction_tol
+            and deviation <= singular_tol
+            and ortho <= singular_tol
+        ),
     )

@@ -304,6 +304,30 @@ def test_verify_corrupted_weight_fails(tmp_path):
     assert main(["verify", str(src), str(bad)]) == 1
 
 
+def test_verify_rescaled_factors_fail(tmp_path):
+    # Rescaled factor pairs leave weights and reconstruction intact, but
+    # the factors are no longer orthonormal.
+    src, manifest = make_verified_run(tmp_path)
+    src3 = tmp_path / "in3.tz1"
+    write_tensor(src3, random_tensor((3, 3, 2), 68))
+    out3 = tmp_path / "fac3"
+    assert main(["decompose", str(src3), "--groups", "1,1,1", "--out", str(out3)]) == 0
+    cases = [
+        (src, manifest, {"u": 2.0, "v": 0.5}),
+        (src3, out3 / "manifest.json", {"z": 3.0, "w": 1.0 / 3.0}),
+    ]
+    for tensor_path, path, scales in cases:
+        factors = json.loads(path.read_text())["factors"]
+        for family, scale in scales.items():
+            for name in factors[family]:
+                f = path.parent / name
+                write_tensor(f, read_tensor(f) * scale)
+        assert main(["verify", str(tensor_path), str(path)]) == 1, scales
+        report = run_verify(tensor_path, path)
+        assert report.max_reconstruction_error <= 1e-10
+        assert report.max_orthonormality_error > 1.0
+
+
 def test_verify_orphan_weights_exit_2(tmp_path):
     src, manifest = make_verified_run(tmp_path)
     data = json.loads(manifest.read_text())

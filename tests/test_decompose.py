@@ -418,6 +418,40 @@ def test_triple_random_multi_mode_trailing_group():
     check_triple_contract(a, dec)
 
 
+@pytest.mark.parametrize(
+    "dims, orders",
+    [
+        # Stage one: the (12 x 6) unfolding is solved on its 6 side.
+        ((12, 2, 3), [6, 2]),
+        # Stage two: the couplings form a (12 x r1*K) = (12 x 6) matrix.
+        ((2, 12, 3), [2, 6]),
+    ],
+)
+def test_triple_solves_smaller_sides(monkeypatch, dims, orders):
+    from tenspec.decompose import jacobi
+
+    seen = []
+    solve = jacobi.sym_eig
+
+    def recording(a, *args, **kwargs):
+        seen.append(np.shape(a)[0])
+        return solve(a, *args, **kwargs)
+
+    monkeypatch.setattr(jacobi, "sym_eig", recording)
+    a = GroupedTensor(random_tensor(dims, 36), (1, 1, 1))
+    dec = decompose_triple(a)
+    assert seen == orders
+    raw = dec.raw
+    r1, r2 = len(raw.sigma), len(raw.gamma)
+    for family in (raw.u_basis, raw.z_basis):
+        flat = np.array([f.data.ravel() for f in family])
+        assert np.abs(flat @ flat.T - np.eye(len(family))).max() <= 1e-12
+    w = raw.w_joint.data.reshape(-1, r2)
+    assert np.abs(w.T @ w - np.eye(r2)).max() <= 1e-12
+    assert dec.count == r1 * r2
+    assert rel_err(a.tensor, reconstruct(dec)) <= 1e-12
+
+
 def test_triple_weight_tie_break_order():
     # Equal weights must come out in lexicographic (p, s) order.
     u0 = DenseTensor([1.0, 0.0])
