@@ -10,6 +10,7 @@ only.
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -24,7 +25,6 @@ from .decompose import (
     OperatorDecomposition,
     TransformDecomposition,
     TripleDecomposition,
-    _families,
     component_count,
     decompose_sa_nnd,
     decompose_transform,
@@ -237,15 +237,16 @@ def run_decompose(path, groups, algorithm="auto", keep=None, out_dir="tenspec-ou
         wall_time_ms=wall_ms,
     )
 
-    weights, families = _families(dec)
+    weights, families = dec.terms()
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     factor_names = {}
-    for family, (tensors, _) in zip(_FAMILY_BY_ALGORITHM[algorithm], families):
+    for family, (rows, index, shape) in zip(_FAMILY_BY_ALGORITHM[algorithm], families):
         names = []
         for m in range(kept):
             fname = f"{family}-{m + 1:04d}.tz1"
-            write_tensor(out_dir / fname, tensors[m])
+            factor = DenseTensor(rows[index[m]].reshape(shape.dims), check_finite=False)
+            write_tensor(out_dir / fname, factor)
             names.append(fname)
         factor_names[family] = names
     manifest = {
@@ -283,80 +284,86 @@ def run_verify(tensor_path, manifest_path):
         raise ParseError(f"{manifest_path}: {exc}") from exc
     try:
         algorithm = manifest["algorithm"]
-        groups = tuple(int(g) for g in manifest["groups"])
+        groups = manifest["groups"]
         weights = np.array([float(w) for w in manifest["weights"]])
         factor_names = manifest["factors"]
         tolerances = manifest.get("tolerances", {})
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"{manifest_path}: bad manifest field: {exc}") from exc
-
-    if algorithm not in _FAMILY_BY_ALGORITHM:
+    if not isinstance(algorithm, str) or algorithm not in _FAMILY_BY_ALGORITHM:
         raise ParseError(f"{manifest_path}: unknown algorithm {algorithm!r}")
-    base = manifest_path.parent
-    loaded = {}
-    for family in _FAMILY_BY_ALGORITHM[algorithm]:
-        try:
-            loaded[family] = [read_tensor(base / n) for n in factor_names[family]]
-        except (KeyError, FileNotFoundError) as exc:
-            raise ParseError(f"{manifest_path}: missing factor file: {exc}") from exc
-        if len(loaded[family]) != len(weights):
-            raise ParseError(
-                f"{manifest_path}: {len(weights)} weights but "
-                f"{len(loaded[family])} {family} factors"
-            )
+    if not (isinstance(groups, list) and all(type(g) is int for g in groups)):
+        raise ParseError(f"{manifest_path}: groups {groups!r} are not integers")
+    if not isinstance(factor_names, dict):
+        raise ParseError(f"{manifest_path}: factors must map family to file names")
 
     a = GroupedTensor(tensor, groups)
     declared = manifest.get("shapes")
     if declared is not None:
         actual = [list(s.dims) for s in a.group_shapes]
-        if [list(map(int, s)) for s in declared] != actual:
+        if declared != actual:
             raise ParseError(
                 f"{manifest_path}: declared shapes {declared} do not match "
                 f"tensor groups {actual}"
             )
     shapes = a.group_shapes
-    if algorithm == "op":
-        result = OperatorDecomposition(
-            eigenvalues=weights,
-            eigentensors=loaded["u"],
-            operand_shape=shapes[0],
-            spectrum=weights,
+    stacks = {}
+    for family, shape in zip(_FAMILY_BY_ALGORITHM[algorithm], shapes):
+        names = factor_names.get(family)
+        if not (isinstance(names, list) and all(isinstance(n, str) for n in names)):
+            raise ParseError(f"{manifest_path}: no list of {family} factor files")
+        if len(names) != len(weights):
+            raise ParseError(
+                f"{manifest_path}: {len(weights)} weights but "
+                f"{len(names)} {family} factors"
+            )
+        try:
+            loaded = [read_tensor(manifest_path.parent / n) for n in names]
+        except FileNotFoundError as exc:
+            raise ParseError(f"{manifest_path}: missing factor file: {exc}") from exc
+        if any(t.dims != shape.dims for t in loaded):
+            raise ShapeMismatch(f"a {family} factor is not of shape {shape.dims}")
+        stacks[family] = np.array([t.values for t in loaded]).reshape(
+            len(loaded), shape.element_count
         )
+
+    if algorithm == "op":
+        result = OperatorDecomposition(weights, stacks["u"], shapes[0], spectrum=weights)
     elif algorithm == "transform":
         result = TransformDecomposition(
-            singulars=weights,
-            left=loaded["u"],
-            right=loaded["v"],
-            left_shape=shapes[0],
-            right_shape=shapes[1],
-            spectrum=weights,
+            weights, stacks["u"], stacks["v"], *shapes, spectrum=weights
         )
     else:
-        _check_pair_map(manifest.get("pairMap", []), loaded, manifest_path)
+        pair_map = _compact_pair_map(manifest.get("pairMap", []), stacks, manifest_path)
         result = TripleDecomposition(
-            weights=weights,
-            factors_u=loaded["u"],
-            factors_z=loaded["z"],
-            factors_w=loaded["w"],
-            shapes=shapes,
-            raw=None,
+            weights, pair_map, stacks["u"], stacks["z"], stacks["w"], shapes, raw=None
         )
-    return verify_decomposition(
-        a,
-        result,
-        singular_tol=float(tolerances.get("singular_tol", SINGULAR_TOL)),
-        reconstruction_tol=float(tolerances.get("reconstruction_tol", 1e-8)),
-    )
+    return verify_decomposition(a, result, **_tolerances(tolerances, manifest_path))
 
 
-def _check_pair_map(entries, loaded, manifest_path):
-    """Require distinct 1-based ``pairMap`` pairs in [1, M] (the k-th largest
-    weight sigma_p * gamma_s has p, s <= k) whose components share their U
-    factor when they share p, and their Z factor when they share s.
+def _tolerances(declared, manifest_path):
+    """``verify``'s tolerances: a manifest may declare smaller ones than
+    the defaults, never larger."""
+    if not isinstance(declared, dict):
+        raise ParseError(f"{manifest_path}: tolerances must map name to value")
+    tolerances = {}
+    for key, default in (("singular_tol", SINGULAR_TOL), ("reconstruction_tol", 1e-8)):
+        value = declared.get(key, default)
+        if type(value) not in (int, float) or not 0 < value < math.inf:
+            raise ParseError(f"{manifest_path}: {key} {value!r} is not a positive number")
+        tolerances[key] = float(min(value, default))
+    return tolerances
 
-    Components that share a factor are then given the same tensor object,
-    so the oracle sees each distinct U and Z factor once."""
-    count = len(loaded["u"])
+
+def _compact_pair_map(entries, stacks, manifest_path):
+    """Zero-based pair map of a triple manifest's 1-based ``pairMap``.
+
+    The entries must be distinct pairs of integers in [1, M] (the k-th
+    largest weight sigma_p * gamma_s has p, s <= k), and components that
+    share p (s) must hold equal U (Z) factors.  The U and Z stacks are
+    reduced to their distinct rows, which the returned map indexes.
+    """
+    count = len(stacks["w"])
     if not isinstance(entries, list) or len(entries) != count:
         raise ParseError(
             f"{manifest_path}: pairMap needs one entry per weight ({count})"
@@ -373,16 +380,20 @@ def _check_pair_map(entries, loaded, manifest_path):
             )
     if len({tuple(entry) for entry in entries}) != count:
         raise ParseError(f"{manifest_path}: pairMap repeats a pair")
+    pairs = np.array(entries, dtype=np.intp).reshape(count, 2)
     for column, family in ((0, "u"), (1, "z")):
-        first = {}
-        for m, entry in enumerate(entries):
-            k = first.setdefault(entry[column], m)
-            if not np.array_equal(loaded[family][k].data, loaded[family][m].data):
-                raise ParseError(
-                    f"{manifest_path}: components {k + 1} and {m + 1} share "
-                    f"index {entry[column]} but not their {family} factor"
-                )
-            loaded[family][m] = loaded[family][k]
+        _, first, inverse = np.unique(
+            pairs[:, column], return_index=True, return_inverse=True
+        )
+        distinct = stacks[family][first]
+        if not np.array_equal(distinct[inverse], stacks[family]):
+            raise ParseError(
+                f"{manifest_path}: components that share a pairMap index "
+                f"hold different {family} factors"
+            )
+        stacks[family] = distinct
+        pairs[:, column] = inverse
+    return pairs
 
 
 def _write_spectrum_csv(path, spectrum):

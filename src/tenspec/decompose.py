@@ -1,8 +1,8 @@
 """Exact decompositions of grouped tensors.
 
 Three procedures, all built on the same mechanism: linearize a mode group,
-solve a symmetric eigenproblem there, and map the eigenvector columns back
-to tensors.
+solve a symmetric eigenproblem there, and keep the eigenvectors (and the
+factors mapped from them) as arrays with one flattened factor per row.
 
 * ``decompose_sa_nnd``: a self-adjoint non-negative definite operator over
   I x I is written as a weighted sum of outer products of orthonormal
@@ -95,16 +95,31 @@ class SelfAdjointCheck(NamedTuple):
         return self.ok
 
 
+def _views(rows, shape):
+    # One DenseTensor per row of a factor array (a view unless rows are strided).
+    return [DenseTensor(row.reshape(shape.dims), check_finite=False) for row in rows]
+
+
+def _factors(decomposition, family):
+    # The factor tensors of one family, one per component: views of the
+    # family's rows, each row wrapped once however many components share it.
+    rows, index, shape = decomposition.terms()[1][family]
+    views = _views(rows, shape)
+    return [views[k] for k in index.tolist()]
+
+
 @dataclass(frozen=True)
 class OperatorDecomposition:
     """Eigenvalues and orthonormal eigentensors of an SA-NND operator.
 
     ``eigenvalues`` holds the kept (above-threshold) spectrum, descending;
-    ``spectrum`` the full pre-truncation spectrum for reporting.
+    ``spectrum`` the full pre-truncation spectrum for reporting.  Row p of
+    ``vectors`` (r x N) is eigentensor p flattened; component p is
+    ``eigenvalues[p] * U_p o U_p``.
     """
 
     eigenvalues: np.ndarray
-    eigentensors: list
+    vectors: np.ndarray
     operand_shape: Shape
     spectrum: np.ndarray
 
@@ -112,14 +127,24 @@ class OperatorDecomposition:
     def rank(self):
         return len(self.eigenvalues)
 
+    eigentensors = property(lambda self: _factors(self, 0))
+
+    def terms(self):
+        """Weights and one (rows, index, shape) triple per factor family:
+        component m is ``weights[m]`` times the outer product over families
+        of ``rows[index[m]]``, each row reshaped to ``shape``."""
+        family = (self.vectors, np.arange(len(self.eigenvalues)), self.operand_shape)
+        return self.eigenvalues, (family, family)
+
 
 @dataclass(frozen=True)
 class TransformDecomposition:
-    """Singular values with left (over I) and right (over J) factor tensors."""
+    """Singular values with left (over I) and right (over J) factors, the
+    flattened ones of component p being row p of ``u`` and of ``v``."""
 
     singulars: np.ndarray
-    left: list
-    right: list
+    u: np.ndarray
+    v: np.ndarray
     left_shape: Shape
     right_shape: Shape
     spectrum: np.ndarray
@@ -127,6 +152,17 @@ class TransformDecomposition:
     @property
     def rank(self):
         return len(self.singulars)
+
+    left = property(lambda self: _factors(self, 0))
+    right = property(lambda self: _factors(self, 1))
+
+    def terms(self):
+        """See ``OperatorDecomposition.terms``."""
+        index = np.arange(len(self.singulars))
+        return self.singulars, (
+            (self.u, index, self.left_shape),
+            (self.v, index, self.right_shape),
+        )
 
 
 @dataclass(frozen=True)
@@ -137,9 +173,8 @@ class RawTriple:
     ``gamma``/``z_basis`` from that of the couplings over J.
     ``coupling[p]`` is the stage-one factor over J x K paired with
     ``sigma[p]``; ``w_joint`` is the order-(f+2) tensor over K x r1 x r2
-    whose fibers become the W factors (None for an empty decomposition).
-    ``pair_map[m] = (p, s)`` records the flattening, zero-based, in final
-    (sorted) component order.
+    whose fibers are the W factors (None for an empty decomposition).
+    The bases are views of the rows of the decomposition's ``u`` and ``z``.
     """
 
     sigma: np.ndarray
@@ -148,23 +183,24 @@ class RawTriple:
     z_basis: list
     coupling: list
     w_joint: Optional[DenseTensor]
-    pair_map: np.ndarray
 
 
 @dataclass(frozen=True)
 class TripleDecomposition:
     """Weights and three factor families for a three-group tensor.
 
-    Component m contributes ``weights[m] * factors_u[m] o factors_z[m] o
-    factors_w[m]``; weights are stored as the exact products
-    ``sigma[pair_map[m, 0]] * gamma[pair_map[m, 1]]``, sorted non-increasing
-    with lexicographic (p, s) tie-breaks.
+    Component m contributes ``weights[m] * U_p o Z_s o W_m`` with
+    ``(p, s) = pair_map[m]`` (zero-based), ``U_p`` row p of ``u`` (r1 x I),
+    ``Z_s`` row s of ``z`` (r2 x J) and ``W_m`` row m of ``w`` (M x K).
+    Weights are stored as the exact products ``sigma[p] * gamma[s]``,
+    sorted non-increasing with lexicographic (p, s) tie-breaks.
     """
 
     weights: np.ndarray
-    factors_u: list
-    factors_z: list
-    factors_w: list
+    pair_map: np.ndarray
+    u: np.ndarray
+    z: np.ndarray
+    w: np.ndarray
     shapes: tuple
     raw: Optional[RawTriple]
 
@@ -173,12 +209,21 @@ class TripleDecomposition:
         return len(self.weights)
 
     @property
-    def pair_map(self):
-        return self.raw.pair_map
-
-    @property
     def spectrum(self):
         return self.weights
+
+    factors_u = property(lambda self: _factors(self, 0))
+    factors_z = property(lambda self: _factors(self, 1))
+    factors_w = property(lambda self: _factors(self, 2))
+
+    def terms(self):
+        """See ``OperatorDecomposition.terms``."""
+        u_shape, z_shape, w_shape = self.shapes
+        return self.weights, (
+            (self.u, self.pair_map[:, 0], u_shape),
+            (self.z, self.pair_map[:, 1], z_shape),
+            (self.w, np.arange(len(self.weights)), w_shape),
+        )
 
 
 def _require_groups(a, n, what):
@@ -241,8 +286,8 @@ def is_self_adjoint(a, tol=SELF_ADJOINT_TOL):
     return SelfAdjointCheck(True, asym)
 
 
-def _columns_to_tensors(vectors, shape):
-    return [DenseTensor(c.reshape(shape.dims), check_finite=False) for c in vectors.T]
+def _as_rows(columns):
+    return np.ascontiguousarray(columns.T)
 
 
 def _matrix_svd(m, rank_tol):
@@ -292,7 +337,7 @@ def decompose_sa_nnd(a, rank_tol=RANK_TOL, sym_tol=SELF_ADJOINT_TOL):
     r = eig.rank
     return OperatorDecomposition(
         eigenvalues=lam[:r].copy(),
-        eigentensors=_columns_to_tensors(eig.vectors[:, :r], shape_i),
+        vectors=_as_rows(eig.vectors[:, :r]),
         operand_shape=shape_i,
         spectrum=lam,
     )
@@ -317,8 +362,8 @@ def decompose_transform(a, rank_tol=RANK_TOL):
     )
     return TransformDecomposition(
         singulars=singulars,
-        left=_columns_to_tensors(left, shape_i),
-        right=_columns_to_tensors(right, shape_j),
+        u=_as_rows(left),
+        v=_as_rows(right),
         left_shape=shape_i,
         right_shape=shape_j,
         spectrum=spectrum,
@@ -348,79 +393,40 @@ def decompose_triple(a, rank_tol=RANK_TOL):
         v_cols.reshape(shape_j.element_count, shape_k.element_count * r1), rank_tol
     )
     r2 = len(gamma)
-    w_joint = w_cols.reshape(shape_k.dims + (r1, r2))
-    u_basis = _columns_to_tensors(u_cols, shape_i)
-    z_basis = _columns_to_tensors(z_cols, shape_j)
+    joint = w_cols.reshape(shape_k.dims + (r1, r2))
+    u, z = _as_rows(u_cols), _as_rows(z_cols)
 
     # Flatten (p, s) pairs, s fastest; a stable sort by weight descending
     # keeps equal weights in lexicographic (p, s) order, so truncation by
     # count is meaningful.
     products = np.outer(sigma, gamma).ravel()
     order = np.argsort(-products, kind="stable")
-    weights = products[order]
-    pair_map = np.stack(np.unravel_index(order, (r1, r2)), axis=1)
-    raw = RawTriple(
-        sigma=sigma,
-        gamma=gamma,
-        u_basis=u_basis,
-        z_basis=z_basis,
-        coupling=_columns_to_tensors(v_cols, Shape(shape_j.dims + shape_k.dims)),
-        w_joint=DenseTensor(w_joint, check_finite=False) if w_joint.size else None,
-        pair_map=pair_map,
-    )
     return TripleDecomposition(
-        weights=weights,
-        factors_u=[u_basis[p] for p in pair_map[:, 0]],
-        factors_z=[z_basis[s] for s in pair_map[:, 1]],
-        factors_w=[
-            DenseTensor(w_joint[..., p, s], check_finite=False) for p, s in pair_map
-        ],
+        weights=products[order],
+        pair_map=np.stack(np.unravel_index(order, (r1, r2)), axis=1),
+        u=u,
+        z=z,
+        w=joint.reshape(shape_k.element_count, r1 * r2).T[order],
         shapes=shapes,
-        raw=raw,
+        raw=RawTriple(
+            sigma=sigma,
+            gamma=gamma,
+            u_basis=_views(u, shape_i),
+            z_basis=_views(z, shape_j),
+            coupling=_views(v_cols.T, Shape(shape_j.dims + shape_k.dims)),
+            w_joint=DenseTensor(joint, check_finite=False) if joint.size else None,
+        ),
     )
-
-
-def _families(decomposition):
-    # Weights and one (factor tensors, shape) pair per factor family, in
-    # reconstruction order: component m is weights[m] times the outer
-    # product of factor m of every family.
-    d = decomposition
-    if isinstance(d, OperatorDecomposition):
-        return d.eigenvalues, ((d.eigentensors, d.operand_shape),) * 2
-    if isinstance(d, TransformDecomposition):
-        return d.singulars, ((d.left, d.left_shape), (d.right, d.right_shape))
-    if isinstance(d, TripleDecomposition):
-        return d.weights, tuple(zip((d.factors_u, d.factors_z, d.factors_w), d.shapes))
-    raise TypeError(f"not a decomposition result: {type(d).__name__}")
 
 
 def component_count(decomposition):
     """Number of stored components (r, or M for a triple decomposition)."""
-    return len(_families(decomposition)[0])
+    return len(decomposition.terms()[0])
 
 
 def reconstructed_dims(decomposition):
     """Dims of the tensor the decomposition reproduces."""
-    return sum((shape.dims for _, shape in _families(decomposition)[1]), ())
-
-
-def _stacked_terms(decomposition):
-    # Weights, and per family (stack, index): each distinct factor tensor
-    # flattened into one row of `stack`, and the row of every component, so
-    # a triple's U and Z families take r1 and r2 rows rather than M.
-    weights, families = _families(decomposition)
-    stacks = []
-    for tensors, shape in families:
-        distinct = list({id(t): t for t in tensors}.values())
-        row_of = {id(t): k for k, t in enumerate(distinct)}
-        stack = np.empty((len(distinct), shape.element_count))
-        for row, t in zip(stack, distinct):
-            if t.dims != shape.dims:
-                raise ShapeMismatch(f"factor of shape {t.dims}, expected {shape.dims}")
-            row[:] = t.data.reshape(-1)
-        index = np.array([row_of[id(t)] for t in tensors], dtype=np.intp)
-        stacks.append((stack, index))
-    return np.asarray(weights, dtype=np.float64), stacks
+    return sum((shape.dims for *_, shape in decomposition.terms()[1]), ())
 
 
 def _blocks(count):
@@ -432,7 +438,7 @@ def _blocks(count):
 
 def _rows(family, rows):
     # The factors of the components in `rows`, one flattened factor a row.
-    stack, index = family
+    stack, index, _ = family
     return stack[index[rows]]
 
 
@@ -449,7 +455,7 @@ def _lead_rows(weights, families, rows):
 def _sum_terms(weights, families, count):
     # Sum of the leading `count` terms as an (N x K) matrix, K the size of
     # the last family: one product of Khatri-Rao rows with it per block.
-    n = math.prod(stack.shape[1] for stack, _ in families[:-1])
+    n = math.prod(stack.shape[1] for stack, _, _ in families[:-1])
     acc = np.zeros((n, families[-1][0].shape[1]))
     for rows in _blocks(count):
         acc += _lead_rows(weights, families, rows).T @ _rows(families[-1], rows)
@@ -464,7 +470,7 @@ def reconstruct(decomposition, keep=None):
     are added ``TERM_BLOCK`` at a time, each block as one matrix product of
     its Khatri-Rao rows with the last factor family.
     """
-    weights, families = _stacked_terms(decomposition)
+    weights, families = decomposition.terms()
     keep = len(weights) if keep is None else int(keep)
     if not 0 <= keep <= len(weights):
         raise InvalidKeep(f"keep {keep} not in [0, {len(weights)}]")
@@ -493,7 +499,7 @@ def residual_curve(a, decomposition):
     scale = norm(reference)
     if scale == 0.0:
         return [(0, 0.0)]
-    weights, families = _stacked_terms(decomposition)
+    weights, families = decomposition.terms()
     count = len(weights)
     tail = _sum_terms(weights, families, count)
     np.subtract(reference.data.reshape(tail.shape), tail, out=tail)

@@ -5,8 +5,9 @@ LAPACK's SVD of the unfolded matrix itself (never from the Gram spectrum
 the decompositions diagonalize with their own Jacobi solver), contraction
 is redone with explicit nested loops, and reconstructions are replayed
 block by block with ``np.einsum`` rather than the Khatri-Rao products of
-``reconstruct``.  Shared code is limited to tensor storage and to stacking
-each factor family into one array.
+``reconstruct``.  Shared code is limited to tensor storage and to the
+records' ``terms()`` layout: each factor family one array of flattened
+factors with a row index per component.
 """
 
 import math
@@ -16,12 +17,7 @@ from itertools import product
 import numpy as np
 
 from .core import DenseTensor, norm
-from .decompose import (
-    TERM_BLOCK,
-    TripleDecomposition,
-    _stacked_terms,
-    reconstructed_dims,
-)
+from .decompose import TERM_BLOCK, reconstructed_dims
 from .errors import GroupingMismatch, InvalidAxis, ShapeMismatch
 
 RANK_TOL = 1e-10
@@ -108,13 +104,13 @@ def _check_axes(t, axes):
 def replay_reconstruction(decomposition):
     """Rebuild the decomposed tensor with one ``np.einsum`` per block of
     ``TERM_BLOCK`` components."""
-    weights, families = _stacked_terms(decomposition)
+    weights, families = decomposition.terms()
     modes = "ijk"[: len(families)]
     expr = "m," + ",".join("m" + c for c in modes) + "->" + modes
-    acc = np.zeros(tuple(stack.shape[1] for stack, _ in families))
+    acc = np.zeros(tuple(stack.shape[1] for stack, _, _ in families))
     for lo in range(0, len(weights), TERM_BLOCK):
         rows = slice(lo, lo + TERM_BLOCK)
-        block = [stack[index[rows]] for stack, index in families]
+        block = [stack[index[rows]] for stack, index, _ in families]
         acc += np.einsum(expr, weights[rows], *block, optimize=True)
     return DenseTensor(acc.reshape(reconstructed_dims(decomposition)), check_finite=False)
 
@@ -126,23 +122,27 @@ def verify_decomposition(a, result, singular_tol=1e-8, reconstruction_tol=1e-8):
     two-group decompositions the stored weights are also checked against
     the LAPACK singular values, zero-padded to a common length and
     measured relative to the largest reference value; no independent
-    singular reference exists for triple decompositions, so only the
-    reconstruction replay applies there.  The distinct factors of each
-    family (a triple's U and Z; its W fibers are orthonormal only jointly)
-    must be orthonormal: their Gram may differ from the identity by at most
-    ``singular_tol`` in any entry.
+    weight reference is taken for triple decompositions.  The stored
+    factors of each family must be orthonormal: their Gram may differ from
+    the identity by at most ``singular_tol`` in any entry.  A triple's W
+    rows are orthonormal only jointly: scattered by ``pair_map`` into one
+    (r1 K) x r2 matrix, zero for absent pairs, its columns must be.
     """
     rebuilt = replay_reconstruction(result)
     scale = norm(a.tensor)
     diff = norm(DenseTensor(a.tensor.data - rebuilt.data, check_finite=False))
     recon_err = diff / scale if scale > 0.0 else (0.0 if diff == 0.0 else math.inf)
 
-    weights, stacks = _stacked_terms(result)
-    if isinstance(result, TripleDecomposition):
-        stacks = stacks[:2]
+    weights, families = result.terms()
+    if len(families) == 3:
+        (u, p, _), (z, s, _), (w, index, _) = families
+        joint = np.zeros((len(z), len(u), w.shape[1]))
+        joint[s, p] = w[index]
+        stacks = [u, z, joint.reshape(len(z), len(u) * w.shape[1])]
         reference = np.array([])
         deviation = 0.0
     else:
+        stacks = [stack for stack, _, _ in families]
         reference = matricized_singulars(a)
         width = max(len(reference), len(weights))
         ref, got = (np.pad(v, (0, width - len(v))) for v in (reference, weights))
@@ -151,7 +151,7 @@ def verify_decomposition(a, result, singular_tol=1e-8, reconstruction_tol=1e-8):
         deviation = float(np.abs(got - ref).max(initial=0.0) / top)
     ortho = max(
         float(np.abs(stack @ stack.T - np.eye(len(stack))).max(initial=0.0))
-        for stack, _ in stacks
+        for stack in stacks
     )
 
     return OracleReport(

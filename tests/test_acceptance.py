@@ -4,6 +4,7 @@ Each test prints a single ``ACCEPTANCE <name>: PASS|FAIL`` line (visible
 with ``pytest -s``) and then asserts, so the suite doubles as a checklist.
 """
 
+import dataclasses
 import time
 
 import numpy as np
@@ -323,14 +324,7 @@ def test_oracle_equivalence():
     dec = decompose_transform(a)
     bad = dec.singulars.copy()
     bad[0] *= 1.1
-    corrupted = type(dec)(
-        singulars=bad,
-        left=dec.left,
-        right=dec.right,
-        left_shape=dec.left_shape,
-        right_shape=dec.right_shape,
-        spectrum=dec.spectrum,
-    )
+    corrupted = dataclasses.replace(dec, singulars=bad)
     control = verify_decomposition(a, corrupted)
 
     ok = worst <= SINGULAR_TOL and not control.passed

@@ -401,3 +401,81 @@ def test_verify_bad_manifest_exits_2(tmp_path):
     nofield = manifest.parent / "nofield.json"
     nofield.write_text(json.dumps({"algorithm": "transform"}))
     assert main(["verify", str(src), str(nofield)]) == 2
+    good = read_json(manifest)
+    fields = [
+        ("factors", ["x"]),
+        ("factors", {"u": None}),
+        ("tolerances", [1]),
+        ("groups", [1.5, 1]),
+        ("tolerances", {"singular_tol": "1e-8"}),
+        ("tolerances", {"reconstruction_tol": float("inf")}),
+        ("tolerances", {"reconstruction_tol": float("nan")}),
+        ("tolerances", {"singular_tol": 0}),
+        ("tolerances", {"singular_tol": -1e-8}),
+    ]
+    for k, (field, value) in enumerate(fields):
+        bad = manifest.parent / f"bad-{k}.json"
+        bad.write_text(json.dumps({**good, field: value}))
+        assert main(["verify", str(src), str(bad)]) == 2, (field, value)
+
+
+def test_verify_tolerances_only_tighten(tmp_path):
+    src, manifest = make_verified_run(tmp_path)
+    data = read_json(manifest)
+    data["weights"] = [7.0 * w for w in data["weights"]]
+    data["tolerances"].update(reconstruction_tol=1e300, singular_tol=1e300)
+    loose = manifest.parent / "loose.json"
+    loose.write_text(json.dumps(data))
+    assert main(["verify", str(src), str(loose)]) == 1
+
+
+def decompose_triple_files(tmp_path, dims=(6, 4, 3), seed=68):
+    src = tmp_path / "in3.tz1"
+    write_tensor(src, random_tensor(dims, seed))
+    out = tmp_path / "fac3"
+    assert main(["decompose", str(src), "--groups", "1,1,1", "--out", str(out)]) == 0
+    return src, out / "manifest.json"
+
+
+def test_verify_triple_joint_w(tmp_path):
+    # W x 3 with weights / 3 keeps the replay exact; only the joint W
+    # orthonormality check can see it.
+    src, manifest = decompose_triple_files(tmp_path)
+    data = read_json(manifest)
+    for name in data["factors"]["w"]:
+        f = manifest.parent / name
+        write_tensor(f, read_tensor(f) * 3.0)
+    data["weights"] = [w / 3.0 for w in data["weights"]]
+    manifest.write_text(json.dumps(data))
+    assert main(["verify", str(src), str(manifest)]) == 1
+    report = run_verify(src, manifest)
+    assert report.max_reconstruction_error <= 1e-10
+    assert report.max_orthonormality_error > 1.0
+
+
+def test_verify_triple_manifest_matches_record(tmp_path, monkeypatch):
+    # The record run_verify rebuilds from files (distinct U/Z rows through
+    # the pair map) equals the in-memory one, and so do the reports.
+    from tenspec import cli, decompose_triple, verify_decomposition
+
+    src, manifest = decompose_triple_files(tmp_path)
+    a = GroupedTensor(read_tensor(src), (1, 1, 1))
+    dec = decompose_triple(a)
+    seen = []
+
+    def capture(a, result, **tols):
+        seen.append(result)
+        return verify_decomposition(a, result, **tols)
+
+    monkeypatch.setattr(cli, "verify_decomposition", capture)
+    loaded = run_verify(src, manifest)
+    for field in ("weights", "pair_map", "u", "z", "w"):
+        assert np.array_equal(getattr(seen[0], field), getattr(dec, field)), field
+    direct = verify_decomposition(a, dec, reconstruction_tol=1e-10)
+    assert loaded.passed and direct.passed
+    for field in (
+        "max_singular_deviation",
+        "max_reconstruction_error",
+        "max_orthonormality_error",
+    ):
+        assert getattr(loaded, field) == getattr(direct, field), field

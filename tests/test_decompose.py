@@ -1,5 +1,6 @@
 """The three decomposition procedures and their supporting operators."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -467,6 +468,52 @@ def test_triple_weight_tie_break_order():
     assert dec.count == 4
     pairs = [tuple(row) for row in dec.pair_map]
     assert pairs == sorted(pairs, key=lambda ps: (-float(dec.weights[pairs.index(ps)]), ps))
+
+
+def test_record_surface():
+    # Each result stores a factor family as one array of flattened factors;
+    # the per-factor names below are read-only views of its rows, and the
+    # weight fields can be swapped with dataclasses.replace.
+    op = gram_operator(GroupedTensor(random_tensor((3, 2, 3, 2), 38), (2, 2)))
+    tr = GroupedTensor(random_tensor((5, 2, 3), 39), (1, 2))
+    tp = GroupedTensor(random_tensor((6, 4, 3), 40), (1, 1, 1))
+    d_op = decompose_sa_nnd(op)
+    d_tr = decompose_transform(tr)
+    d_tp = decompose_triple(tp)
+    raw = d_tp.raw
+    r1, r2 = len(raw.sigma), len(raw.gamma)
+    assert (d_op.rank, d_tr.rank, d_tp.count) == (6, 5, r1 * r2)
+    views = [
+        (d_op.eigentensors, d_op.vectors, np.arange(6), (3, 2)),
+        (d_tr.left, d_tr.u, np.arange(5), (5,)),
+        (d_tr.right, d_tr.v, np.arange(5), (2, 3)),
+        (d_tp.factors_u, d_tp.u, d_tp.pair_map[:, 0], (6,)),
+        (d_tp.factors_z, d_tp.z, d_tp.pair_map[:, 1], (4,)),
+        (d_tp.factors_w, d_tp.w, np.arange(r1 * r2), (3,)),
+        (raw.u_basis, d_tp.u, np.arange(r1), (6,)),
+        (raw.z_basis, d_tp.z, np.arange(r2), (4,)),
+    ]
+    for tensors, rows, index, dims in views:
+        assert len(tensors) == len(index)
+        for t, k in zip(tensors, index):
+            assert isinstance(t, DenseTensor) and t.dims == dims
+            assert np.array_equal(t.values, rows[k])
+    # U and Z factors are views of the r1 / r2 basis rows, not M copies.
+    for tensors, rows in (
+        (d_tp.factors_u, d_tp.u),
+        (d_tp.factors_z, d_tp.z),
+        (raw.u_basis, d_tp.u),
+        (raw.z_basis, d_tp.z),
+    ):
+        assert all(np.shares_memory(t.data, rows) for t in tensors)
+    assert [v.dims for v in raw.coupling] == [(4, 3)] * r1
+    p, s = d_tp.pair_map.T
+    assert raw.w_joint.dims == (3, r1, r2)
+    assert np.array_equal(raw.w_joint.data[:, p, s].T, d_tp.w)
+    for dec, field in ((d_op, "eigenvalues"), (d_tr, "singulars"), (d_tp, "weights")):
+        doubled = dataclasses.replace(dec, **{field: 2.0 * getattr(dec, field)})
+        assert np.array_equal(doubled.terms()[0], 2.0 * getattr(dec, field))
+        assert np.allclose(reconstruct(doubled).data, 2.0 * reconstruct(dec).data)
 
 
 # ------------------------------------------------------------ reconstruct

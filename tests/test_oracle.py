@@ -1,5 +1,7 @@
 """Brute-force references and cross-implementation agreement."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -126,14 +128,7 @@ def test_verify_detects_corrupted_weight():
     dec = decompose_transform(a)
     bad = dec.singulars.copy()
     bad[0] *= 1.1
-    corrupted = type(dec)(
-        singulars=bad,
-        left=dec.left,
-        right=dec.right,
-        left_shape=dec.left_shape,
-        right_shape=dec.right_shape,
-        spectrum=dec.spectrum,
-    )
+    corrupted = dataclasses.replace(dec, singulars=bad)
     report = verify_decomposition(a, corrupted)
     assert not report.passed
     assert report.max_singular_deviation > 1e-3
