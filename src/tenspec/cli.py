@@ -41,6 +41,7 @@ from .errors import (
     NotSelfAdjoint,
     ParseError,
     ShapeMismatch,
+    TooLarge,
 )
 from .oracle import verify_decomposition
 from .tz1 import read_tensor, write_tensor
@@ -48,6 +49,12 @@ from .tz1 import read_tensor, write_tensor
 DEFAULT_SEED = 42
 MANIFEST_VERSION = 1
 SINGULAR_TOL = 1e-8
+# `decompose` refuses an input whose largest eigenproblem is above this
+# order, instead of running for long without a word.  sym_eig took 21 s at
+# n = 768 (BENCH_eig.json, 2-vCPU VM) and its time grows about as n^3, so
+# n = 2048 would take about 7 minutes (extrapolated, not measured): the
+# longest run that still reads as working rather than hung.
+MAX_EIGEN_ORDER = 2048
 
 
 @dataclass(frozen=True)
@@ -188,10 +195,35 @@ _FAMILY_BY_ALGORITHM = {
 }
 
 
+def _eigen_order(a):
+    """Order of the largest eigenproblem that decomposing ``a`` solves.
+
+    Each Gram is taken on the smaller side of its unfolding; a triple's
+    second stage is the (J x K*r1) coupling matrix, with r1 at most
+    min(I, JK).
+    """
+    sizes = [shape.element_count for shape in a.group_shapes]
+    if len(sizes) == 2:
+        return min(sizes)
+    i, j, k = sizes
+    r1 = min(i, j * k)
+    return max(r1, min(j, k * r1))
+
+
 def run_decompose(path, groups, algorithm="auto", keep=None, out_dir="tenspec-out"):
-    """Decompose a TZ1 file; write factor files, manifest.json, report.json."""
+    """Decompose a TZ1 file; write factor files, manifest.json, report.json.
+
+    Raises TooLarge, before any solve, when ``_eigen_order`` of the input
+    exceeds ``MAX_EIGEN_ORDER``.
+    """
     tensor = read_tensor(path)
     a = GroupedTensor(tensor, groups)
+    order = _eigen_order(a)
+    if order > MAX_EIGEN_ORDER:
+        raise TooLarge(
+            f"{path}: needs an eigenproblem of order {order}, above the "
+            f"limit {MAX_EIGEN_ORDER}"
+        )
     auto = algorithm == "auto"
     if auto:
         if a.group_count == 3:
@@ -527,6 +559,7 @@ def main(argv=None):
         InvalidKeep,
         ShapeMismatch,
         NoConvergence,
+        TooLarge,
         FileNotFoundError,
         ValueError,
     ) as exc:

@@ -49,5 +49,9 @@ class NoConvergence(TenspecError):
         self.residual = residual
 
 
+class TooLarge(TenspecError):
+    """An input would need an eigenproblem above the supported order."""
+
+
 class ParseError(TenspecError):
     """A tensor or manifest file is malformed."""

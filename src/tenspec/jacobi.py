@@ -6,9 +6,18 @@ factorization is called; numpy supplies elementwise arithmetic and BLAS
 matrix products only.
 
 The kernel is a parallel-order Jacobi sweep (Brent & Luk 1985): the index
-pairs are met in round-robin tournament order, so each round rotates up to
-n/2 disjoint pairs at once, as array operations.  Matrices of order up to
-``SINGLE_BLOCK_MAX`` are swept by the kernel directly.  Larger ones are cut
+pairs are met in round-robin tournament order, so each round rotates n/2
+disjoint pairs at once.  The matrix is stored in the round's paired layout,
+its indices ordered (p0, q0, p1, q1, ...), with an odd order padded by one
+zero index (the bye), so that both entries of every pair sit side by side.
+Viewing each row as complex128 numbers x_p + i*x_q, a round's column
+rotations are then one multiply by c + i*s.  A single gather transposes the
+product and moves it towards the next round's layout, the same multiply
+rotates the rows, and a second gather finishes the move: a few whole-array
+passes per round.
+
+Matrices of order up to ``SINGLE_BLOCK_MAX`` are swept by the kernel
+directly, staying in the paired layout between sweeps.  Larger ones are cut
 into index blocks about ``BLOCK_WIDTH`` wide, and each sweep meets the
 blocks in the same round-robin order (block Jacobi; Bischof 1989, Golub &
 Van Loan section 8.5): the principal submatrix of a block pair gets one
@@ -38,9 +47,10 @@ RANK_TOL = 1e-10
 
 # Up to this order the kernel sweeps the whole matrix; above it, block
 # pairs of about 2 * BLOCK_WIDTH indices are.  At n = 256 a single block
-# keeps about 0.2 more digits of orthogonality than 96-wide pairs.  At
-# n = 768, 96-wide pairs ran in 37 s, 64- and 128-wide ones in 40 and 38 s,
-# and 256-wide ones in 67 s (2-vCPU VM, OpenBLAS).
+# keeps about 0.1 more digits of orthogonality than 96-wide pairs (6.5e-14
+# against 8.3e-14) and took 2.1 s against 1.8 s.  At n = 768, 96-wide
+# pairs ran in 22 s, 64- and 128-wide ones in 26 and 21 s, and 256-wide
+# ones in 28 s (one random symmetric matrix each, 2-vCPU VM, OpenBLAS).
 SINGLE_BLOCK_MAX = 256
 BLOCK_WIDTH = 48
 
@@ -51,12 +61,16 @@ class EigenResult:
 
     ``vectors[:, p]`` is the orthonormal eigenvector paired with
     ``eigenvalues[p]``; ``rank`` counts eigenvalues above the relative rank
-    threshold (the spectrum itself is never truncated here).
+    threshold (the spectrum itself is never truncated here).  ``sweeps``
+    counts the Jacobi sweeps taken and ``off_norm`` is the off-diagonal
+    Frobenius mass they left, on the scale of the input.
     """
 
     eigenvalues: np.ndarray
     vectors: np.ndarray
     rank: int
+    sweeps: int
+    off_norm: float
 
 
 def check_symmetric(a, tol=SYMMETRY_TOL):
@@ -90,18 +104,16 @@ def _off_diagonal_norm(w):
 
 @functools.lru_cache(maxsize=8)
 def _round_robin(m):
-    # Round-robin tournament on 0..m-1 (a bye player when m is odd): player
-    # 0 stays put and the others move one seat per round, so every pair
-    # meets exactly once in the m - 1 (m odd: m) rounds.  Returns arrays p,
-    # q of shape (rounds, pairs) with p < q.
-    seats = list(range(m + m % 2))
-    half = len(seats) // 2
+    # Round-robin tournament on 0..m-1, m even: player 0 stays put and the
+    # others move one seat per round, so every pair meets exactly once in
+    # the m - 1 rounds.  Returns arrays p, q of shape (rounds, m / 2) with
+    # p < q.
+    seats = list(range(m))
+    half = m // 2
     p_rounds, q_rounds = [], []
-    for _ in range(len(seats) - 1):
+    for _ in range(m - 1):
         pairs = [
-            (min(a, b), max(a, b))
-            for a, b in zip(seats[:half], reversed(seats[half:]))
-            if max(a, b) < m
+            (min(a, b), max(a, b)) for a, b in zip(seats[:half], reversed(seats[half:]))
         ]
         p_rounds.append([a for a, _ in pairs])
         q_rounds.append([b for _, b in pairs])
@@ -122,25 +134,66 @@ def _rotations(app, aqq, apq, skip):
     return c, t * c, active
 
 
+@functools.lru_cache(maxsize=8)
+def _schedule(m):
+    # The paired layouts of even order m.  Round r's layout lists its pairs
+    # as (p0, q0, p1, q1, ...); `first` is round 0's, and `sigma[r]` moves
+    # round r's layout to round r + 1's (position i takes position
+    # sigma[r][i]); the last round's leads back to round 0's.  In
+    # t = w.T[sigma[r]] pair k's pivots w[p, q] and w[q, p] sit at the flat
+    # positions `pivots[r][:, k]`, found through the inverse of sigma[r].
+    p, q = _round_robin(m)
+    layouts = np.stack((p, q), axis=2).reshape(len(p), m)
+    where = np.argsort(layouts, axis=1)
+    sigma = np.take_along_axis(where, np.roll(layouts, -1, axis=0), axis=1)
+    inverse = np.argsort(sigma, axis=1)
+    even = np.arange(0, m, 2)
+    pivots = np.stack(
+        (inverse[:, 1::2] * m + even, inverse[:, 0::2] * m + even + 1), axis=1
+    )
+    return layouts[0], sigma, pivots
+
+
+def _paired(x):
+    # x (n x n) in round 0's paired layout; an odd order is padded with
+    # one zero index, the bye.
+    n = x.shape[0]
+    first = _schedule(n + n % 2)[0]
+    padded = np.zeros((first.size, first.size))
+    padded[:n, :n] = x
+    return padded[np.ix_(first, first)]
+
+
+def _unpaired(x, n):
+    # Inverse of `_paired`: natural index order, the bye dropped.
+    where = np.argsort(_schedule(n + n % 2)[0])[:n]
+    return x[np.ix_(where, where)]
+
+
 def _parallel_sweep(w, v, skip):
     # One parallel-order sweep, w <- J^T w J and v <- v J, where each round's
-    # J rotates disjoint (p, q) planes: rows first, then columns.
-    for p, q in zip(*_round_robin(w.shape[0])):
-        c, s, active = _rotations(w[p, p], w[q, q], w[p, q], skip)
-        if not active.any():
-            continue
-        cc, ss = c[:, None], s[:, None]
-        wp, wq = w[p], w[q]
-        w[p] = cc * wp - ss * wq
-        w[q] = ss * wp + cc * wq
-        wp, wq = w[:, p], w[:, q]
-        w[:, p] = wp * c - wq * s
-        w[:, q] = wp * s + wq * c
-        w[p[active], q[active]] = 0.0
-        w[q[active], p[active]] = 0.0
-        vp, vq = v[:, p], v[:, q]
-        v[:, p] = vp * c - vq * s
-        v[:, q] = vp * s + vq * c
+    # J rotates disjoint (p, q) planes.  w and the columns of v are in round
+    # 0's paired layout, so a round's pairs are adjacent: its rotations are
+    # one multiply by c + i*s on the complex128 view, and t = w.T[sigma]
+    # transposes (so that the same multiply rotates the other side) and
+    # moves the rows to the next round's layout; t.T[sigma] then moves the
+    # columns.  A bye's pivot is zero, so its rotation is exactly 1 + 0i.
+    # Returns the new (w, v), back in round 0's layout.
+    _, sigma, pivots = _schedule(w.shape[0])
+    for perm, flat in zip(sigma, pivots):
+        diagonal = np.diagonal(w)
+        c, s, active = _rotations(
+            diagonal[0::2], diagonal[1::2], np.diagonal(w, 1)[0::2], skip
+        )
+        rotation = c + 1j * s
+        w.view(np.complex128)[...] *= rotation
+        t = w.T[perm]
+        t.view(np.complex128)[...] *= rotation
+        t.ravel()[flat[:, active]] = 0.0
+        w = t.T[perm]
+        v.view(np.complex128)[...] *= rotation
+        v = np.take(v, perm, axis=1)
+    return w, v
 
 
 def _block_sweep(w, v, skip, blocks):
@@ -156,13 +209,15 @@ def _block_sweep(w, v, skip, blocks):
             np.fill_diagonal(off, 0.0)
             if off.max() <= skip:
                 continue
-            rot = np.eye(idx.size)
-            _parallel_sweep(sub, rot, skip)
+            paired = _paired(sub)
+            paired, rot = _parallel_sweep(paired, np.eye(len(paired)), skip)
+            rot = _unpaired(rot, idx.size)
             cols = w[:, idx] @ rot
             w[:, idx] = cols
             w[idx, :] = cols.T
-            w[np.ix_(idx, idx)] = sub
+            w[np.ix_(idx, idx)] = _unpaired(paired, idx.size)
             v[:, idx] = v[:, idx] @ rot
+    return w, v
 
 
 def sym_eig(
@@ -184,7 +239,7 @@ def sym_eig(
     a = check_symmetric(a, sym_tol)
     n = a.shape[0]
     if n == 0:
-        return EigenResult(np.empty(0), np.empty((0, 0)), 0)
+        return EigenResult(np.empty(0), np.empty((0, 0)), 0, 0, 0.0)
     # The sweeps run on a copy scaled by a power of two to max|w| < 1, so
     # squaring entries for the norms can neither overflow (entries above
     # ~1e154) nor underflow (below ~1e-154).  Power-of-two scaling is exact,
@@ -193,17 +248,20 @@ def sym_eig(
     exponent = math.frexp(float(np.abs(a).max()))[1]
     half = np.ldexp(a, -exponent - 1)
     w = half + half.T
-    v = np.eye(n)
     target = conv_tol * math.sqrt(float((w * w).sum()))
     # Entries at or below `skip` cannot push off(w) past the target even if
     # every off-diagonal sits exactly there.
     skip = target / n
-    if n <= SINGLE_BLOCK_MAX:
+    single = n <= SINGLE_BLOCK_MAX
+    if single:
+        # The kernel keeps w in its paired layout from sweep to sweep.
+        w = _paired(w)
         sweep = _parallel_sweep
     else:
         count = 2 * math.ceil(n / (2 * BLOCK_WIDTH))
         blocks = np.array_split(np.arange(n), count)
         sweep = functools.partial(_block_sweep, blocks=blocks)
+    v = np.eye(len(w))
     off = _off_diagonal_norm(w)
     sweeps = 0
     while off > target:
@@ -214,15 +272,23 @@ def sym_eig(
                 f"target {target:.3e} after {max_sweeps} sweeps",
                 residual=off,
             )
-        sweep(w, v, skip)
+        w, v = sweep(w, v, skip)
         sweeps += 1
         off = _off_diagonal_norm(w)
+    if single:
+        w, v = _unpaired(w, n), _unpaired(v, n)
     eigenvalues = np.ldexp(np.diagonal(w), exponent)
     order = np.argsort(-eigenvalues, kind="stable")
     eigenvalues = eigenvalues[order]
     vectors = np.ascontiguousarray(v[:, order])
     _fix_signs(vectors)
-    return EigenResult(eigenvalues, vectors, numerical_rank(eigenvalues, rank_tol))
+    return EigenResult(
+        eigenvalues,
+        vectors,
+        numerical_rank(eigenvalues, rank_tol),
+        sweeps,
+        math.ldexp(off, exponent),
+    )
 
 
 def _fix_signs(vectors):

@@ -268,6 +268,43 @@ def test_decompose_bad_groups_exit_2(tmp_path):
                  "--out", str(tmp_path / "o")]) == 2
 
 
+@pytest.mark.parametrize(
+    "dims, groups, order",
+    [
+        ((5, 5), "1,1", 5),  # op: I
+        ((6, 4), "1,1", 4),  # transform: min(I, J)
+        ((7, 2, 3), "1,1,1", 6),  # triple, stage one: min(I, JK)
+        ((2, 6, 5), "1,1,1", 6),  # triple, stage two: min(J, K min(I, JK))
+    ],
+)
+def test_decompose_refuses_large_eigenproblem(tmp_path, monkeypatch, capsys, dims, groups, order):
+    from tenspec import cli, jacobi
+
+    t = random_tensor(dims, 72)
+    if dims == (5, 5):
+        t = DenseTensor(t.data.T @ t.data)  # self-adjoint, so `auto` picks op
+    path = tmp_path / "in.tz1"
+    write_tensor(path, t)
+    solve = jacobi.sym_eig
+    solved = []
+
+    def recording(m, **kwargs):
+        solved.append(len(m))
+        return solve(m, **kwargs)
+
+    monkeypatch.setattr(jacobi, "sym_eig", recording)
+    args = ["decompose", str(path), "--groups", groups, "--out", str(tmp_path / "o")]
+    monkeypatch.setattr(cli, "MAX_EIGEN_ORDER", order - 1)
+    assert main(args) == 2
+    assert solved == []
+    err = capsys.readouterr().err
+    assert f"order {order}," in err and f"limit {order - 1}" in err
+    # At the limit it runs, and its largest eigenproblem is that order.
+    monkeypatch.setattr(cli, "MAX_EIGEN_ORDER", order)
+    assert main(args) == 0
+    assert max(solved) == order
+
+
 # ----------------------------------------------------------------- verify
 
 

@@ -5,7 +5,15 @@ import math
 import numpy as np
 import pytest
 
-from tenspec import jacobi, numerical_rank, sym_eig
+from tenspec import (
+    GroupedTensor,
+    gram_operator,
+    jacobi,
+    numerical_rank,
+    random_tensor,
+    sym_eig,
+    unfold,
+)
 from tenspec.errors import NoConvergence, NotSorted, NotSymmetric
 
 
@@ -37,6 +45,7 @@ def test_diagonal_matrix_rank():
     res = sym_eig(np.diag([3.0, 1.0, 0.0]))
     assert np.allclose(res.eigenvalues, [3.0, 1.0, 0.0], atol=1e-14)
     assert res.rank == 2
+    assert (res.sweeps, res.off_norm) == (0, 0.0)
 
 
 def test_construct_then_recover():
@@ -173,6 +182,32 @@ def test_no_convergence_on_block_path():
     with pytest.raises(NoConvergence) as exc:
         sym_eig(a, max_sweeps=1)
     assert 0.0 < exc.value.residual < start
+
+
+def operator_matrix(group, seed):
+    # The SA-NND operator of an order-6 tensor, unfolded as
+    # decompose_sa_nnd and the benchmark's `operator` workload build it.
+    source = GroupedTensor(random_tensor(group + group, seed), (3, 3))
+    return unfold(gram_operator(source, side="right").tensor, 3).data
+
+
+def sweep_cases():
+    # The `operator` inputs of seed 1 (n = 48, 72, 96), two odd orders, and
+    # the block path.  Each count is the one the solver took when its
+    # rounds were still fancy-index row and column updates.
+    seeds = [int(s) for s in np.random.default_rng(1).integers(0, 2**31, size=3)]
+    groups = ((8, 2, 3), (8, 3, 3), (8, 4, 3))
+    cases = [(operator_matrix(g, s), count) for g, s, count in zip(groups, seeds, (8, 9, 10))]
+    cases += [(random_symmetric(45, 11), 7), (random_symmetric(97, 14), 8)]
+    cases.append((random_symmetric(300, 4242), 9))
+    return cases
+
+
+def test_sweep_counts_pinned():
+    for a, count in sweep_cases():
+        res = sym_eig(a)
+        assert res.sweeps == count, len(a)
+        assert 0.0 < res.off_norm <= jacobi.CONVERGENCE_TOL * np.linalg.norm(a)
 
 
 def test_trace_preserved():

@@ -4,6 +4,7 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tenspec import DenseTensor, random_tensor, read_tensor, write_tensor
 from tenspec.errors import ParseError
@@ -97,3 +98,56 @@ def test_rejects_non_finite_values(tmp_path):
     path.write_bytes(blob)
     with pytest.raises(ParseError):
         read_tensor(path)
+
+
+# ------------------------------------------------------------------ fuzzing
+
+
+@st.composite
+def mutated_tz1(draw):
+    # A valid TZ1 blob, then at most one mutation: an extent or the order
+    # replaced by any u64 / u32, the payload cut or extended, or one byte
+    # overwritten anywhere.
+    dims = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))
+    count = int(np.prod(dims))
+    values = draw(st.lists(st.floats(width=64), min_size=count, max_size=count))
+    head = bytearray(b"TENZ" + struct.pack("<II", 1, len(dims)))
+    extents = bytearray(struct.pack(f"<{len(dims)}Q", *dims))
+    payload = bytearray(struct.pack(f"<{count}d", *values))
+    kind = draw(st.sampled_from(["none", "extent", "order", "cut", "extend", "byte"]))
+    if kind == "extent":
+        k = draw(st.integers(0, len(dims) - 1))
+        struct.pack_into("<Q", extents, 8 * k, draw(st.integers(0, 2**64 - 1)))
+    elif kind == "order":
+        struct.pack_into("<I", head, 8, draw(st.integers(0, 2**32 - 1)))
+    blob = head + extents + payload
+    if kind == "cut":
+        blob = blob[: draw(st.integers(0, len(blob)))]
+    elif kind == "extend":
+        blob += draw(st.binary(min_size=1, max_size=64))
+    elif kind == "byte":
+        blob[draw(st.integers(0, len(blob) - 1))] = draw(st.integers(0, 255))
+    return bytes(blob)
+
+
+def read_or_refuse(path, blob):
+    path.write_bytes(blob)
+    try:
+        t = read_tensor(path)
+    except ParseError:
+        return
+    assert isinstance(t, DenseTensor)
+    assert 12 + 8 * t.order + 8 * t.size == len(blob)
+    assert np.isfinite(t.data).all()
+
+
+@given(st.binary(max_size=256))
+@settings(max_examples=200, deadline=None)
+def test_fuzz_arbitrary_bytes(tmp_path_factory, blob):
+    read_or_refuse(tmp_path_factory.getbasetemp() / "fuzz.tz1", blob)
+
+
+@given(mutated_tz1())
+@settings(max_examples=300, deadline=None)
+def test_fuzz_mutated_headers_and_payloads(tmp_path_factory, blob):
+    read_or_refuse(tmp_path_factory.getbasetemp() / "fuzz.tz1", blob)
