@@ -320,7 +320,7 @@ def run_verify(tensor_path, manifest_path):
         weights = np.array([float(w) for w in manifest["weights"]])
         factor_names = manifest["factors"]
         tolerances = manifest.get("tolerances", {})
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"{manifest_path}: bad manifest field: {exc}") from exc
     if not isinstance(algorithm, str) or algorithm not in _FAMILY_BY_ALGORITHM:
         raise ParseError(f"{manifest_path}: unknown algorithm {algorithm!r}")
@@ -351,8 +351,8 @@ def run_verify(tensor_path, manifest_path):
             )
         try:
             loaded = [read_tensor(manifest_path.parent / n) for n in names]
-        except FileNotFoundError as exc:
-            raise ParseError(f"{manifest_path}: missing factor file: {exc}") from exc
+        except OSError as exc:
+            raise ParseError(f"{manifest_path}: unreadable factor file: {exc}") from exc
         if any(t.dims != shape.dims for t in loaded):
             raise ShapeMismatch(f"a {family} factor is not of shape {shape.dims}")
         stacks[family] = np.array([t.values for t in loaded]).reshape(

@@ -38,10 +38,13 @@ from .errors import (
 
 SELF_ADJOINT_TOL = 1e-10
 RANK_TOL = jacobi.RANK_TOL
-# reconstruct and residual_curve take components this many at a time: each
-# block is one BLAS product, and no temporary holds more than a few blocks
-# of Khatri-Rao rows (TERM_BLOCK x I*J entries for a triple).
-TERM_BLOCK = 32
+# residual_curve visits components this many at a time (reconstruct takes
+# them all at once).  A block costs its term Gram plus one product per
+# distinct first-family row it holds: on a 64 x 32 x 32 triple (2048
+# components) a block holds a median of 22 distinct U rows per 32 and 33.5
+# per 128, and the curve took 55, 33, 19 and 24 ms at blocks of 32, 64, 128
+# and 256 (scripts/terms_probe.py, 2-vCPU VM; spread in BENCH_terms.json).
+TERM_BLOCK = 128
 
 
 class GroupedTensor:
@@ -442,24 +445,30 @@ def _rows(family, rows):
     return stack[index[rows]]
 
 
-def _lead_rows(weights, families, rows):
-    # Weighted row-wise Khatri-Rao product of every family but the last over
-    # the components in `rows`: row m is weights[m] * (F_1[m] o ... o
-    # F_{n-1}[m]), flattened.
-    lead = weights[rows, None] * _rows(families[0], rows)
-    for f in families[1:-1]:
-        lead = (lead[:, :, None] * _rows(f, rows)[:, None, :]).reshape(len(lead), -1)
-    return lead
+def _grouped(weights, families, rows):
+    # The components in `rows` grouped by first-family row: the distinct
+    # rows `keys` and C, whose row g sums the weighted outer products of the
+    # group's other factors, so that F_1[keys]^T C is their sum.  Last-family
+    # rows are added into one slab per group at their middle-family (a
+    # triple's Z) row, and Z^T multiplies all slabs at once; a slab is no
+    # larger than its row of C while Z has at most J rows.
+    (_, index, _), *middle, last = families
+    keys, group = np.unique(index[rows], return_inverse=True)
+    shape = (len(keys),) + tuple(len(s) for s, _, _ in middle) + last[0].shape[1:]
+    at = (group,) + tuple(i[rows] for _, i, _ in middle)
+    slot = np.ravel_multi_index(at, shape[:-1])
+    flat = (slot[:, None] * shape[-1] + np.arange(shape[-1])).ravel()
+    weighted = weights[rows, None] * _rows(last, rows)
+    joint = np.bincount(flat, weighted.ravel(), math.prod(shape)).reshape(shape)
+    for stack, _, _ in middle:
+        joint = stack.T @ joint
+    return keys, joint.reshape(len(keys), math.prod(joint.shape[1:]))
 
 
 def _sum_terms(weights, families, count):
-    # Sum of the leading `count` terms as an (N x K) matrix, K the size of
-    # the last family: one product of Khatri-Rao rows with it per block.
-    n = math.prod(stack.shape[1] for stack, _, _ in families[:-1])
-    acc = np.zeros((n, families[-1][0].shape[1]))
-    for rows in _blocks(count):
-        acc += _lead_rows(weights, families, rows).T @ _rows(families[-1], rows)
-    return acc
+    # Sum of the leading `count` terms as an (N_1 x rest) matrix.
+    keys, c = _grouped(weights, families, slice(0, count))
+    return families[0][0][keys].T @ c
 
 
 def reconstruct(decomposition, keep=None):
@@ -467,8 +476,9 @@ def reconstruct(decomposition, keep=None):
 
     ``keep=0`` returns the zero tensor of the original shape; the full count
     reproduces the decomposed input to floating point accuracy.  Components
-    are added ``TERM_BLOCK`` at a time, each block as one matrix product of
-    its Khatri-Rao rows with the last factor family.
+    are summed per distinct first-family row (a triple's r1 U rows): each
+    row's coefficient over the other families is formed first, and the sum
+    is one matrix product of the rows with those coefficients.
     """
     weights, families = decomposition.terms()
     keep = len(weights) if keep is None else int(keep)
@@ -491,9 +501,11 @@ def residual_curve(a, decomposition):
 
         ||A - S_m||^2 = ||A - S_(m+1)||^2 + ||t_m||^2 + 2 <t_m, A - S_(m+1)>
 
-    runs backwards a block at a time: A - S_(m+1) is one running matrix
-    plus the block's later terms, which enter through the block's term
-    Gram.  Each point is ||R||^2 plus the small increments after it.
+    runs backwards a block at a time, so each point is ||R||^2 plus the
+    small increments after it.  A block's later terms enter through its
+    term Gram, and A - S_hi only through P = F_1 (A - S_hi) (r1 x rest, no
+    orthonormality assumed): <t_m, A - S_hi> is w_m times P[p_m] paired with
+    t_m's other factors, and each block adds (F_1 F_1^T)[:, keys] C to P.
     """
     reference = a.tensor
     scale = norm(reference)
@@ -501,22 +513,28 @@ def residual_curve(a, decomposition):
         return [(0, 0.0)]
     weights, families = decomposition.terms()
     count = len(weights)
-    tail = _sum_terms(weights, families, count)
-    np.subtract(reference.data.reshape(tail.shape), tail, out=tail)
-    resid2 = float(np.vdot(tail, tail))
-    # drop[m] = ||A - S_m||^2 - ||A - S_(m+1)||^2; `tail` is A - S_hi for
-    # the block [lo, hi) being visited.
+    first, index, _ = families[0]
+    resid = _sum_terms(weights, families, count)
+    np.subtract(reference.data.reshape(resid.shape), resid, out=resid)
+    resid2 = float(np.vdot(resid, resid))
+    first_gram = first @ first.T
+    # drop[m] = ||A - S_m||^2 - ||A - S_(m+1)||^2; `proj` is F_1 (A - S_hi)
+    # for the block [lo, hi) being visited.
+    proj = first @ resid
     drop = np.empty(count)
     for rows in reversed(_blocks(count)):
-        lead = _lead_rows(weights, families, rows)
-        last = _rows(families[-1], rows)
         gram = np.outer(weights[rows], weights[rows])
         for f in families:
             gram *= _rows(f, rows) @ _rows(f, rows).T
-        overlap = ((lead @ tail) * last).sum(axis=1) + np.triu(gram, 1).sum(axis=1)
-        drop[rows] = np.diagonal(gram) + 2.0 * overlap
-        tail += lead.T @ last
+        paired = proj[index[rows]]
+        for f in families[1:-1]:
+            middle = _rows(f, rows)
+            paired = paired.reshape(len(middle), middle.shape[1], -1)
+            paired = np.einsum("mj,mjk->mk", middle, paired)
+        overlap = weights[rows] * (paired * _rows(families[-1], rows)).sum(axis=1)
+        drop[rows] = np.diagonal(gram) + 2.0 * (overlap + np.triu(gram, 1).sum(axis=1))
+        keys, c = _grouped(weights, families, rows)
+        proj += first_gram[:, keys] @ c
     err2 = resid2 + np.append(np.cumsum(drop[::-1])[::-1], 0.0)
-    return [(0, 1.0)] + [
-        (k, math.sqrt(max(float(err2[k]), 0.0)) / scale) for k in range(1, count + 1)
-    ]
+    errs = np.sqrt(np.maximum(err2[1:], 0.0)) / scale
+    return [(0, 1.0)] + list(zip(range(1, count + 1), errs.tolist()))

@@ -4,10 +4,11 @@ Deliberately disjoint from the main path: singular values come from
 LAPACK's SVD of the unfolded matrix itself (never from the Gram spectrum
 the decompositions diagonalize with their own Jacobi solver), contraction
 is redone with explicit nested loops, and reconstructions are replayed
-block by block with ``np.einsum`` rather than the Khatri-Rao products of
-``reconstruct``.  Shared code is limited to tensor storage and to the
-records' ``terms()`` layout: each factor family one array of flattened
-factors with a row index per component.
+term by term, ``REPLAY_BLOCK`` at a time, with ``np.einsum`` rather than
+through the grouped first-family sums of ``reconstruct``.  Shared code is
+limited to tensor storage and to the records' ``terms()`` layout: each
+factor family one array of flattened factors with a row index per
+component.
 """
 
 import math
@@ -17,10 +18,11 @@ from itertools import product
 import numpy as np
 
 from .core import DenseTensor, norm
-from .decompose import TERM_BLOCK, reconstructed_dims
+from .decompose import reconstructed_dims
 from .errors import GroupingMismatch, InvalidAxis, ShapeMismatch
 
 RANK_TOL = 1e-10
+REPLAY_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -103,13 +105,13 @@ def _check_axes(t, axes):
 
 def replay_reconstruction(decomposition):
     """Rebuild the decomposed tensor with one ``np.einsum`` per block of
-    ``TERM_BLOCK`` components."""
+    ``REPLAY_BLOCK`` components."""
     weights, families = decomposition.terms()
     modes = "ijk"[: len(families)]
     expr = "m," + ",".join("m" + c for c in modes) + "->" + modes
     acc = np.zeros(tuple(stack.shape[1] for stack, _, _ in families))
-    for lo in range(0, len(weights), TERM_BLOCK):
-        rows = slice(lo, lo + TERM_BLOCK)
+    for lo in range(0, len(weights), REPLAY_BLOCK):
+        rows = slice(lo, lo + REPLAY_BLOCK)
         block = [stack[index[rows]] for stack, index, _ in families]
         acc += np.einsum(expr, weights[rows], *block, optimize=True)
     return DenseTensor(acc.reshape(reconstructed_dims(decomposition)), check_finite=False)

@@ -4,6 +4,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tenspec import (
     DenseTensor,
@@ -456,6 +457,23 @@ def test_verify_bad_manifest_exits_2(tmp_path):
         assert main(["verify", str(src), str(bad)]) == 2, (field, value)
 
 
+def test_verify_unreadable_weights_and_factor_names_exit_2(tmp_path):
+    # Found by test_fuzz_verify_manifests: an integer weight too large for a
+    # float (OverflowError) and a factor name that resolves to a directory
+    # (IsADirectoryError) ended in tracebacks.
+    src, manifest = make_verified_run(tmp_path)
+    good = read_json(manifest)
+    count = len(good["weights"])
+    cases = [("weights", [10**400] * count)] + [
+        ("factors", {**good["factors"], "u": [name] + good["factors"]["u"][1:]})
+        for name in ("", "/", "..")
+    ]
+    for k, (field, value) in enumerate(cases):
+        bad = manifest.parent / f"bad-{k}.json"
+        bad.write_text(json.dumps({**good, field: value}))
+        assert main(["verify", str(src), str(bad)]) == 2, (field, value)
+
+
 def test_verify_tolerances_only_tighten(tmp_path):
     src, manifest = make_verified_run(tmp_path)
     data = read_json(manifest)
@@ -516,3 +534,80 @@ def test_verify_triple_manifest_matches_record(tmp_path, monkeypatch):
         "max_orthonormality_error",
     ):
         assert getattr(loaded, field) == getattr(direct, field), field
+
+
+# ------------------------------------------------------------------ fuzzing
+
+
+# Values worth trying at any position: file names that resolve to
+# something other than a factor file, and numbers no float can hold.
+EDGE = ["", ".", "..", "/", "missing.tz1", "manifest.json", "../tr.tz1"]
+EDGE += [10**400, -(10**400)]
+JSON = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.text(max_size=6)
+    | st.sampled_from(EDGE),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=10,
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_runs(tmp_path_factory):
+    # A decomposed transform and a decomposed triple of small TZ1 files.
+    base = tmp_path_factory.mktemp("fuzz")
+    runs = []
+    for name, dims, groups in (("tr", (4, 3, 2), "1,2"), ("tp", (3, 3, 2), "1,1,1")):
+        src = base / f"{name}.tz1"
+        write_tensor(src, random_tensor(dims, 69))
+        out = base / name
+        assert main(["decompose", str(src), "--groups", groups, "--out", str(out)]) == 0
+        runs.append((src, out / "manifest.json"))
+    return runs
+
+
+def node_paths(value, path=()):
+    # Every position in a JSON value, the root included.
+    yield path
+    if isinstance(value, dict):
+        items = value.items()
+    else:
+        items = enumerate(value) if isinstance(value, list) else ()
+    for key, child in items:
+        yield from node_paths(child, path + (key,))
+
+
+@st.composite
+def mutated_manifest(draw, good):
+    # A valid manifest with up to three nodes deleted or replaced, by an
+    # edge value half of the time and by arbitrary JSON otherwise.
+    manifest = json.loads(json.dumps(good))
+    for _ in range(draw(st.integers(1, 3))):
+        paths = list(node_paths(manifest))[1:]
+        if not paths:
+            break
+        *parents, key = draw(st.sampled_from(paths))
+        node = manifest
+        for k in parents:
+            node = node[k]
+        if draw(st.integers(0, 3)):
+            node[key] = draw(st.sampled_from(EDGE) | JSON)
+        else:
+            del node[key]
+    return manifest
+
+
+@given(data=st.data())
+@settings(max_examples=400, deadline=None)
+def test_fuzz_verify_manifests(fuzz_runs, data):
+    # Any manifest gives a verdict (0 or 1) or a refusal (2), never another
+    # exception.
+    src, path = data.draw(st.sampled_from(fuzz_runs))
+    manifest = data.draw(JSON | mutated_manifest(read_json(path)))
+    fuzzed = path.parent / "fuzzed.json"
+    fuzzed.write_text(json.dumps(manifest))
+    assert main(["verify", str(src), str(fuzzed)]) in (0, 1, 2)

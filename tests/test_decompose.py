@@ -546,35 +546,43 @@ def test_reconstruct_completeness_all_algorithms():
     assert rel_err(tp.tensor, reconstruct(decompose_triple(tp))) <= 1e-10
 
 
-def term_sum(dec, keep):
-    # Explicit loop over the leading `keep` terms, one outer product each.
+def explicit_terms(dec):
+    # The terms in order, each built as its own outer product.
     if hasattr(dec, "eigentensors"):
         terms = zip(dec.eigenvalues, dec.eigentensors, dec.eigentensors)
     elif hasattr(dec, "singulars"):
         terms = zip(dec.singulars, dec.left, dec.right)
     else:
         terms = zip(dec.weights, dec.factors_u, dec.factors_z, dec.factors_w)
-    acc = 0.0
-    for _, (weight, *factors) in zip(range(keep), terms):
+    for weight, *factors in terms:
         term = factors[0].data
         for f in factors[1:]:
             term = np.multiply.outer(term, f.data)
-        acc = acc + float(weight) * term
+        yield float(weight) * term
+
+
+def term_sum(dec, keep):
+    # Explicit loop over the leading `keep` terms, one outer product each.
+    acc = 0.0
+    for _, term in zip(range(keep), explicit_terms(dec)):
+        acc = acc + term
     return acc
 
 
 def blocked_cases():
-    # Component counts 40, 37 and 35: more than one block, not a multiple
-    # of TERM_BLOCK.
-    op = gram_operator(GroupedTensor(random_tensor((5, 8, 5, 8), 35), (2, 2)))
-    tr = GroupedTensor(random_tensor((37, 6, 8), 36), (1, 2))
-    tp = GroupedTensor(random_tensor((7, 5, 9), 37), (1, 1, 1))
+    # Component counts 137, 139 and 153: more than one block, not a
+    # multiple of TERM_BLOCK.
+    op = gram_operator(GroupedTensor(random_tensor((137, 10, 15), 35), (1, 2)))
+    tr = GroupedTensor(random_tensor((139, 12, 15), 36), (1, 2))
+    tp = GroupedTensor(random_tensor((17, 9, 20), 37), (1, 1, 1))
     cases = [
         (op, decompose_sa_nnd(op)),
         (tr, decompose_transform(tr)),
         (tp, decompose_triple(tp)),
     ]
-    assert [component_count(dec) for _, dec in cases] == [40, 37, 35]
+    counts = [component_count(dec) for _, dec in cases]
+    assert counts == [137, 139, 153]
+    assert all(c > TERM_BLOCK and c % TERM_BLOCK for c in counts)
     return cases
 
 
@@ -585,6 +593,66 @@ def test_reconstruct_blocks_match_term_loop():
         for keep in (1, TERM_BLOCK - 1, TERM_BLOCK, TERM_BLOCK + 1, count):
             got = reconstruct(dec, keep).data
             assert np.abs(got - term_sum(dec, keep)).max() <= 1e-14 * scale
+
+
+def check_every_keep(a, dec, monotone):
+    # reconstruct and residual_curve at every keep against the explicit
+    # partial sums, walked once.
+    scale = norm(a.tensor)
+    curve = residual_curve(a, dec)
+    assert [k for k, _ in curve] == list(range(dec.count + 1))
+    acc = np.zeros(a.tensor.dims)
+    terms = explicit_terms(dec)
+    for keep in range(dec.count + 1):
+        if keep:
+            acc += next(terms)
+        assert np.abs(reconstruct(dec, keep).data - acc).max() <= 1e-14 * scale
+        direct = np.sqrt(((a.tensor.data - acc) ** 2).sum()) / scale
+        assert curve[keep][1] == pytest.approx(direct, rel=1e-10, abs=1e-14)
+    errs = [e for _, e in curve]
+    assert not monotone or all(errs[i] >= errs[i + 1] for i in range(dec.count))
+
+
+def test_grouped_sums_with_mixed_unsorted_u_rows():
+    # U rows mixed by a well-conditioned matrix (no longer orthonormal),
+    # components shuffled so that equal p are scattered over both blocks,
+    # and the last three U rows folded onto the first three, which repeats
+    # some (p, s) pairs.  The terms stop being orthogonal, so only
+    # exactness is checked.
+    a, dec = blocked_cases()[2]
+    rng = np.random.Generator(np.random.PCG64(39))
+    r1 = len(dec.u)
+    mix = np.eye(r1) + 0.5 / math.sqrt(r1) * rng.standard_normal((r1, r1))
+    assert np.linalg.cond(mix) < 10.0
+    order = rng.permutation(dec.count)
+    mixed = dataclasses.replace(
+        dec,
+        u=mix @ dec.u,
+        weights=dec.weights[order],
+        pair_map=dec.pair_map[order] % [r1 - 3, len(dec.z)],
+        w=dec.w[order],
+    )
+    assert np.abs(mixed.u @ mixed.u.T - np.eye(r1)).max() > 0.1
+    assert np.any(np.diff(mixed.pair_map[:, 0]) < 0)
+    assert len(np.unique(mixed.pair_map, axis=0)) < dec.count
+    check_every_keep(a, mixed, monotone=False)
+
+
+def test_grouped_sums_with_one_dominant_u_row():
+    # A subset of a real decomposition: U row 0 carries all its r2
+    # components, every other U row one.  The terms stay orthogonal, so the
+    # curve against the input is still monotone.
+    a = GroupedTensor(random_tensor((5, 140, 30), 40), (1, 1, 1))
+    dec = decompose_triple(a)
+    p, s = dec.pair_map.T
+    first = np.flatnonzero(np.diff(np.append(-1, np.sort(p))))
+    one_each = np.argsort(p, kind="stable")[first[1:]]
+    kept = np.sort(np.concatenate([np.flatnonzero(p == 0), one_each]))
+    ragged = dataclasses.replace(
+        dec, weights=dec.weights[kept], pair_map=dec.pair_map[kept], w=dec.w[kept]
+    )
+    assert np.bincount(ragged.pair_map[:, 0]).tolist() == [140, 1, 1, 1, 1]
+    check_every_keep(a, ragged, monotone=True)
 
 
 # --------------------------------------------------------- residual curve
