@@ -1,7 +1,7 @@
 """Time the term sums of a triple decomposition, layer by layer.
 
-    python3 scripts/terms_probe.py [--src DIR] [--seed 4242] [--repeats 15]
-                                   [--blocks 32,64,128,256]
+    python3 scripts/terms_probe.py [--src DIR] [--src DIR2 ...] [--seed 4242]
+                                   [--repeats 15] [--blocks 32,64,128,256]
 
 The input is the tensor of the `triple` benchmark workload for `--seed`
 (64 x 32 x 32, uniform entries in [-1, 1), 2048 components).  One JSON
@@ -10,24 +10,35 @@ line per measurement goes to stdout:
 * `distinct_u_rows`: per block size, the min / median / max number of
   distinct U rows (first-family rows) that a block of consecutive
   components holds;
-* `reconstruct`, `replay`: median wall time of the full `reconstruct`
-  and of the oracle's `replay_reconstruction`, with the relative error of
-  the former;
+* `reconstruct`: median wall time of the full `reconstruct`, with its
+  relative error;
 * `curve_block`: median wall time of `residual_curve` with
-  `decompose.TERM_BLOCK` set to each block size.
+  `decompose.TERM_BLOCK` set to each block size;
+* `replay`: per source tree, median wall time of the oracle's
+  `replay_reconstruction` at each block size and at the tree's own
+  default (`"block": "default"`), with the largest absolute error of the
+  replay against the input.
 
 Each timing is the median of `--repeats` calls after one untimed call.
-`--src` selects the source tree to import, so two checkouts can be
-compared with one script.  BLAS threads are what the environment sets.
+`--src` selects the source tree to import; given more than once, the
+replay is timed in every tree, the trees taking turns at each block size,
+and the other measurements use the first tree.  A tree's replay block is
+set through `oracle.REPLAY_BUDGET` (elements of a block's outer-product
+rows, so block x 1024 here) or, in trees that predate it,
+`oracle.REPLAY_BLOCK` (components).  BLAS threads are what the
+environment sets.
 """
 
 import argparse
+import importlib
 import json
 import statistics
 import sys
 import time
 
 import numpy as np
+
+DIMS = (64, 32, 32)
 
 
 def median_time(call, repeats):
@@ -40,20 +51,48 @@ def median_time(call, repeats):
     return round(statistics.median(times), 5)
 
 
+def load(src):
+    # Import tenspec from `src`, apart from any tree imported before: the
+    # modules of earlier trees stay alive through the references kept.
+    for name in [n for n in sys.modules if n.partition(".")[0] == "tenspec"]:
+        del sys.modules[name]
+    sys.path.insert(0, src)
+    try:
+        return importlib.import_module("tenspec")
+    finally:
+        sys.path.remove(src)
+
+
+def time_replay(ts, dec, block, repeats):
+    # Median replay time with the tree's block set to `block` components
+    # (None: the tree's default), and the replay's largest absolute error.
+    oracle = ts.oracle
+    budget = hasattr(oracle, "REPLAY_BUDGET")
+    name = "REPLAY_BUDGET" if budget else "REPLAY_BLOCK"
+    saved = getattr(oracle, name)
+    if block is not None:
+        setattr(oracle, name, block * DIMS[1] * DIMS[2] if budget else block)
+    try:
+        seconds = median_time(lambda: oracle.replay_reconstruction(dec), repeats)
+        return seconds, oracle.replay_reconstruction(dec).data
+    finally:
+        setattr(oracle, name, saved)
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--src", default="src")
+    parser.add_argument("--src", action="append")
     parser.add_argument("--seed", type=int, default=4242)
     parser.add_argument("--repeats", type=int, default=15)
     parser.add_argument("--blocks", default="32,64,128,256")
     args = parser.parse_args(argv)
-    sys.path.insert(0, args.src)
-    import tenspec as ts
-    from tenspec import decompose, oracle
+    trees = [(src, load(src)) for src in args.src or ["src"]]
+    ts = trees[0][1]
+    decompose = ts.decompose
 
     # The benchmark draws each input's tensor seed from the workload seed.
     seed = int(np.random.default_rng(args.seed).integers(0, 2**31, size=1)[0])
-    a = ts.GroupedTensor(ts.random_tensor((64, 32, 32), seed), (1, 1, 1))
+    a = ts.GroupedTensor(ts.random_tensor(DIMS, seed), (1, 1, 1))
     dec = ts.decompose_triple(a)
     blocks = [int(b) for b in args.blocks.split(",")]
 
@@ -66,14 +105,9 @@ def main(argv=None):
 
     rebuilt = ts.reconstruct(dec).data
     error = np.linalg.norm(rebuilt - a.tensor.data) / np.linalg.norm(a.tensor.data)
-    for name, call in (
-        ("reconstruct", lambda: ts.reconstruct(dec)),
-        ("replay", lambda: oracle.replay_reconstruction(dec)),
-    ):
-        row = {name: median_time(call, args.repeats)}
-        if name == "reconstruct":
-            row["rel_error"] = float(error)
-        print(json.dumps(row), flush=True)
+    row = {"reconstruct": median_time(lambda: ts.reconstruct(dec), args.repeats)}
+    row["rel_error"] = float(error)
+    print(json.dumps(row), flush=True)
 
     saved = decompose.TERM_BLOCK
     try:
@@ -83,6 +117,20 @@ def main(argv=None):
             print(json.dumps({"curve_block": block, "s": seconds}), flush=True)
     finally:
         decompose.TERM_BLOCK = saved
+
+    # Each tree replays its own decomposition of the same tensor.
+    decs = [
+        t.decompose_triple(t.GroupedTensor(t.DenseTensor(a.tensor.data), (1, 1, 1)))
+        for _, t in trees
+    ]
+    for turn, block in enumerate(blocks + [None]):
+        order = list(zip(trees, decs))
+        for (src, ts_k), dec_k in order[::-1] if turn % 2 else order:
+            seconds, replayed = time_replay(ts_k, dec_k, block, args.repeats)
+            row = {"replay": src, "block": "default" if block is None else block}
+            row["s"] = seconds
+            row["max_abs_error"] = float(np.abs(replayed - a.tensor.data).max())
+            print(json.dumps(row), flush=True)
 
 
 if __name__ == "__main__":

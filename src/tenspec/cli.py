@@ -349,6 +349,12 @@ def run_verify(tensor_path, manifest_path):
                 f"{manifest_path}: {len(weights)} weights but "
                 f"{len(names)} {family} factors"
             )
+        for name in names:
+            if name in ("", ".", "..") or Path(name).name != name or "\0" in name:
+                raise ParseError(
+                    f"{manifest_path}: factor file {name!r} is not a plain file "
+                    f"name beside the manifest"
+                )
         try:
             loaded = [read_tensor(manifest_path.parent / n) for n in names]
         except OSError as exc:

@@ -4,13 +4,15 @@ Deliberately disjoint from the main path: singular values come from
 LAPACK's SVD of the unfolded matrix itself (never from the Gram spectrum
 the decompositions diagonalize with their own Jacobi solver), contraction
 is redone with explicit nested loops, and reconstructions are replayed
-term by term, ``REPLAY_BLOCK`` at a time, with ``np.einsum`` rather than
-through the grouped first-family sums of ``reconstruct``.  Shared code is
-limited to tensor storage and to the records' ``terms()`` layout: each
-factor family one array of flattened factors with a row index per
-component.
+term by term: every component's weighted first-family row and the outer
+product of its other rows are formed explicitly, a block of components at
+a time, and each block is summed with one matrix product, never through
+the grouped first-family sums of ``reconstruct``.  Shared code is limited
+to tensor storage and to the records' ``terms()`` layout: each factor
+family one array of flattened factors with a row index per component.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from itertools import product
@@ -22,7 +24,9 @@ from .decompose import reconstructed_dims
 from .errors import GroupingMismatch, InvalidAxis, ShapeMismatch
 
 RANK_TOL = 1e-10
-REPLAY_BLOCK = 32
+# Elements of a replay block's outer-product rows (B components x the
+# product of the other families' sizes): 1 MB of float64.
+REPLAY_BUDGET = 2**17
 
 
 @dataclass(frozen=True)
@@ -104,17 +108,31 @@ def _check_axes(t, axes):
 
 
 def replay_reconstruction(decomposition):
-    """Rebuild the decomposed tensor with one ``np.einsum`` per block of
-    ``REPLAY_BLOCK`` components."""
-    weights, families = decomposition.terms()
-    modes = "ijk"[: len(families)]
-    expr = "m," + ",".join("m" + c for c in modes) + "->" + modes
-    acc = np.zeros(tuple(stack.shape[1] for stack, _, _ in families))
-    for lo in range(0, len(weights), REPLAY_BLOCK):
-        rows = slice(lo, lo + REPLAY_BLOCK)
-        block = [stack[index[rows]] for stack, index, _ in families]
-        acc += np.einsum(expr, weights[rows], *block, optimize=True)
+    """Rebuild the decomposed tensor term by term.
+
+    For a block of B components, L holds their first-family rows times
+    their weights (B x N_1) and R the outer products of their other rows,
+    one flattened product a row (B x rest: a triple's Z and W rows, else
+    the second family's rows); the block adds L^T R.  B keeps R within
+    ``REPLAY_BUDGET`` elements.
+    """
+    weights, ((first, first_index, _), *others) = decomposition.terms()
+    rest = math.prod(stack.shape[1] for stack, _, _ in others)
+    block = max(1, REPLAY_BUDGET // rest)
+    acc = np.zeros((first.shape[1], rest))
+    for lo in range(0, len(weights), block):
+        rows = slice(lo, lo + block)
+        lhs = weights[rows, None] * first[first_index[rows]]
+        rhs = functools.reduce(
+            _row_outer, (stack[index[rows]] for stack, index, _ in others)
+        )
+        acc += lhs.T @ rhs
     return DenseTensor(acc.reshape(reconstructed_dims(decomposition)), check_finite=False)
+
+
+def _row_outer(x, y):
+    # Row m is the flattened outer product of x[m] and y[m].
+    return (x[:, :, None] * y[:, None, :]).reshape(len(x), -1)
 
 
 def verify_decomposition(a, result, singular_tol=1e-8, reconstruction_tol=1e-8):

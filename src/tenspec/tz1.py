@@ -5,6 +5,8 @@ u32 order d, then d u64 extents, then element_count f64 values in row-major
 order.  Round-trips are bit-exact.
 """
 
+import os
+import stat
 import struct
 
 import numpy as np
@@ -30,36 +32,48 @@ def read_tensor(path):
     """Read a TZ1 file back into a DenseTensor.
 
     Raises ParseError for bad magic/version, truncated or oversized payloads,
-    and non-finite values (file contents count as external input).
+    and non-finite values (file contents count as external input).  The
+    header and extent list are checked before any payload is read, and the
+    payload size is checked against the file's size before it is read, so a
+    hostile header costs no large read or allocation.  Hence the file must
+    be a regular one: a pipe, whose size is unknown, is refused.
     """
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < _HEADER.size:
-        raise ParseError(f"{path}: too short for a TZ1 header")
-    magic, version, order = _HEADER.unpack_from(blob)
-    if magic != MAGIC:
-        raise ParseError(f"{path}: bad magic {magic!r}")
-    if version != VERSION:
-        raise ParseError(f"{path}: unsupported version {version}")
-    if order < 1:
-        raise ParseError(f"{path}: order must be >= 1")
-    offset = _HEADER.size
-    if len(blob) < offset + 8 * order:
-        raise ParseError(f"{path}: truncated extent list")
-    dims = struct.unpack_from(f"<{order}Q", blob, offset)
-    offset += 8 * order
-    count = 1
-    for d in dims:
-        if d < 1:
-            raise ParseError(f"{path}: extent {d} must be >= 1")
-        count *= d
-    expected = offset + 8 * count
-    if len(blob) != expected:
+        head = fh.read(_HEADER.size)
+        if len(head) < _HEADER.size:
+            raise ParseError(f"{path}: too short for a TZ1 header")
+        magic, version, order = _HEADER.unpack(head)
+        if magic != MAGIC:
+            raise ParseError(f"{path}: bad magic {magic!r}")
+        if version != VERSION:
+            raise ParseError(f"{path}: unsupported version {version}")
+        if order < 1:
+            raise ParseError(f"{path}: order must be >= 1")
+        info = os.fstat(fh.fileno())
+        if not stat.S_ISREG(info.st_mode):
+            raise ParseError(f"{path}: not a regular file, so its size is unknown")
+        size = info.st_size
+        offset = _HEADER.size + 8 * order
+        if size < offset:
+            raise ParseError(f"{path}: truncated extent list")
+        dims = struct.unpack(f"<{order}Q", fh.read(8 * order))
+        count = 1
+        for d in dims:
+            if d < 1:
+                raise ParseError(f"{path}: extent {d} must be >= 1")
+            count *= d
+        expected = offset + 8 * count
+        if size == expected:
+            # One byte past the declared end: a file that changed size since
+            # it was checked fails the comparison below.
+            payload = fh.read(8 * count + 1)
+            size = offset + len(payload)
+    if size != expected:
         raise ParseError(
-            f"{path}: payload is {len(blob)} bytes, expected {expected} "
+            f"{path}: payload is {size} bytes, expected {expected} "
             f"for shape {dims}"
         )
-    values = np.frombuffer(blob, dtype="<f8", count=count, offset=offset)
+    values = np.frombuffer(payload, dtype="<f8", count=count)
     try:
         return DenseTensor(values.astype(np.float64).reshape(dims))
     except (ValueError, OverflowError) as exc:

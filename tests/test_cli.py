@@ -474,6 +474,21 @@ def test_verify_unreadable_weights_and_factor_names_exit_2(tmp_path):
         assert main(["verify", str(src), str(bad)]) == 2, (field, value)
 
 
+def test_verify_refuses_factor_files_outside_the_manifest_directory(tmp_path):
+    # A readable TZ1 file outside the manifest's directory, named by a
+    # relative or an absolute path, must not be opened; a name holding a NUL
+    # byte ended in a ValueError traceback.
+    src, manifest = make_verified_run(tmp_path)
+    good = read_json(manifest)
+    outside = tmp_path / "tr.tz1"
+    write_tensor(outside, read_tensor(manifest.parent / good["factors"]["u"][0]))
+    for k, name in enumerate(("../tr.tz1", str(outside), "sub/u.tz1", "u\0.tz1")):
+        factors = {**good["factors"], "u": [name] + good["factors"]["u"][1:]}
+        bad = manifest.parent / f"outside-{k}.json"
+        bad.write_text(json.dumps({**good, "factors": factors}))
+        assert main(["verify", str(src), str(bad)]) == 2, name
+
+
 def test_verify_tolerances_only_tighten(tmp_path):
     src, manifest = make_verified_run(tmp_path)
     data = read_json(manifest)

@@ -5,9 +5,14 @@ import dataclasses
 import numpy as np
 import pytest
 
+import tenspec
 from tenspec import (
     DenseTensor,
     GroupedTensor,
+    OperatorDecomposition,
+    Shape,
+    TransformDecomposition,
+    TripleDecomposition,
     contract,
     decompose_sa_nnd,
     decompose_transform,
@@ -20,6 +25,7 @@ from tenspec import (
     random_tensor,
     verify_decomposition,
 )
+from tenspec import decompose, oracle
 from tenspec.errors import InvalidAxis, ShapeMismatch
 
 
@@ -156,3 +162,118 @@ def test_verify_experiment2_scale():
         a, decompose_transform(a), singular_tol=1e-8, reconstruction_tol=1e-8
     )
     assert report.passed
+
+
+# ---------------------------------------------------- replay_reconstruction
+
+
+def term_loop(decomposition):
+    # The decomposition's sum with one explicit outer product per term.
+    weights, families = decomposition.terms()
+    total = np.zeros(tuple(rows.shape[1] for rows, _, _ in families))
+    for m, weight in enumerate(weights):
+        term = np.array(weight)
+        for rows, index, _ in families:
+            term = np.multiply.outer(term, rows[index[m]])
+        total += term
+    return total.reshape(decompose.reconstructed_dims(decomposition))
+
+
+def assert_replays(decomposition):
+    expected = term_loop(decomposition)
+    got = oracle.replay_reconstruction(decomposition).data
+    assert got.shape == expected.shape
+    assert np.abs(got - expected).max() <= 1e-14 * np.linalg.norm(expected)
+
+
+def random_record(kind, count, seed):
+    # `count` terms with random factor rows (the replay assumes no
+    # orthonormality).  A triple's 3 U rows and 4 Z rows pair up in
+    # lexicographic order, as decompose_triple's do.
+    rng = np.random.default_rng(seed)
+    weights = rng.random(count) + 0.5
+    if kind == "op":
+        vectors = rng.standard_normal((count, 6))
+        return OperatorDecomposition(weights, vectors, Shape((2, 3)), spectrum=weights)
+    if kind == "transform":
+        u, v = rng.standard_normal((count, 3)), rng.standard_normal((count, 8))
+        return TransformDecomposition(
+            weights, u, v, Shape((3,)), Shape((2, 4)), spectrum=weights
+        )
+    pairs = np.array([(p, s) for p in range(3) for s in range(4)])[:count]
+    u, z = rng.standard_normal((3, 3)), rng.standard_normal((4, 4))
+    w = rng.standard_normal((count, 6))
+    shapes = (Shape((3,)), Shape((4,)), Shape((2, 3)))
+    return TripleDecomposition(weights, pairs, u, z, w, shapes, raw=None)
+
+
+@pytest.mark.parametrize("kind", ["op", "transform", "triple"])
+def test_replay_matches_term_loop_across_block_edges(monkeypatch, kind):
+    # Blocks of 4 terms: counts on both sides of one and two block edges.
+    rest = {"op": 6, "transform": 8, "triple": 24}[kind]
+    monkeypatch.setattr(oracle, "REPLAY_BUDGET", 4 * rest)
+    for count in (1, 3, 4, 5, 9):
+        assert_replays(random_record(kind, count, seed=count))
+
+
+def test_replay_matches_term_loop_at_default_block():
+    # Z x W rows of 32 x 64 entries: blocks of 64 terms at the default budget.
+    rest = 32 * 64
+    block = oracle.REPLAY_BUDGET // rest
+    rng = np.random.default_rng(71)
+    for count in (block - 1, block, block + 1):
+        pairs = np.stack([np.arange(count) % 2, np.arange(count) // 2], axis=1)
+        dec = TripleDecomposition(
+            rng.random(count),
+            pairs,
+            rng.standard_normal((2, 2)),
+            rng.standard_normal((count // 2 + 1, 32)),
+            rng.standard_normal((count, 64)),
+            (Shape((2,)), Shape((32,)), Shape((64,))),
+            raw=None,
+        )
+        assert_replays(dec)
+
+
+def test_replay_of_truncated_and_shuffled_triples():
+    a = GroupedTensor(random_tensor((4, 3, 5), 72), (1, 1, 1))
+    dec = decompose_triple(a)
+    # A kept prefix leaves some U and Z rows unused.
+    for keep in (1, 5, dec.count - 1):
+        assert_replays(
+            TripleDecomposition(
+                dec.weights[:keep], dec.pair_map[:keep], dec.u, dec.z,
+                dec.w[:keep], dec.shapes, raw=None,
+            )
+        )
+    # Components in any order, some (p, s) pairs and W rows repeated.
+    rng = np.random.default_rng(73)
+    order = np.concatenate([rng.permutation(dec.count), rng.choice(dec.count, 7)])
+    assert_replays(
+        TripleDecomposition(
+            dec.weights[order], dec.pair_map[order], dec.u, dec.z,
+            dec.w[order], dec.shapes, raw=None,
+        )
+    )
+
+
+def test_oracle_is_independent_of_the_main_path(monkeypatch):
+    # verify must not reach the grouped sums that it is meant to check.
+    op_src = GroupedTensor(random_tensor((2, 3, 2, 3), 74), (2, 2))
+    op = gram_operator(op_src, side="right")
+    transform = GroupedTensor(random_tensor((5, 2, 3), 75), (1, 2))
+    triple = GroupedTensor(random_tensor((4, 3, 2), 76), (1, 1, 1))
+    cases = [
+        (op, decompose_sa_nnd(op)),
+        (transform, decompose_transform(transform)),
+        (triple, decompose_triple(triple)),
+    ]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the oracle called the main path")
+
+    for name in ("_grouped", "_sum_terms", "reconstruct"):
+        monkeypatch.setattr(decompose, name, refuse)
+    monkeypatch.setattr(tenspec, "reconstruct", refuse)
+    for a, dec in cases:
+        assert verify_decomposition(a, dec).passed

@@ -1,13 +1,21 @@
 """TZ1 tensor file format: layout and round trips."""
 
+import os
 import struct
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import tenspec
 from tenspec import DenseTensor, random_tensor, read_tensor, write_tensor
 from tenspec.errors import ParseError
+
+SRC = str(Path(tenspec.__file__).resolve().parents[1])
 
 
 def test_round_trip_bit_exact(tmp_path):
@@ -98,6 +106,65 @@ def test_rejects_non_finite_values(tmp_path):
     path.write_bytes(blob)
     with pytest.raises(ParseError):
         read_tensor(path)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="needs /dev/zero and rlimits")
+def test_endless_file_is_refused_by_its_header():
+    # /dev/zero never ends, so reading it whole would never return; its
+    # header alone must refuse it.  The child's address space is capped so
+    # that a reader that does read it whole fails fast.
+    code = (
+        "import resource\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))\n"
+        f"import sys; sys.path.insert(0, {SRC!r})\n"
+        "from tenspec import read_tensor\n"
+        "from tenspec.errors import ParseError\n"
+        "try:\n"
+        "    read_tensor('/dev/zero')\n"
+        "except ParseError as exc:\n"
+        "    print(exc)\n"
+    )
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env
+    )
+    assert done.returncode == 0, done.stderr
+    assert "bad magic" in done.stdout
+
+
+def test_huge_declared_sizes_are_refused_without_allocating(tmp_path):
+    # A header may declare any order and shape; a short file must be refused
+    # before anything of the declared size is read.
+    path = tmp_path / "huge.tz1"
+    short = struct.pack("<2d", 1.0, 2.0)
+    cases = [
+        (struct.pack("<II", 1, 2) + struct.pack("<2Q", 1024, 1024) + short, "expected"),
+        (struct.pack("<II", 1, 2) + struct.pack("<2Q", 2**40, 2**40) + short, "expected"),
+        (struct.pack("<II", 1, 2**32 - 1) + struct.pack("<2Q", 1, 2), "extent list"),
+    ]
+    for blob, message in cases:
+        path.write_bytes(b"TENZ" + blob)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParseError, match=message):
+                read_tensor(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, (message, peak)
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+def test_pipe_is_refused_as_not_a_regular_file(tmp_path):
+    write_tensor(tmp_path / "t.tz1", random_tensor((2, 2), 5))
+    read_end, write_end = os.pipe()
+    try:
+        os.write(write_end, (tmp_path / "t.tz1").read_bytes())
+        os.close(write_end)
+        with pytest.raises(ParseError, match="not a regular file"):
+            read_tensor(f"/dev/fd/{read_end}")
+    finally:
+        os.close(read_end)
 
 
 # ------------------------------------------------------------------ fuzzing
