@@ -13,6 +13,7 @@ import json
 import math
 import sys
 import time
+from collections import namedtuple
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -21,6 +22,7 @@ import numpy as np
 
 from .core import DenseTensor, norm, random_tensor
 from .decompose import (
+    RANK_TOL,
     GroupedTensor,
     OperatorDecomposition,
     TransformDecomposition,
@@ -30,7 +32,6 @@ from .decompose import (
     decompose_transform,
     decompose_triple,
     gram_operator,
-    is_self_adjoint,
     reconstruct,
 )
 from .errors import (
@@ -57,6 +58,16 @@ SINGULAR_TOL = 1e-8
 MAX_EIGEN_ORDER = 2048
 
 
+# Each algorithm's number of mode groups, its manifest factor families (in
+# ``terms()`` order) and the reconstruction error its report passes at.
+Algorithm = namedtuple("Algorithm", "groups families tolerance")
+ALGORITHMS = {
+    "op": Algorithm(2, ("u",), 1e-8),
+    "transform": Algorithm(2, ("u", "v"), 1e-8),
+    "triple": Algorithm(3, ("u", "z", "w"), 1e-10),
+}
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
     """One runnable experiment: a seeded random source and an algorithm.
@@ -65,7 +76,7 @@ class ExperimentSpec:
     the decomposed operator is the gram of the grouped source (the way the
     canned SA-NND experiment builds its input); otherwise the source itself
     is decomposed.  ``scale`` multiplies the source, so 0.0 exercises the
-    degenerate zero-tensor path.
+    degenerate zero-tensor path.  ``tolerance=None`` takes the algorithm's.
     """
 
     name: str
@@ -73,7 +84,7 @@ class ExperimentSpec:
     groups: tuple
     algorithm: str
     seed: int = DEFAULT_SEED
-    tolerance: float = 1e-8
+    tolerance: Optional[float] = None
     gram_source: bool = False
     scale: float = 1.0
 
@@ -84,19 +95,16 @@ EXPERIMENTS = {
         groups=(3, 3),
         algorithm="op",
         gram_source=True,
-        tolerance=1e-8,
     ),
     "exp2": dict(
         source_dims=(64, 8, 4),
         groups=(1, 2),
         algorithm="transform",
-        tolerance=1e-8,
     ),
     "exp3": dict(
         source_dims=(64, 16, 3),
         groups=(1, 1, 1),
         algorithm="triple",
-        tolerance=1e-10,
     ),
 }
 
@@ -105,10 +113,9 @@ def experiment_spec(name, seed=DEFAULT_SEED, tolerance=None):
     """Spec for one of the canned experiments, with optional overrides."""
     if name not in EXPERIMENTS:
         raise ValueError(f"unknown experiment {name!r}")
-    cfg = dict(EXPERIMENTS[name])
-    if tolerance is not None:
-        cfg["tolerance"] = tolerance
-    return ExperimentSpec(name=name, seed=int(seed), **cfg)
+    return ExperimentSpec(
+        name=name, seed=int(seed), tolerance=tolerance, **EXPERIMENTS[name]
+    )
 
 
 @dataclass(frozen=True)
@@ -141,14 +148,55 @@ def relative_error(reference, candidate):
     return diff / scale
 
 
-def _decompose_by_name(a, algorithm):
+def _decompose(a, algorithm):
+    """Decompose ``a``; returns the result and the algorithm used.  ``auto``
+    takes ``triple`` for three groups, else ``op``, else (not self-adjoint,
+    or indefinite) ``transform``.  The decompose_* names are looked up at
+    call time, so wrappers bound to them take effect."""
+    if algorithm == "auto" and a.group_count == 3:
+        algorithm = "triple"
+    elif algorithm == "auto":
+        try:
+            return decompose_sa_nnd(a), "op"
+        except (NotSelfAdjoint, NotNND):
+            algorithm = "transform"
     if algorithm == "op":
-        return decompose_sa_nnd(a)
+        return decompose_sa_nnd(a), algorithm
     if algorithm == "transform":
-        return decompose_transform(a)
+        return decompose_transform(a), algorithm
     if algorithm == "triple":
-        return decompose_triple(a)
+        return decompose_triple(a), algorithm
     raise ValueError(f"unknown algorithm {algorithm!r}")
+
+
+def _run(a, algorithm, out_dir, name="decompose", seed=None, tolerance=None, keep=None):
+    """Decompose ``a``, rebuild its leading ``keep`` components and write
+    spectrum.csv and report.json; returns the result and the report."""
+    started = time.perf_counter()
+    dec, algorithm = _decompose(a, algorithm)
+    rebuilt = reconstruct(dec, keep)
+    wall_ms = int(round(1000.0 * (time.perf_counter() - started)))
+
+    err = relative_error(a.tensor, rebuilt)
+    if tolerance is None:
+        tolerance = ALGORITHMS[algorithm].tolerance
+    report = RunReport(
+        name=name,
+        algorithm=algorithm,
+        seed=seed,
+        dims=a.tensor.dims,
+        groups=a.group_orders,
+        rank=component_count(dec),
+        spectrum=np.asarray(dec.spectrum, dtype=np.float64),
+        reconstruction_relative_error=err,
+        tolerance=tolerance,
+        passed=bool(err <= tolerance),
+        wall_time_ms=wall_ms,
+    )
+    out_dir.mkdir(parents=True, exist_ok=True)
+    _write_spectrum_csv(out_dir / "spectrum.csv", report.spectrum)
+    _write_json(out_dir / "report.json", _report_dict(report))
+    return dec, report
 
 
 def run_experiment(spec, out_dir):
@@ -160,39 +208,10 @@ def run_experiment(spec, out_dir):
         a = gram_operator(GroupedTensor(source, spec.groups), side="right")
     else:
         a = GroupedTensor(source, spec.groups)
-
-    started = time.perf_counter()
-    dec = _decompose_by_name(a, spec.algorithm)
-    rebuilt = reconstruct(dec)
-    wall_ms = int(round(1000.0 * (time.perf_counter() - started)))
-
-    err = relative_error(a.tensor, rebuilt)
-    report = RunReport(
-        name=spec.name,
-        algorithm=spec.algorithm,
-        seed=spec.seed,
-        dims=a.tensor.dims,
-        groups=a.group_orders,
-        rank=component_count(dec),
-        spectrum=np.asarray(dec.spectrum, dtype=np.float64),
-        reconstruction_relative_error=err,
-        tolerance=spec.tolerance,
-        passed=bool(err <= spec.tolerance),
-        wall_time_ms=wall_ms,
-    )
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    _, report = _run(a, spec.algorithm, out_dir, spec.name, spec.seed, spec.tolerance)
     write_tensor(out_dir / "input.tz1", a.tensor)
-    _write_spectrum_csv(out_dir / "spectrum.csv", report.spectrum)
-    _write_report_json(out_dir / "report.json", report)
     return report
-
-
-_FAMILY_BY_ALGORITHM = {
-    "op": ("u",),
-    "transform": ("u", "v"),
-    "triple": ("u", "z", "w"),
-}
 
 
 def _eigen_order(a):
@@ -216,64 +235,21 @@ def run_decompose(path, groups, algorithm="auto", keep=None, out_dir="tenspec-ou
     Raises TooLarge, before any solve, when ``_eigen_order`` of the input
     exceeds ``MAX_EIGEN_ORDER``.
     """
-    tensor = read_tensor(path)
-    a = GroupedTensor(tensor, groups)
+    a = GroupedTensor(read_tensor(path), groups)
     order = _eigen_order(a)
     if order > MAX_EIGEN_ORDER:
         raise TooLarge(
             f"{path}: needs an eigenproblem of order {order}, above the "
             f"limit {MAX_EIGEN_ORDER}"
         )
-    auto = algorithm == "auto"
-    if auto:
-        if a.group_count == 3:
-            algorithm = "triple"
-        elif is_self_adjoint(a):
-            algorithm = "op"
-        else:
-            algorithm = "transform"
-    elif algorithm == "op":
-        check = is_self_adjoint(a)
-        if not check:
-            raise NotSelfAdjoint(check.reason)
-    elif algorithm not in ("transform", "triple"):
-        raise ValueError(f"unknown algorithm {algorithm!r}")
-
-    started = time.perf_counter()
-    try:
-        dec = _decompose_by_name(a, algorithm)
-    except NotNND:
-        # A symmetric but indefinite operator is still a transformation.
-        if not auto:
-            raise
-        algorithm = "transform"
-        dec = decompose_transform(a)
-    count = component_count(dec)
-    kept = count if keep is None else int(keep)
-    rebuilt = reconstruct(dec, kept)
-    wall_ms = int(round(1000.0 * (time.perf_counter() - started)))
-
-    err = relative_error(tensor, rebuilt)
-    tolerance = 1e-10 if algorithm == "triple" else 1e-8
-    report = RunReport(
-        name="decompose",
-        algorithm=algorithm,
-        seed=None,
-        dims=tensor.dims,
-        groups=a.group_orders,
-        rank=count,
-        spectrum=np.asarray(dec.spectrum, dtype=np.float64),
-        reconstruction_relative_error=err,
-        tolerance=tolerance,
-        passed=bool(err <= tolerance),
-        wall_time_ms=wall_ms,
-    )
+    out_dir = Path(out_dir)
+    dec, report = _run(a, algorithm, out_dir, keep=keep)
+    algorithm = report.algorithm
+    kept = report.rank if keep is None else int(keep)
 
     weights, families = dec.terms()
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     factor_names = {}
-    for family, (rows, index, shape) in zip(_FAMILY_BY_ALGORITHM[algorithm], families):
+    for family, (rows, index, shape) in zip(ALGORITHMS[algorithm].families, families):
         names = []
         for m in range(kept):
             fname = f"{family}-{m + 1:04d}.tz1"
@@ -289,8 +265,8 @@ def run_decompose(path, groups, algorithm="auto", keep=None, out_dir="tenspec-ou
         "weights": [float(w) for w in weights[:kept]],
         "factors": factor_names,
         "tolerances": {
-            "rank_tol": 1e-10,
-            "reconstruction_tol": tolerance,
+            "rank_tol": RANK_TOL,
+            "reconstruction_tol": report.tolerance,
             "singular_tol": SINGULAR_TOL,
         },
     }
@@ -298,11 +274,7 @@ def run_decompose(path, groups, algorithm="auto", keep=None, out_dir="tenspec-ou
         manifest["pairMap"] = [
             [int(p) + 1, int(s) + 1] for p, s in dec.pair_map[:kept]
         ]
-    (out_dir / "manifest.json").write_text(
-        json.dumps(manifest, indent=2) + "\n", encoding="utf-8"
-    )
-    _write_spectrum_csv(out_dir / "spectrum.csv", report.spectrum)
-    _write_report_json(out_dir / "report.json", report)
+    _write_json(out_dir / "manifest.json", manifest)
     return report
 
 
@@ -322,7 +294,7 @@ def run_verify(tensor_path, manifest_path):
         tolerances = manifest.get("tolerances", {})
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"{manifest_path}: bad manifest field: {exc}") from exc
-    if not isinstance(algorithm, str) or algorithm not in _FAMILY_BY_ALGORITHM:
+    if not isinstance(algorithm, str) or algorithm not in ALGORITHMS:
         raise ParseError(f"{manifest_path}: unknown algorithm {algorithm!r}")
     if not (isinstance(groups, list) and all(type(g) is int for g in groups)):
         raise ParseError(f"{manifest_path}: groups {groups!r} are not integers")
@@ -339,8 +311,15 @@ def run_verify(tensor_path, manifest_path):
                 f"tensor groups {actual}"
             )
     shapes = a.group_shapes
+    group_count, families, _ = ALGORITHMS[algorithm]
+    one_shape = algorithm == "op"  # an operator maps its group onto itself
+    if len(shapes) != group_count or (one_shape and shapes[0].dims != shapes[1].dims):
+        raise ParseError(
+            f"{manifest_path}: {algorithm} needs {group_count} groups"
+            f"{' of one shape' if one_shape else ''}, got {[s.dims for s in shapes]}"
+        )
     stacks = {}
-    for family, shape in zip(_FAMILY_BY_ALGORITHM[algorithm], shapes):
+    for family, shape in zip(families, shapes):
         names = factor_names.get(family)
         if not (isinstance(names, list) and all(isinstance(n, str) for n in names)):
             raise ParseError(f"{manifest_path}: no list of {family} factor files")
@@ -457,10 +436,8 @@ def _report_dict(report):
     }
 
 
-def _write_report_json(path, report):
-    Path(path).write_text(
-        json.dumps(_report_dict(report), indent=2) + "\n", encoding="utf-8"
-    )
+def _write_json(path, value):
+    Path(path).write_text(json.dumps(value, indent=2) + "\n", encoding="utf-8")
 
 
 def _cmd_experiment(args):
@@ -539,8 +516,7 @@ def build_parser():
     p_dec.add_argument("file")
     p_dec.add_argument("--groups", required=True,
                        help="mode counts per group, e.g. 1,2 or 1,1,1")
-    p_dec.add_argument("--algorithm", default="auto",
-                       choices=["auto", "op", "transform", "triple"])
+    p_dec.add_argument("--algorithm", default="auto", choices=["auto", *ALGORITHMS])
     p_dec.add_argument("--keep", type=int, default=None,
                        help="write only the leading K components")
     p_dec.add_argument("--out", default="tenspec-out", help="output directory")

@@ -137,21 +137,61 @@ def test_decompose_rank_one_round_trip(tmp_path):
     assert abs(float(np.dot(loaded_u.values, u.values))) == pytest.approx(1.0, abs=1e-10)
 
 
-def test_decompose_matches_experiment_report(tmp_path):
+@pytest.mark.parametrize(
+    "name, groups", [("exp2", "1,2"), ("exp3", "1,1,1")], ids=["exp2", "exp3"]
+)
+def test_decompose_matches_experiment_report(tmp_path, name, groups):
     exp_out = tmp_path / "exp"
-    assert main(["experiment", "exp2", "--seed", "11", "--out", str(exp_out)]) == 0
+    assert main(["experiment", name, "--seed", "11", "--out", str(exp_out)]) == 0
     dec_out = tmp_path / "dec"
     code = main(
-        ["decompose", str(exp_out / "input.tz1"), "--groups", "1,2", "--out", str(dec_out)]
+        ["decompose", str(exp_out / "input.tz1"), "--groups", groups, "--out", str(dec_out)]
     )
     assert code == 0
     exp_report = read_json(exp_out / "report.json")
     dec_report = read_json(dec_out / "report.json")
-    assert dec_report["spectrum"] == exp_report["spectrum"]
-    assert dec_report["rank"] == exp_report["rank"]
+    for field in ("algorithm", "spectrum", "rank", "tolerance", "passed"):
+        assert dec_report[field] == exp_report[field], field
     assert dec_report["reconstruction_relative_error"] == pytest.approx(
         exp_report["reconstruction_relative_error"], abs=1e-15
     )
+
+
+@pytest.mark.parametrize(
+    "algorithm, function, dims, groups, gram",
+    [
+        ("op", "decompose_sa_nnd", (3, 2, 3, 2), (2, 2), True),
+        ("transform", "decompose_transform", (4, 3, 2), (1, 2), False),
+        ("triple", "decompose_triple", (3, 2, 2), (1, 1, 1), False),
+    ],
+)
+def test_decompose_functions_looked_up_at_call_time(
+    tmp_path, monkeypatch, algorithm, function, dims, groups, gram
+):
+    # Wrappers bound to the cli module's decompose_* names (as a tracer or a
+    # fault injector binds them) must see every run: experiment, decompose by
+    # name and decompose with `auto`.
+    from tenspec import cli
+
+    original = getattr(cli, function)
+    calls = []
+
+    def recording(a):
+        calls.append(a.tensor.dims)
+        return original(a)
+
+    monkeypatch.setattr(cli, function, recording)
+    spec = ExperimentSpec(
+        name="probe", source_dims=dims, groups=groups, algorithm=algorithm, gram_source=gram
+    )
+    report = run_experiment(spec, tmp_path / "exp")
+    assert report.algorithm == algorithm and report.passed
+    for choice in (algorithm, "auto"):
+        args = ["decompose", str(tmp_path / "exp" / "input.tz1"), "--groups",
+                ",".join(map(str, report.groups)), "--algorithm", choice,
+                "--out", str(tmp_path / choice)]
+        assert main(args) == 0, choice
+    assert calls == [report.dims] * 3
 
 
 def test_decompose_auto_picks_operator(tmp_path):
@@ -407,6 +447,36 @@ def test_verify_bad_pair_map_exits_2(tmp_path):
         path = out / f"{name}.json"
         path.write_text(json.dumps(data))
         assert main(["verify", str(src), str(path)]) == 2, name
+
+
+@pytest.mark.parametrize(
+    "algorithm, dims, groups, families, message",
+    [
+        # Ended in a KeyError: 'w' traceback.
+        ("triple", (3, 4), [1, 1], "uz", "triple needs 3 groups, got [(3,), (4,)]"),
+        # Replayed by broadcasting (3, 3) against (3, 1), then exit 1.
+        ("op", (3, 1), [1, 1], "u", "op needs 2 groups of one shape, got [(3,), (1,)]"),
+        # Refused only inside the oracle, by a message naming neither.
+        ("op", (3, 1, 1), [1, 1, 1], "u", "op needs 2 groups of one shape, got [(3,),"),
+    ],
+    ids=["triple-two-groups", "op-unequal-shapes", "op-three-groups"],
+)
+def test_verify_groups_must_fit_algorithm(
+    tmp_path, capsys, algorithm, dims, groups, families, message
+):
+    src = tmp_path / "in.tz1"
+    write_tensor(src, random_tensor(dims, 73))
+    factors = {}
+    for family, size in zip(families, dims):
+        write_tensor(tmp_path / f"{family}.tz1", DenseTensor(np.eye(size)[0]))
+        factors[family] = [f"{family}.tz1"]
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({
+        "version": 1, "algorithm": algorithm, "groups": groups, "weights": [1.0],
+        "factors": factors, "pairMap": [[1, 1]],
+    }))
+    assert main(["verify", str(src), str(manifest)]) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_verify_truncated_factor_exits_2(tmp_path):

@@ -130,6 +130,22 @@ def test_sign_fix_preserves_orthogonality_8x8():
     assert np.abs(recon - a).max() <= 1e-10 * np.abs(a).max()
 
 
+def test_sign_fix_matches_column_loop():
+    # The whole-array sign flip against a per-column loop, bit for bit.  The
+    # last column ties in magnitude, so argmax's lowest index decides.
+    rng = np.random.Generator(np.random.PCG64(77))
+    for n in (1, 8, 33):
+        v = rng.random((n, n)) * 2.0 - 1.0
+        v[:, -1] = np.where(np.arange(n) % 2, 1.0, -1.0)
+        expected = v.copy()
+        for p in range(n):
+            col = expected[:, p]
+            if col[int(np.argmax(np.abs(col)))] < 0.0:
+                expected[:, p] = -col
+        jacobi._fix_signs(v)
+        assert v.tobytes() == expected.tobytes(), n
+
+
 def test_degenerate_spectrum_projector():
     # Eigenvalue 2 has a 2-dimensional eigenspace spanned by e0, e1; only
     # the projector onto it is well defined, not the individual vectors.
