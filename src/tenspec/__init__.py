@@ -22,7 +22,6 @@ from .core import (
 from .decompose import (
     GroupedTensor,
     OperatorDecomposition,
-    RawTriple,
     TransformDecomposition,
     TripleDecomposition,
     apply_operator,
@@ -53,7 +52,6 @@ __all__ = [
     "IndexMap",
     "OperatorDecomposition",
     "OracleReport",
-    "RawTriple",
     "Shape",
     "TransformDecomposition",
     "TripleDecomposition",

@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import DenseTensor, norm, random_tensor
+from .core import DenseTensor, random_tensor, relative_error
 from .decompose import (
     RANK_TOL,
     GroupedTensor,
@@ -36,12 +36,11 @@ from .decompose import (
 )
 from .errors import (
     GroupingMismatch,
-    InvalidKeep,
-    NoConvergence,
     NotNND,
     NotSelfAdjoint,
     ParseError,
     ShapeMismatch,
+    TenspecError,
     TooLarge,
 )
 from .oracle import verify_decomposition
@@ -137,15 +136,6 @@ class RunReport:
     tolerance: float
     passed: bool
     wall_time_ms: int
-
-
-def relative_error(reference, candidate):
-    """Relative Frobenius error, with 0/0 counted as 0."""
-    scale = norm(reference)
-    diff = norm(DenseTensor(reference.data - candidate.data, check_finite=False))
-    if scale == 0.0:
-        return 0.0 if diff == 0.0 else float("inf")
-    return diff / scale
 
 
 def _decompose(a, algorithm):
@@ -353,18 +343,20 @@ def run_verify(tensor_path, manifest_path):
     else:
         pair_map = _compact_pair_map(manifest.get("pairMap", []), stacks, manifest_path)
         result = TripleDecomposition(
-            weights, pair_map, stacks["u"], stacks["z"], stacks["w"], shapes, raw=None
+            weights, pair_map, stacks["u"], stacks["z"], stacks["w"], shapes
         )
-    return verify_decomposition(a, result, **_tolerances(tolerances, manifest_path))
+    tolerances = _tolerances(tolerances, ALGORITHMS[algorithm].tolerance, manifest_path)
+    return verify_decomposition(a, result, **tolerances)
 
 
-def _tolerances(declared, manifest_path):
+def _tolerances(declared, reconstruction_tol, manifest_path):
     """``verify``'s tolerances: a manifest may declare smaller ones than
-    the defaults, never larger."""
+    the defaults (``reconstruction_tol`` is the algorithm's), never larger."""
     if not isinstance(declared, dict):
         raise ParseError(f"{manifest_path}: tolerances must map name to value")
     tolerances = {}
-    for key, default in (("singular_tol", SINGULAR_TOL), ("reconstruction_tol", 1e-8)):
+    defaults = (("singular_tol", SINGULAR_TOL), ("reconstruction_tol", reconstruction_tol))
+    for key, default in defaults:
         value = declared.get(key, default)
         if type(value) not in (int, float) or not 0 < value < math.inf:
             raise ParseError(f"{manifest_path}: {key} {value!r} is not a positive number")
@@ -533,18 +525,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (
-        ParseError,
-        GroupingMismatch,
-        NotSelfAdjoint,
-        NotNND,
-        InvalidKeep,
-        ShapeMismatch,
-        NoConvergence,
-        TooLarge,
-        FileNotFoundError,
-        ValueError,
-    ) as exc:
+    except (TenspecError, OSError, ValueError) as exc:
         print(f"tenspec: error: {exc}", file=sys.stderr)
         return 2
 

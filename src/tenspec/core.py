@@ -206,6 +206,18 @@ def norm(x):
     return math.sqrt(inner(x, x))
 
 
+def relative_error(reference, candidate):
+    """Relative Frobenius error ||reference - candidate|| / ||reference||.
+
+    0/0 counts as 0 only for an all-zero reference; a nonzero one whose
+    norm underflows to 0 gives inf, as does any error against zero.
+    """
+    scale, diff = norm(reference), norm(reference - candidate)
+    if scale > 0.0:
+        return diff / scale
+    return 0.0 if diff == 0.0 and not reference.data.any() else math.inf
+
+
 def outer(x, y):
     """Outer product; result modes are x's modes followed by y's modes."""
     if x.size * y.size > MAX_ELEMENT_COUNT:

@@ -169,26 +169,6 @@ class TransformDecomposition:
 
 
 @dataclass(frozen=True)
-class RawTriple:
-    """Stage outputs of the triple decomposition before pair flattening.
-
-    ``sigma``/``u_basis`` come from the SVD of the (I x JK) unfolding,
-    ``gamma``/``z_basis`` from that of the couplings over J.
-    ``coupling[p]`` is the stage-one factor over J x K paired with
-    ``sigma[p]``; ``w_joint`` is the order-(f+2) tensor over K x r1 x r2
-    whose fibers are the W factors (None for an empty decomposition).
-    The bases are views of the rows of the decomposition's ``u`` and ``z``.
-    """
-
-    sigma: np.ndarray
-    gamma: np.ndarray
-    u_basis: list
-    z_basis: list
-    coupling: list
-    w_joint: Optional[DenseTensor]
-
-
-@dataclass(frozen=True)
 class TripleDecomposition:
     """Weights and three factor families for a three-group tensor.
 
@@ -196,7 +176,9 @@ class TripleDecomposition:
     ``(p, s) = pair_map[m]`` (zero-based), ``U_p`` row p of ``u`` (r1 x I),
     ``Z_s`` row s of ``z`` (r2 x J) and ``W_m`` row m of ``w`` (M x K).
     Weights are stored as the exact products ``sigma[p] * gamma[s]``,
-    sorted non-increasing with lexicographic (p, s) tie-breaks.
+    sorted non-increasing with lexicographic (p, s) tie-breaks.  ``sigma``
+    and ``gamma`` are the stage weights (None for a record read from a
+    manifest); ``u_basis``/``z_basis`` view the rows of ``u`` and ``z``.
     """
 
     weights: np.ndarray
@@ -205,7 +187,8 @@ class TripleDecomposition:
     z: np.ndarray
     w: np.ndarray
     shapes: tuple
-    raw: Optional[RawTriple]
+    sigma: Optional[np.ndarray] = None
+    gamma: Optional[np.ndarray] = None
 
     @property
     def count(self):
@@ -218,6 +201,18 @@ class TripleDecomposition:
     factors_u = property(lambda self: _factors(self, 0))
     factors_z = property(lambda self: _factors(self, 1))
     factors_w = property(lambda self: _factors(self, 2))
+    u_basis = property(lambda self: _views(self.u, self.shapes[0]))
+    z_basis = property(lambda self: _views(self.z, self.shapes[1]))
+    raw = property(lambda self: self)  # alias: dec.raw.sigma is dec.sigma
+
+    @property
+    def w_joint(self):
+        """``w`` scattered by ``pair_map`` into a K x r1 x r2 tensor whose
+        fibers are the W factors, zero at absent pairs (None when empty)."""
+        joint = np.zeros((self.shapes[2].element_count, len(self.u), len(self.z)))
+        joint[:, self.pair_map[:, 0], self.pair_map[:, 1]] = self.w.T
+        joint = joint.reshape(self.shapes[2].dims + joint.shape[1:])
+        return DenseTensor(joint, check_finite=False) if joint.size else None
 
     def terms(self):
         """See ``OperatorDecomposition.terms``."""
@@ -386,18 +381,17 @@ def decompose_triple(a, rank_tol=RANK_TOL):
     sorted non-increasing with lexicographic (p, s) tie-breaks.
     """
     _require_groups(a, 3, "decompose_triple")
-    shape_i, shape_j, shape_k = shapes = a.group_shapes
+    shape_j, shape_k = a.group_shapes[1:]
     sigma, u_cols, v_cols, _ = _matrix_svd(
         unfold(a.tensor, a.group_orders[0]).data, rank_tol
     )
     r1 = len(sigma)
-    # Row j of the stage-two matrix holds V_p[j, k] at column (k, p).
+    # Row j of the stage-two matrix holds V_p[j, k] at column (k, p), so row
+    # (k, p) of its right columns is the W fiber over K of each pair (p, s).
     gamma, z_cols, w_cols, _ = _matrix_svd(
         v_cols.reshape(shape_j.element_count, shape_k.element_count * r1), rank_tol
     )
     r2 = len(gamma)
-    joint = w_cols.reshape(shape_k.dims + (r1, r2))
-    u, z = _as_rows(u_cols), _as_rows(z_cols)
 
     # Flatten (p, s) pairs, s fastest; a stable sort by weight descending
     # keeps equal weights in lexicographic (p, s) order, so truncation by
@@ -407,18 +401,12 @@ def decompose_triple(a, rank_tol=RANK_TOL):
     return TripleDecomposition(
         weights=products[order],
         pair_map=np.stack(np.unravel_index(order, (r1, r2)), axis=1),
-        u=u,
-        z=z,
-        w=joint.reshape(shape_k.element_count, r1 * r2).T[order],
-        shapes=shapes,
-        raw=RawTriple(
-            sigma=sigma,
-            gamma=gamma,
-            u_basis=_views(u, shape_i),
-            z_basis=_views(z, shape_j),
-            coupling=_views(v_cols.T, Shape(shape_j.dims + shape_k.dims)),
-            w_joint=DenseTensor(joint, check_finite=False) if joint.size else None,
-        ),
+        u=_as_rows(u_cols),
+        z=_as_rows(z_cols),
+        w=w_cols.reshape(shape_k.element_count, r1 * r2).T[order],
+        shapes=a.group_shapes,
+        sigma=sigma,
+        gamma=gamma,
     )
 
 

@@ -8,8 +8,9 @@ term by term: every component's weighted first-family row and the outer
 product of its other rows are formed explicitly, a block of components at
 a time, and each block is summed with one matrix product, never through
 the grouped first-family sums of ``reconstruct``.  Shared code is limited
-to tensor storage and to the records' ``terms()`` layout: each factor
-family one array of flattened factors with a row index per component.
+to tensor storage, the error measure ``core.relative_error``, and the
+records' ``terms()`` layout: each factor family one array of flattened
+factors with a row index per component.
 """
 
 import functools
@@ -19,7 +20,7 @@ from itertools import product
 
 import numpy as np
 
-from .core import DenseTensor, norm
+from .core import DenseTensor, relative_error
 from .decompose import reconstructed_dims
 from .errors import GroupingMismatch, InvalidAxis, ShapeMismatch
 
@@ -138,20 +139,18 @@ def _row_outer(x, y):
 def verify_decomposition(a, result, singular_tol=1e-8, reconstruction_tol=1e-8):
     """Replay a decomposition of ``a`` and compare against the references.
 
-    Reconstruction error is relative Frobenius (0/0 counts as 0).  For
-    two-group decompositions the stored weights are also checked against
-    the LAPACK singular values, zero-padded to a common length and
-    measured relative to the largest reference value; no independent
-    weight reference is taken for triple decompositions.  The stored
+    Reconstruction error is ``core.relative_error`` (0/0 counts as 0 only
+    for an all-zero tensor).  For two-group decompositions the stored
+    weights are also checked against the LAPACK singular values,
+    zero-padded to a common length and measured relative to the largest
+    reference value; no independent weight reference is taken for triple
+    decompositions.  The stored
     factors of each family must be orthonormal: their Gram may differ from
     the identity by at most ``singular_tol`` in any entry.  A triple's W
     rows are orthonormal only jointly: scattered by ``pair_map`` into one
     (r1 K) x r2 matrix, zero for absent pairs, its columns must be.
     """
-    rebuilt = replay_reconstruction(result)
-    scale = norm(a.tensor)
-    diff = norm(DenseTensor(a.tensor.data - rebuilt.data, check_finite=False))
-    recon_err = diff / scale if scale > 0.0 else (0.0 if diff == 0.0 else math.inf)
+    recon_err = relative_error(a.tensor, replay_reconstruction(result))
 
     weights, families = result.terms()
     if len(families) == 3:

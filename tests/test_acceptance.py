@@ -55,6 +55,14 @@ def rel_err(reference, candidate):
     return norm(reference - candidate) / scale
 
 
+def couplings(a, dec):
+    # Stage one's factors over J x K, V_p = A_(1)^T U_p / sigma_p.
+    d = a.group_orders[0]
+    m = a.tensor.data.reshape(a.group_shapes[0].element_count, -1)
+    v = (dec.u @ m) / dec.sigma[:, None]
+    return [DenseTensor(row.reshape(a.tensor.dims[d:])) for row in v]
+
+
 def family_orthonormal(family, tol=ORTHO_TOL):
     worst = 0.0
     for p in range(len(family)):
@@ -122,21 +130,21 @@ def test_experiment_3(tmp_path):
 
     a = GroupedTensor(random_tensor((64, 16, 3), report.seed), (1, 1, 1))
     dec = decompose_triple(a)
-    raw = dec.raw
-    r1, r2 = len(raw.sigma), len(raw.gamma)
+    r1, r2 = len(dec.sigma), len(dec.gamma)
+    coupling = couplings(a, dec)
 
     stage1 = np.zeros(a.tensor.dims)
-    for s, u, v in zip(raw.sigma, raw.u_basis, raw.coupling):
+    for s, u, v in zip(dec.sigma, dec.u_basis, coupling):
         stage1 += float(s) * np.multiply.outer(u.data, v.data)
     id1_err = rel_err(a.tensor, DenseTensor(stage1, check_finite=False))
 
-    couple_norm = np.sqrt(sum(norm(v) ** 2 for v in raw.coupling))
+    couple_norm = np.sqrt(sum(norm(v) ** 2 for v in coupling))
     worst = 0.0
-    for p, v in enumerate(raw.coupling):
+    for p, v in enumerate(coupling):
         rebuilt = np.zeros(v.dims)
         for s in range(r2):
-            rebuilt += float(raw.gamma[s]) * np.multiply.outer(
-                raw.z_basis[s].data, raw.w_joint.data[..., p, s]
+            rebuilt += float(dec.gamma[s]) * np.multiply.outer(
+                dec.z_basis[s].data, dec.w_joint.data[..., p, s]
             )
         worst = max(worst, float(np.sqrt(((rebuilt - v.data) ** 2).sum())))
     id2_err = worst / couple_norm
@@ -207,23 +215,22 @@ def _eigentensor_residuals_ok(kind, a, dec):
             norm(apply_operator(g, v) - float(l) * v) <= RESIDUAL_TOL * top
             for l, v in zip(lam, dec.right)
         )
-    raw = dec.raw
     d = a.group_orders[0]
     stage1_op = gram_operator(
         GroupedTensor(a.tensor, (d, a.tensor.order - d)), side="left"
     )
-    lam1 = raw.sigma**2
+    lam1 = dec.sigma**2
     top1 = max(1.0, float(lam1[0])) if len(lam1) else 1.0
     ok = all(
         norm(apply_operator(stage1_op, u) - float(l) * u) <= RESIDUAL_TOL * top1
-        for l, u in zip(lam1, raw.u_basis)
+        for l, u in zip(lam1, dec.u_basis)
     )
-    if not ok or not len(raw.gamma):
+    if not ok or not len(dec.gamma):
         return ok
     e = a.group_orders[1]
     l_j = int(np.prod(a.group_shapes[1].dims))
     h = np.zeros((l_j, l_j))
-    for v in raw.coupling:
+    for v in couplings(a, dec):
         k_axes = tuple(range(e, v.order))
         part = contract(v, v, k_axes, k_axes)
         h += part.data.reshape(l_j, l_j)
@@ -234,11 +241,11 @@ def _eigentensor_residuals_ok(kind, a, dec):
         ),
         (e, e),
     )
-    lam2 = raw.gamma**2
+    lam2 = dec.gamma**2
     top2 = max(1.0, float(lam2[0]))
     return ok and all(
         norm(apply_operator(stage2_op, z) - float(l) * z) <= RESIDUAL_TOL * top2
-        for l, z in zip(lam2, raw.z_basis)
+        for l, z in zip(lam2, dec.z_basis)
     )
 
 
@@ -254,7 +261,7 @@ def test_property_suite():
             families = {"left": dec.left, "right": dec.right}
         else:
             dec = decompose_triple(a)
-            families = {"u": dec.raw.u_basis, "z": dec.raw.z_basis}
+            families = {"u": dec.u_basis, "z": dec.z_basis}
 
         for fname, family in families.items():
             ok, worst = family_orthonormal(family)
@@ -264,9 +271,9 @@ def test_property_suite():
         if not _eigentensor_residuals_ok(kind, a, dec):
             failures.append(f"{idx}: {kind} eigentensor residual above {RESIDUAL_TOL}")
 
-        if kind == "triple" and len(dec.raw.gamma):
-            r1, r2 = len(dec.raw.sigma), len(dec.raw.gamma)
-            w = dec.raw.w_joint.data.reshape(-1, r1, r2)
+        if kind == "triple" and len(dec.gamma):
+            r1, r2 = len(dec.sigma), len(dec.gamma)
+            w = dec.w_joint.data.reshape(-1, r1, r2)
             gw = np.einsum("kpr,kps->rs", w, w)
             worst = float(np.abs(gw - np.eye(r2)).max())
             if worst > JOINT_W_TOL:

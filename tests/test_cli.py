@@ -569,6 +569,44 @@ def test_verify_tolerances_only_tighten(tmp_path):
     assert main(["verify", str(src), str(loose)]) == 1
 
 
+def test_verify_triple_defaults_to_its_report_tolerance(tmp_path):
+    # Weights off by 1e-9 relative miss a triple's 1e-10 tolerance, with or
+    # without a declared tolerances map.
+    run_experiment(experiment_spec("exp3"), tmp_path / "exp3")
+    src, out = tmp_path / "exp3" / "input.tz1", tmp_path / "fac"
+    assert main(["decompose", str(src), "--groups", "1,1,1", "--out", str(out)]) == 0
+    data = read_json(out / "manifest.json")
+    data["weights"] = [w * (1 + 1e-9) for w in data["weights"]]
+    scaled = out / "scaled.json"
+    scaled.write_text(json.dumps(data))
+    assert main(["verify", str(src), str(scaled)]) == 1
+    del data["tolerances"]
+    scaled.write_text(json.dumps(data))
+    assert main(["verify", str(src), str(scaled)]) == 1
+
+
+def test_nonzero_tensor_with_no_terms_fails(tmp_path):
+    # Every entry is nonzero but the norm and the Gram underflow to 0, so
+    # the decomposition has no terms: that is not an exact reconstruction.
+    src, out = tmp_path / "tiny.tz1", tmp_path / "fac"
+    write_tensor(src, random_tensor((12, 5, 4), 3) * 1e-170)
+    assert main(["decompose", str(src), "--groups", "1,1,1", "--out", str(out)]) == 1
+    assert read_json(out / "manifest.json")["weights"] == []
+    assert main(["verify", str(src), str(out / "manifest.json")]) == 1
+
+
+@pytest.mark.parametrize("groups", ["1,1,1", "1,2"])
+def test_decompose_overflowing_gram_ends_without_traceback(tmp_path, capsys, groups):
+    # The input is finite, its Gram is not.
+    src = tmp_path / "huge.tz1"
+    write_tensor(src, random_tensor((12, 5, 4), 3) * 1e160)
+    capsys.readouterr()
+    code = main(["decompose", str(src), "--groups", groups, "--out", str(tmp_path / "f")])
+    assert code in (0, 2)
+    if code == 2:
+        assert capsys.readouterr().err.startswith("tenspec: error:")
+
+
 def decompose_triple_files(tmp_path, dims=(6, 4, 3), seed=68):
     src = tmp_path / "in3.tz1"
     write_tensor(src, random_tensor(dims, seed))

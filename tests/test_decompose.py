@@ -25,7 +25,7 @@ from tenspec import (
     sym_eig,
     unfold,
 )
-from tenspec.decompose import TERM_BLOCK
+from tenspec.decompose import TERM_BLOCK, TripleDecomposition
 from tenspec.errors import (
     GroupingMismatch,
     InvalidKeep,
@@ -357,34 +357,41 @@ def test_triple_zero_tensor():
     assert not reconstruct(dec).data.any()
 
 
+def couplings(a, dec):
+    # Stage one's factors over J x K, V_p = A_(1)^T U_p / sigma_p.
+    d = a.group_orders[0]
+    v = (dec.u @ unfold(a.tensor, d).data) / dec.sigma[:, None]
+    return [DenseTensor(row.reshape(a.tensor.dims[d:])) for row in v]
+
+
 def check_triple_contract(a, dec, recon_tol=1e-10):
-    raw = dec.raw
-    r1, r2 = len(raw.sigma), len(raw.gamma)
+    r1, r2 = len(dec.sigma), len(dec.gamma)
+    coupling = couplings(a, dec)
     # orthonormal bases
-    for family in (raw.u_basis, raw.z_basis):
+    for family in (dec.u_basis, dec.z_basis):
         for p in range(len(family)):
             for q in range(p, len(family)):
                 expected = 1.0 if p == q else 0.0
                 assert abs(inner(family[p], family[q]) - expected) <= 1e-10
     # joint W orthonormality: contraction over the K modes AND p
-    w = raw.w_joint.data.reshape(-1, r1, r2)
+    w = dec.w_joint.data.reshape(-1, r1, r2)
     gw = np.einsum("kpr,kps->rs", w, w)
     assert np.abs(gw - np.eye(r2)).max() <= 1e-8
     # stage-one identity: A is the sigma-weighted sum of U x coupling
     stage1 = np.zeros(a.tensor.dims)
-    for s, u, v in zip(raw.sigma, raw.u_basis, raw.coupling):
+    for s, u, v in zip(dec.sigma, dec.u_basis, coupling):
         stage1 += float(s) * np.multiply.outer(u.data, v.data)
     assert norm(a.tensor - DenseTensor(stage1, check_finite=False)) <= 1e-8 * norm(a.tensor)
     # stage-two identity: each coupling factor is the gamma-weighted sum
     # of Z x W fibers
-    couple_scale = math.sqrt(sum(norm(v) ** 2 for v in raw.coupling))
+    couple_scale = math.sqrt(sum(norm(v) ** 2 for v in coupling))
     worst = 0.0
-    for p, v in enumerate(raw.coupling):
+    for p, v in enumerate(coupling):
         rebuilt = np.zeros(v.dims)
         for s in range(r2):
-            fiber = raw.w_joint.data[..., p, s]
-            rebuilt += float(raw.gamma[s]) * np.multiply.outer(
-                raw.z_basis[s].data, fiber
+            fiber = dec.w_joint.data[..., p, s]
+            rebuilt += float(dec.gamma[s]) * np.multiply.outer(
+                dec.z_basis[s].data, fiber
             )
         worst = max(worst, float(np.sqrt(((rebuilt - v.data) ** 2).sum())))
     assert worst <= 1e-8 * couple_scale
@@ -393,7 +400,7 @@ def check_triple_contract(a, dec, recon_tol=1e-10):
     assert len(set(pairs)) == dec.count == r1 * r2
     assert set(pairs) == {(p, s) for p in range(r1) for s in range(r2)}
     for m, (p, s) in enumerate(pairs):
-        assert dec.weights[m] == float(raw.sigma[p]) * float(raw.gamma[s])
+        assert dec.weights[m] == float(dec.sigma[p]) * float(dec.gamma[s])
     assert np.all(dec.weights[:-1] >= dec.weights[1:]) if dec.count else True
     # full reconstruction
     assert rel_err(a.tensor, reconstruct(dec)) <= recon_tol
@@ -415,7 +422,7 @@ def test_triple_random_multi_mode_trailing_group():
     a = GroupedTensor(random_tensor((2, 3, 2, 2), 35), (1, 1, 2))
     dec = decompose_triple(a)
     assert dec.factors_w[0].dims == (2, 2)
-    assert dec.raw.w_joint.dims[:2] == (2, 2)
+    assert dec.w_joint.dims[:2] == (2, 2)
     check_triple_contract(a, dec)
 
 
@@ -442,12 +449,11 @@ def test_triple_solves_smaller_sides(monkeypatch, dims, orders):
     a = GroupedTensor(random_tensor(dims, 36), (1, 1, 1))
     dec = decompose_triple(a)
     assert seen == orders
-    raw = dec.raw
-    r1, r2 = len(raw.sigma), len(raw.gamma)
-    for family in (raw.u_basis, raw.z_basis):
+    r1, r2 = len(dec.sigma), len(dec.gamma)
+    for family in (dec.u_basis, dec.z_basis):
         flat = np.array([f.data.ravel() for f in family])
         assert np.abs(flat @ flat.T - np.eye(len(family))).max() <= 1e-12
-    w = raw.w_joint.data.reshape(-1, r2)
+    w = dec.w_joint.data.reshape(-1, r2)
     assert np.abs(w.T @ w - np.eye(r2)).max() <= 1e-12
     assert dec.count == r1 * r2
     assert rel_err(a.tensor, reconstruct(dec)) <= 1e-12
@@ -480,18 +486,23 @@ def test_record_surface():
     d_op = decompose_sa_nnd(op)
     d_tr = decompose_transform(tr)
     d_tp = decompose_triple(tp)
-    raw = d_tp.raw
-    r1, r2 = len(raw.sigma), len(raw.gamma)
+    r1, r2 = len(d_tp.sigma), len(d_tp.gamma)
     assert (d_op.rank, d_tr.rank, d_tp.count) == (6, 5, r1 * r2)
+    assert [f.name for f in dataclasses.fields(d_tp)] == [
+        "weights", "pair_map", "u", "z", "w", "shapes", "sigma", "gamma"
+    ]
+    assert d_tp.raw is d_tp
+    p, s = d_tp.pair_map.T
+    assert np.array_equal(d_tp.weights, d_tp.sigma[p] * d_tp.gamma[s])
     views = [
         (d_op.eigentensors, d_op.vectors, np.arange(6), (3, 2)),
         (d_tr.left, d_tr.u, np.arange(5), (5,)),
         (d_tr.right, d_tr.v, np.arange(5), (2, 3)),
-        (d_tp.factors_u, d_tp.u, d_tp.pair_map[:, 0], (6,)),
-        (d_tp.factors_z, d_tp.z, d_tp.pair_map[:, 1], (4,)),
+        (d_tp.factors_u, d_tp.u, p, (6,)),
+        (d_tp.factors_z, d_tp.z, s, (4,)),
         (d_tp.factors_w, d_tp.w, np.arange(r1 * r2), (3,)),
-        (raw.u_basis, d_tp.u, np.arange(r1), (6,)),
-        (raw.z_basis, d_tp.z, np.arange(r2), (4,)),
+        (d_tp.u_basis, d_tp.u, np.arange(r1), (6,)),
+        (d_tp.z_basis, d_tp.z, np.arange(r2), (4,)),
     ]
     for tensors, rows, index, dims in views:
         assert len(tensors) == len(index)
@@ -502,18 +513,40 @@ def test_record_surface():
     for tensors, rows in (
         (d_tp.factors_u, d_tp.u),
         (d_tp.factors_z, d_tp.z),
-        (raw.u_basis, d_tp.u),
-        (raw.z_basis, d_tp.z),
+        (d_tp.u_basis, d_tp.u),
+        (d_tp.z_basis, d_tp.z),
     ):
         assert all(np.shares_memory(t.data, rows) for t in tensors)
-    assert [v.dims for v in raw.coupling] == [(4, 3)] * r1
-    p, s = d_tp.pair_map.T
-    assert raw.w_joint.dims == (3, r1, r2)
-    assert np.array_equal(raw.w_joint.data[:, p, s].T, d_tp.w)
+    # The joint W is w scattered by pair_map, the same bits in a new layout.
+    scattered = np.zeros((3, r1, r2))
+    scattered[:, p, s] = d_tp.w.T
+    assert d_tp.w_joint.dims == (3, r1, r2)
+    assert np.array_equal(d_tp.w_joint.data, scattered)
     for dec, field in ((d_op, "eigenvalues"), (d_tr, "singulars"), (d_tp, "weights")):
         doubled = dataclasses.replace(dec, **{field: 2.0 * getattr(dec, field)})
         assert np.array_equal(doubled.terms()[0], 2.0 * getattr(dec, field))
         assert np.allclose(reconstruct(doubled).data, 2.0 * reconstruct(dec).data)
+
+
+def test_truncated_triple_record_has_zero_fibers_at_absent_pairs():
+    # A kept prefix, as a --keep manifest holds it: no stage weights, and
+    # the joint W is zero wherever a pair was cut.
+    a = GroupedTensor(random_tensor((4, 3, 2, 2), 41), (1, 1, 2))
+    dec = decompose_triple(a)
+    keep = 5
+    cut = TripleDecomposition(
+        dec.weights[:keep], dec.pair_map[:keep], dec.u, dec.z, dec.w[:keep], dec.shapes
+    )
+    assert cut.sigma is None and cut.gamma is None
+    assert cut.w_joint.dims == (2, 2, len(dec.u), len(dec.z))
+    kept = np.zeros((len(dec.u), len(dec.z)), dtype=bool)
+    kept[tuple(dec.pair_map[:keep].T)] = True
+    joint = cut.w_joint.data.reshape(4, len(dec.u), len(dec.z))
+    assert not joint[:, ~kept].any()
+    assert np.array_equal(joint[:, kept], dec.w_joint.data.reshape(joint.shape)[:, kept])
+    assert cut.u_basis[0].dims == (4,) and len(cut.z_basis) == len(dec.z)
+    empty = decompose_triple(GroupedTensor(DenseTensor.zeros((2, 2, 2)), (1, 1, 1)))
+    assert empty.w_joint is None
 
 
 # ------------------------------------------------------------ reconstruct

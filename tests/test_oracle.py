@@ -204,7 +204,7 @@ def random_record(kind, count, seed):
     u, z = rng.standard_normal((3, 3)), rng.standard_normal((4, 4))
     w = rng.standard_normal((count, 6))
     shapes = (Shape((3,)), Shape((4,)), Shape((2, 3)))
-    return TripleDecomposition(weights, pairs, u, z, w, shapes, raw=None)
+    return TripleDecomposition(weights, pairs, u, z, w, shapes)
 
 
 @pytest.mark.parametrize("kind", ["op", "transform", "triple"])
@@ -230,7 +230,6 @@ def test_replay_matches_term_loop_at_default_block():
             rng.standard_normal((count // 2 + 1, 32)),
             rng.standard_normal((count, 64)),
             (Shape((2,)), Shape((32,)), Shape((64,))),
-            raw=None,
         )
         assert_replays(dec)
 
@@ -243,7 +242,7 @@ def test_replay_of_truncated_and_shuffled_triples():
         assert_replays(
             TripleDecomposition(
                 dec.weights[:keep], dec.pair_map[:keep], dec.u, dec.z,
-                dec.w[:keep], dec.shapes, raw=None,
+                dec.w[:keep], dec.shapes,
             )
         )
     # Components in any order, some (p, s) pairs and W rows repeated.
@@ -252,7 +251,7 @@ def test_replay_of_truncated_and_shuffled_triples():
     assert_replays(
         TripleDecomposition(
             dec.weights[order], dec.pair_map[order], dec.u, dec.z,
-            dec.w[order], dec.shapes, raw=None,
+            dec.w[order], dec.shapes,
         )
     )
 
