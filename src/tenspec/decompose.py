@@ -34,6 +34,7 @@ from .errors import (
     NotNND,
     NotSelfAdjoint,
     ShapeMismatch,
+    TenspecError,
 )
 
 SELF_ADJOINT_TOL = 1e-10
@@ -296,10 +297,17 @@ def _matrix_svd(m, rank_tol):
     # for solved columns).  Components below the rank cut are dropped
     # before the division, so a zero matrix gives none.  Returns the kept
     # weights, the left and right factor columns, and the full spectrum
-    # (min(rows, cols) values).
+    # (min(rows, cols) values).  A Gram that overflows is refused.
     by_rows = m.shape[0] < m.shape[1]
     t = m if by_rows else m.T
-    eig = jacobi.sym_eig(t @ t.T, rank_tol=rank_tol)
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = t @ t.T
+    if not np.isfinite(gram).all():
+        raise TenspecError(
+            "the Gram of the unfolding is not representable in float64 "
+            "(entries too large to square)"
+        )
+    eig = jacobi.sym_eig(gram, rank_tol=rank_tol)
     r = eig.rank
     weights = np.sqrt(eig.eigenvalues[:r])
     solved = eig.vectors[:, :r]
@@ -480,9 +488,10 @@ def residual_curve(a, decomposition):
     """Relative reconstruction error after each truncation depth.
 
     Entry k is (k, ||A - S_k|| / ||A||), S_k being the sum of the k leading
-    terms; a zero input yields [(0, 0.0)] by the 0/0 -> 0 convention.  The
-    curve is monotone non-increasing because distinct components are
-    mutually orthogonal.
+    terms; an all-zero input yields [(0, 0.0)] by the 0/0 -> 0 convention,
+    and a nonzero one whose norm underflows gets inf after entry 0, as in
+    ``core.relative_error``.  The curve is monotone non-increasing because
+    distinct components are mutually orthogonal.
 
     No partial sum is subtracted from A.  From R = A - S_M (M the count),
     the exact identity for term t_m
@@ -496,11 +505,13 @@ def residual_curve(a, decomposition):
     t_m's other factors, and each block adds (F_1 F_1^T)[:, keys] C to P.
     """
     reference = a.tensor
-    scale = norm(reference)
-    if scale == 0.0:
+    if not reference.data.any():
         return [(0, 0.0)]
     weights, families = decomposition.terms()
     count = len(weights)
+    scale = norm(reference)
+    if scale == 0.0:
+        return [(0, 1.0)] + [(k, math.inf) for k in range(1, count + 1)]
     first, index, _ = families[0]
     resid = _sum_terms(weights, families, count)
     np.subtract(reference.data.reshape(resid.shape), resid, out=resid)

@@ -11,8 +11,13 @@ disjoint pairs at once.  The matrix is stored in the round's paired layout,
 its indices ordered (p0, q0, p1, q1, ...), with an odd order padded by one
 zero index (the bye), so that both entries of every pair sit side by side.
 Viewing each row as complex128 numbers x_p + i*x_q, a round's column
-rotations are then one multiply by c + i*s.  A single gather transposes the
-product and moves it towards the next round's layout, the same multiply
+rotations are then one multiply by c + i*s = e^(i theta).  That rotation is
+the half-angle sqrt(z / |z|), z = |d| + 2i apq sign(d) with d = aqq - app,
+normalized by dividing z's real and imaginary parts by |z| as reals (numpy's
+complex / real division multiplies by a rounded reciprocal), so a zero pivot
+gets exactly 1 + 0i.  Every pair of every round is rotated and its pivot
+zeroed: there is no skip test inside the kernel.  A single gather transposes
+the product and moves it towards the next round's layout, the same multiply
 rotates the rows, and a second gather finishes the move: a few whole-array
 passes per round.
 
@@ -47,12 +52,13 @@ RANK_TOL = 1e-10
 
 # Up to this order the kernel sweeps the whole matrix; above it, block
 # pairs of about 2 * BLOCK_WIDTH indices are.  At n = 256 a single block
-# keeps about 0.1 more digits of orthogonality than 96-wide pairs (6.5e-14
-# against 8.3e-14) and took 2.1 s against 1.8 s.  At n = 768, 96-wide
-# pairs ran in 22 s, 64- and 128-wide ones in 26 and 21 s, and 256-wide
-# ones in 28 s (one random symmetric matrix each, 2-vCPU VM, OpenBLAS).
+# keeps about 0.05 more digits of orthogonality than 96-wide pairs (1.3e-14
+# against 1.5e-14) and took 1.2-1.3 s against 0.68-0.73 s.  At n = 768,
+# 96-wide pairs ran in 22 s, 64- and 128-wide ones in 26 and 21 s, and
+# 256-wide ones in 28 s (one random symmetric matrix each, 2-vCPU VM, OpenBLAS).
 SINGLE_BLOCK_MAX = 256
 BLOCK_WIDTH = 48
+_TINY = np.finfo(np.float64).tiny
 
 
 @dataclass(frozen=True)
@@ -121,19 +127,6 @@ def _round_robin(m):
     return np.array(p_rounds, dtype=np.intp), np.array(q_rounds, dtype=np.intp)
 
 
-def _rotations(app, aqq, apq, skip):
-    # Rotation (c, s) annihilating each pivot apq.  t is the smaller root of
-    # t^2 + 2*tau*t - 1 = 0, so |t| <= 1 (angle at most pi/4), which is what
-    # guarantees sweep convergence; hypot keeps tau^2 from overflowing.
-    # Pivots at or below `skip` get the identity.
-    active = np.abs(apq) > skip
-    tau = (aqq - app) / (2.0 * np.where(active, apq, 1.0))
-    t = np.copysign(1.0 / (np.abs(tau) + np.hypot(1.0, tau)), tau)
-    t = np.where(active, t, 0.0)
-    c = 1.0 / np.sqrt(1.0 + t * t)
-    return c, t * c, active
-
-
 @functools.lru_cache(maxsize=8)
 def _schedule(m):
     # The paired layouts of even order m.  Round r's layout lists its pairs
@@ -170,28 +163,35 @@ def _unpaired(x, n):
     return x[np.ix_(where, where)]
 
 
-def _parallel_sweep(w, v, skip):
-    # One parallel-order sweep, w <- J^T w J and v <- v J, where each round's
-    # J rotates disjoint (p, q) planes.  w and the columns of v are in round
-    # 0's paired layout, so a round's pairs are adjacent: its rotations are
-    # one multiply by c + i*s on the complex128 view, and t = w.T[sigma]
-    # transposes (so that the same multiply rotates the other side) and
-    # moves the rows to the next round's layout; t.T[sigma] then moves the
-    # columns.  A bye's pivot is zero, so its rotation is exactly 1 + 0i.
-    # Returns the new (w, v), back in round 0's layout.
-    _, sigma, pivots = _schedule(w.shape[0])
+def _parallel_sweep(w, v):
+    # One parallel-order sweep, w <- J^T w J and v <- v J, each round's J
+    # rotating disjoint (p, q) planes in round 0's paired layout: rotations
+    # multiply the complex128 view, t = w.T[sigma] transposes (so the same
+    # multiply rotates the other side) and moves rows to the next round's
+    # layout, and t.T[sigma] moves the columns.  Returns (w, v) in round 0's.
+    n = w.shape[0]
+    step = 2 * (n + 1)
+    _, sigma, pivots = _schedule(n)
+    parts = np.empty((n // 2, 2))  # z, then the rotation, as real pairs
+    rotation = parts.view(np.complex128)[:, 0]
     for perm, flat in zip(sigma, pivots):
-        diagonal = np.diagonal(w)
-        c, s, active = _rotations(
-            diagonal[0::2], diagonal[1::2], np.diagonal(w, 1)[0::2], skip
-        )
-        rotation = c + 1j * s
-        w.view(np.complex128)[...] *= rotation
+        # tan(2 theta) = 2 apq / d and |theta| <= pi/4, so sweeps converge;
+        # `tiny` keeps |z| nonzero and copysign gives d = 0 the angle pi/4.
+        entries = w.reshape(-1)
+        d = entries[n + 1 :: step] - entries[::step]
+        np.add(np.abs(d), _TINY, out=parts[:, 0])
+        np.multiply(np.copysign(2.0, d), entries[1::step], out=parts[:, 1])
+        parts /= np.abs(rotation)[:, None]
+        np.sqrt(rotation, out=rotation)
+        wc = w.view(np.complex128)
+        np.multiply(wc, rotation, out=wc)
         t = w.T[perm]
-        t.view(np.complex128)[...] *= rotation
-        t.ravel()[flat[:, active]] = 0.0
+        tc = t.view(np.complex128)
+        np.multiply(tc, rotation, out=tc)
+        t.ravel()[flat] = 0.0
         w = t.T[perm]
-        v.view(np.complex128)[...] *= rotation
+        vc = v.view(np.complex128)
+        np.multiply(vc, rotation, out=vc)
         v = np.take(v, perm, axis=1)
     return w, v
 
@@ -210,7 +210,7 @@ def _block_sweep(w, v, skip, blocks):
             if off.max() <= skip:
                 continue
             paired = _paired(sub)
-            paired, rot = _parallel_sweep(paired, np.eye(len(paired)), skip)
+            paired, rot = _parallel_sweep(paired, np.eye(len(paired)))
             rot = _unpaired(rot, idx.size)
             cols = w[:, idx] @ rot
             w[:, idx] = cols
@@ -249,9 +249,6 @@ def sym_eig(
     half = np.ldexp(a, -exponent - 1)
     w = half + half.T
     target = conv_tol * math.sqrt(float((w * w).sum()))
-    # Entries at or below `skip` cannot push off(w) past the target even if
-    # every off-diagonal sits exactly there.
-    skip = target / n
     single = n <= SINGLE_BLOCK_MAX
     if single:
         # The kernel keeps w in its paired layout from sweep to sweep.
@@ -260,7 +257,9 @@ def sym_eig(
     else:
         count = 2 * math.ceil(n / (2 * BLOCK_WIDTH))
         blocks = np.array_split(np.arange(n), count)
-        sweep = functools.partial(_block_sweep, blocks=blocks)
+        # A block pair whose entries are all at or below `skip` cannot push
+        # off(w) past the target even if every off-diagonal sits there.
+        sweep = functools.partial(_block_sweep, skip=target / n, blocks=blocks)
     v = np.eye(len(w))
     off = _off_diagonal_norm(w)
     sweeps = 0
@@ -272,7 +271,7 @@ def sym_eig(
                 f"target {target:.3e} after {max_sweeps} sweeps",
                 residual=off,
             )
-        w, v = sweep(w, v, skip)
+        w, v = sweep(w, v)
         sweeps += 1
         off = _off_diagonal_norm(w)
     if single:

@@ -25,6 +25,7 @@ from tenspec import (
     sym_eig,
     unfold,
 )
+from tenspec.core import relative_error
 from tenspec.decompose import TERM_BLOCK, TripleDecomposition
 from tenspec.errors import (
     GroupingMismatch,
@@ -728,6 +729,22 @@ def test_residual_curve_zero_input():
     a = GroupedTensor(DenseTensor.zeros((2, 2, 2)), (1, 1, 1))
     curve = residual_curve(a, decompose_triple(a))
     assert curve == [(0, 0.0)]
+
+
+def test_residual_curve_underflowing_norm():
+    # A nonzero input whose norm underflows gets core.relative_error's
+    # verdict, inf after entry 0, not the 0/0 -> 0 of an all-zero input.
+    tiny = random_tensor((12, 5, 4), 3) * 1e-170
+    assert tiny.data.any() and norm(tiny) == 0.0
+    a = GroupedTensor(tiny, (1, 1, 1))
+    own = decompose_triple(a)
+    assert relative_error(tiny, reconstruct(own)) == math.inf
+    full = decompose_triple(GroupedTensor(random_tensor((12, 5, 4), 3), (1, 1, 1)))
+    assert component_count(full) > 0
+    for dec in (own, full):
+        count = component_count(dec)
+        expected = [(0, 1.0)] + [(k, math.inf) for k in range(1, count + 1)]
+        assert residual_curve(a, dec) == expected
 
 
 def test_residual_curve_monotone_and_matches_partial_sums():

@@ -226,6 +226,56 @@ def test_sweep_counts_pinned():
         assert 0.0 < res.off_norm <= jacobi.CONVERGENCE_TOL * np.linalg.norm(a)
 
 
+@pytest.mark.parametrize("n", [8, 9])
+def test_sweep_leaves_diagonal_matrix_bit_exact(n):
+    # Every pivot is zero, the bye's included at odd n, so every rotation
+    # must be exactly 1 + 0i and one kernel sweep must change nothing.
+    d = np.diag(np.linspace(0.9, -0.7, n) ** 3)
+    w, v = jacobi._parallel_sweep(jacobi._paired(d), np.eye(n + n % 2))
+    assert jacobi._unpaired(w, n).tobytes() == d.tobytes()
+    assert jacobi._unpaired(v, n).tobytes() == np.eye(n).tobytes()
+
+
+def test_block_diagonal_solved_bit_exactly():
+    # Three 2 x 2 blocks and three 1 x 1 ones, order 9, indices scrambled
+    # (each block's kept in order, so its p and q are those of the block
+    # alone).  Pivots outside the blocks stay exactly zero, so each block is
+    # rotated as if alone, once, and the spectrum and vectors are the
+    # blocks' own bit for bit.  Each 2 x 2 block has max entry 1, like the
+    # whole matrix, so all solves scale alike.
+    corners = ((0.3, -0.6), (0.8, 0.1), (-0.2, 0.45))
+    blocks = [np.array([[x, 1.0], [1.0, y]]) for x, y in corners]
+    singles = [0.7, -0.35, 0.05]
+    order = np.random.Generator(np.random.PCG64(9)).permutation(9)
+    a = np.zeros((9, 9))
+    spots = [np.sort(order[k : k + 2]) for k in (0, 2, 4)]
+    for spot, block in zip(spots, blocks):
+        a[np.ix_(spot, spot)] = block
+    for k, value in zip(order[6:], singles):
+        a[k, k] = value
+    res = sym_eig(a)
+    assert (res.sweeps, res.off_norm) == (1, 0.0)
+    expected = {float(x): np.eye(9)[:, k] for k, x in zip(order[6:], singles)}
+    for spot, block in zip(spots, blocks):
+        alone = sym_eig(block)
+        for lam, vec in zip(alone.eigenvalues, alone.vectors.T):
+            full = np.zeros(9)
+            full[spot] = vec
+            expected[float(lam)] = full
+    lams = sorted(expected, reverse=True)
+    assert res.eigenvalues.tolist() == lams
+    assert res.vectors.tobytes() == np.stack([expected[x] for x in lams], axis=1).tobytes()
+
+
+def test_orthonormality_at_n96():
+    # Half-angle rotations normalized by real division: on a seeded n = 96
+    # Gaussian Gram the eigenvectors are orthonormal to 8.4e-15, where
+    # cosine-sine rotations with a skip mask leave 2.7e-14.
+    g = np.random.Generator(np.random.PCG64(96)).standard_normal((96, 96))
+    v = sym_eig(g @ g.T).vectors
+    assert np.abs(v.T @ v - np.eye(96)).max() <= 1.2e-14
+
+
 def test_trace_preserved():
     for seed in range(10):
         a = random_symmetric(30, seed)
