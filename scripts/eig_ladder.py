@@ -8,9 +8,8 @@ solve.  One JSON line per order goes to stdout: the median and all times,
 the sweep count, max|V^T V - I| and the largest eigenvalue error against
 `numpy.linalg.eigvalsh`, relative to max|lambda|.  `--src` selects the
 source tree to import, so two checkouts can be compared with one script;
-sweeps are counted by wrapping the module's sweep functions, which works
-on trees whose `EigenResult` has no `sweeps` field too.  BLAS threads are
-what the environment sets.
+sweeps are read from `EigenResult.sweeps`.  BLAS threads are what the
+environment sets.
 """
 
 import argparse
@@ -30,30 +29,6 @@ def random_symmetric(n, seed):
     return 0.5 * (m + m.T)
 
 
-def solve_counting_sweeps(jacobi, a):
-    # One solve with the sweep functions wrapped: sweeps are `_block_sweep`
-    # calls above SINGLE_BLOCK_MAX and `_parallel_sweep` calls otherwise.
-    calls = {"_parallel_sweep": 0, "_block_sweep": 0}
-    saved = {name: getattr(jacobi, name) for name in calls}
-
-    def counted(name):
-        def call(*args, **kwargs):
-            calls[name] += 1
-            return saved[name](*args, **kwargs)
-
-        return call
-
-    for name in calls:
-        setattr(jacobi, name, counted(name))
-    try:
-        res = jacobi.sym_eig(a)
-    finally:
-        for name, function in saved.items():
-            setattr(jacobi, name, function)
-    top = "_block_sweep" if len(a) > jacobi.SINGLE_BLOCK_MAX else "_parallel_sweep"
-    return res, calls[top]
-
-
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", default="src")
@@ -65,7 +40,7 @@ def main(argv=None):
 
     for n in (int(size) for size in args.sizes.split(",")):
         a = random_symmetric(n, n)
-        res, sweeps = solve_counting_sweeps(jacobi, a)
+        res = jacobi.sym_eig(a)
         times = []
         for _ in range(args.repeats):
             started = time.perf_counter()
@@ -77,7 +52,7 @@ def main(argv=None):
             "n": n,
             "median_s": round(statistics.median(times), 5),
             "times_s": [round(t, 5) for t in times],
-            "sweeps": sweeps,
+            "sweeps": res.sweeps,
             "ortho_err": float(np.abs(v.T @ v - np.eye(n)).max()),
             "eig_rel_err": float(
                 np.abs(res.eigenvalues - reference).max() / np.abs(reference).max()

@@ -202,20 +202,31 @@ def inner(x, y):
 
 
 def norm(x):
-    """Frobenius-style tensor norm, sqrt(inner(x, x))."""
-    return math.sqrt(inner(x, x))
+    """Frobenius-style tensor norm, sqrt(inner(x, x)).
+
+    Like LAPACK's dnrm2 the squares are summed on a copy scaled by a power
+    of two to max|x| < 1, so the sum neither overflows nor underflows: any
+    finite tensor gets a finite norm (unless the norm itself exceeds the
+    float range) and a nonzero one a nonzero norm.  Power-of-two scaling is
+    exact, so wherever the squares are normal floats the result is that of
+    the unscaled formula bit for bit.
+    """
+    values = x.values
+    exponent = math.frexp(float(np.abs(values).max()))[1]
+    scaled = np.ldexp(values, -exponent)
+    return math.ldexp(math.sqrt(float(np.dot(scaled, scaled))), exponent)
 
 
 def relative_error(reference, candidate):
     """Relative Frobenius error ||reference - candidate|| / ||reference||.
 
-    0/0 counts as 0 only for an all-zero reference; a nonzero one whose
-    norm underflows to 0 gives inf, as does any error against zero.
+    Against an all-zero reference (the only one whose norm is 0) 0/0 counts
+    as 0 and any other error as inf.
     """
     scale, diff = norm(reference), norm(reference - candidate)
     if scale > 0.0:
         return diff / scale
-    return 0.0 if diff == 0.0 and not reference.data.any() else math.inf
+    return 0.0 if diff == 0.0 else math.inf
 
 
 def outer(x, y):

@@ -248,14 +248,15 @@ def gram_operator(a, side="right"):
 
     ``right`` contracts the first group of both copies, giving an operator
     over J x J; ``left`` contracts the second group, giving one over I x I.
-    Either is one product of the unfolding with its transpose.
+    Either is one product of the unfolding with its transpose; a product
+    that overflows is refused with TenspecError.
     """
     _require_groups(a, 2, "gram_operator")
     m = unfold(a.tensor, a.group_orders[0]).data
     if side == "right":
-        g, shape = m.T @ m, a.group_shapes[1]
+        g, shape = _gram(m.T), a.group_shapes[1]
     elif side == "left":
-        g, shape = m @ m.T, a.group_shapes[0]
+        g, shape = _gram(m), a.group_shapes[0]
     else:
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     return GroupedTensor(
@@ -289,6 +290,19 @@ def _as_rows(columns):
     return np.ascontiguousarray(columns.T)
 
 
+def _gram(t):
+    # t t^T, refused if it is not representable (entries too large to
+    # square) before numpy can warn of the overflow.
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = t @ t.T
+    if not np.isfinite(gram).all():
+        raise TenspecError(
+            "the Gram of the unfolding is not representable in float64 "
+            "(entries too large to square)"
+        )
+    return gram
+
+
 def _matrix_svd(m, rank_tol):
     # SVD of the matrix m from the Gram on its smaller side: m m^T when m
     # has fewer rows than columns, else m^T m.  The Gram's eigenvalues are
@@ -300,14 +314,7 @@ def _matrix_svd(m, rank_tol):
     # (min(rows, cols) values).  A Gram that overflows is refused.
     by_rows = m.shape[0] < m.shape[1]
     t = m if by_rows else m.T
-    with np.errstate(over="ignore", invalid="ignore"):
-        gram = t @ t.T
-    if not np.isfinite(gram).all():
-        raise TenspecError(
-            "the Gram of the unfolding is not representable in float64 "
-            "(entries too large to square)"
-        )
-    eig = jacobi.sym_eig(gram, rank_tol=rank_tol)
+    eig = jacobi.sym_eig(_gram(t), rank_tol=rank_tol)
     r = eig.rank
     weights = np.sqrt(eig.eigenvalues[:r])
     solved = eig.vectors[:, :r]
@@ -489,9 +496,8 @@ def residual_curve(a, decomposition):
 
     Entry k is (k, ||A - S_k|| / ||A||), S_k being the sum of the k leading
     terms; an all-zero input yields [(0, 0.0)] by the 0/0 -> 0 convention,
-    and a nonzero one whose norm underflows gets inf after entry 0, as in
-    ``core.relative_error``.  The curve is monotone non-increasing because
-    distinct components are mutually orthogonal.
+    as in ``core.relative_error``.  The curve is monotone non-increasing
+    because distinct components are mutually orthogonal.
 
     No partial sum is subtracted from A.  From R = A - S_M (M the count),
     the exact identity for term t_m
@@ -510,8 +516,6 @@ def residual_curve(a, decomposition):
     weights, families = decomposition.terms()
     count = len(weights)
     scale = norm(reference)
-    if scale == 0.0:
-        return [(0, 1.0)] + [(k, math.inf) for k in range(1, count + 1)]
     first, index, _ = families[0]
     resid = _sum_terms(weights, families, count)
     np.subtract(reference.data.reshape(resid.shape), resid, out=resid)

@@ -5,29 +5,29 @@ sign fixing are all implemented here, and no library eigensolver or
 factorization is called; numpy supplies elementwise arithmetic and BLAS
 matrix products only.
 
-The kernel is a parallel-order Jacobi sweep (Brent & Luk 1985): the index
-pairs are met in round-robin tournament order, so each round rotates n/2
-disjoint pairs at once.  The matrix is stored in the round's paired layout,
-its indices ordered (p0, q0, p1, q1, ...), with an odd order padded by one
-zero index (the bye), so that both entries of every pair sit side by side.
-Viewing each row as complex128 numbers x_p + i*x_q, a round's column
-rotations are then one multiply by c + i*s = e^(i theta).  That rotation is
-the half-angle sqrt(z / |z|), z = |d| + 2i apq sign(d) with d = aqq - app,
-normalized by dividing z's real and imaginary parts by |z| as reals (numpy's
-complex / real division multiplies by a rounded reciprocal), so a zero pivot
-gets exactly 1 + 0i.  Every pair of every round is rotated and its pivot
-zeroed: there is no skip test inside the kernel.  A single gather transposes
-the product and moves it towards the next round's layout, the same multiply
-rotates the rows, and a second gather finishes the move: a few whole-array
-passes per round.
+The kernel is a parallel-order Jacobi sweep in odd-even order (Brent & Luk
+1985; convergence: Luk & Park 1989).  An odd order is padded by one zero
+index (the bye), and rounds alternate between the pairs (0, 1), (2, 3), ...
+and (1, 2), (3, 4), ....  Each rotation adds a quarter turn to the Jacobi
+angle, so its two indices trade places: a sweep's m rounds form the odd-even
+transposition network, which meets every pair once and leaves the order
+reversed, and nothing is gathered.  Viewing each row as complex128 numbers
+x_p + i*x_q, a round's column rotations are one multiply by
+i e^(i theta) = sqrt(z / |z|), z = -(|d| + tiny) + 2i apq sign(d),
+d = app - aqq, with z's parts divided by |z| as reals (numpy's complex /
+real division multiplies by a rounded reciprocal), so a zero pivot, the
+bye's included, gets exactly +-i: an exact signed swap.  Every pair is
+rotated and its pivot zeroed; the kernel has no skip test.  The transpose
+is copied into the other of two ping-pong buffers, where the same multiply
+rotates the rows.
 
-Matrices of order up to ``SINGLE_BLOCK_MAX`` are swept by the kernel
-directly, staying in the paired layout between sweeps.  Larger ones are cut
-into index blocks about ``BLOCK_WIDTH`` wide, and each sweep meets the
-blocks in the same round-robin order (block Jacobi; Bischof 1989, Golub &
-Van Loan section 8.5): the principal submatrix of a block pair gets one
-kernel sweep, and the rotation Q accumulated there is applied to the whole
-matrix and to the eigenvectors as matrix products.
+Up to ``SINGLE_BLOCK_MAX`` the kernel sweeps the whole matrix, and the
+reversal left by an odd sweep count is undone at the end.  Larger matrices
+are cut into index blocks about ``BLOCK_WIDTH`` wide, met in round-robin
+order (block Jacobi; Bischof 1989, Golub & Van Loan section 8.5): a block
+pair's principal submatrix gets one kernel sweep, its reversal undone at
+once so each block keeps its indices, and the accumulated rotation reaches
+the whole matrix and the eigenvectors as matrix products.
 """
 
 import functools
@@ -51,11 +51,12 @@ MAX_SWEEPS = 50
 RANK_TOL = 1e-10
 
 # Up to this order the kernel sweeps the whole matrix; above it, block
-# pairs of about 2 * BLOCK_WIDTH indices are.  At n = 256 a single block
-# keeps about 0.05 more digits of orthogonality than 96-wide pairs (1.3e-14
-# against 1.5e-14) and took 1.2-1.3 s against 0.68-0.73 s.  At n = 768,
-# 96-wide pairs ran in 22 s, 64- and 128-wide ones in 26 and 21 s, and
-# 256-wide ones in 28 s (one random symmetric matrix each, 2-vCPU VM, OpenBLAS).
+# pairs of about 2 * BLOCK_WIDTH indices are.  With the odd-even kernel, at
+# n = 256 a single block took 0.85 s against 0.77 s in 96-wide pairs and
+# kept orthogonality at 1.1e-14 against 2.0e-14.  At n = 768 (round-robin
+# paired-layout kernel), 96-wide pairs ran in 22 s, 64- and 128-wide ones
+# in 26 and 21 s, and 256-wide ones in 28 s (one random symmetric matrix
+# each, 2-vCPU VM, OpenBLAS).
 SINGLE_BLOCK_MAX = 256
 BLOCK_WIDTH = 48
 _TINY = np.finfo(np.float64).tiny
@@ -127,97 +128,84 @@ def _round_robin(m):
     return np.array(p_rounds, dtype=np.intp), np.array(q_rounds, dtype=np.intp)
 
 
-@functools.lru_cache(maxsize=8)
-def _schedule(m):
-    # The paired layouts of even order m.  Round r's layout lists its pairs
-    # as (p0, q0, p1, q1, ...); `first` is round 0's, and `sigma[r]` moves
-    # round r's layout to round r + 1's (position i takes position
-    # sigma[r][i]); the last round's leads back to round 0's.  In
-    # t = w.T[sigma[r]] pair k's pivots w[p, q] and w[q, p] sit at the flat
-    # positions `pivots[r][:, k]`, found through the inverse of sigma[r].
-    p, q = _round_robin(m)
-    layouts = np.stack((p, q), axis=2).reshape(len(p), m)
-    where = np.argsort(layouts, axis=1)
-    sigma = np.take_along_axis(where, np.roll(layouts, -1, axis=0), axis=1)
-    inverse = np.argsort(sigma, axis=1)
-    even = np.arange(0, m, 2)
-    pivots = np.stack(
-        (inverse[:, 1::2] * m + even, inverse[:, 0::2] * m + even + 1), axis=1
-    )
-    return layouts[0], sigma, pivots
-
-
-def _paired(x):
-    # x (n x n) in round 0's paired layout; an odd order is padded with
-    # one zero index, the bye.
-    n = x.shape[0]
-    first = _schedule(n + n % 2)[0]
-    padded = np.zeros((first.size, first.size))
+def _padded(x):
+    # A contiguous copy of x, an odd order padded by one zero index (the
+    # bye), so that the odd-even rounds pair every index.
+    n = len(x)
+    padded = np.zeros((n + n % 2, n + n % 2))
     padded[:n, :n] = x
-    return padded[np.ix_(first, first)]
+    return padded
 
 
-def _unpaired(x, n):
-    # Inverse of `_paired`: natural index order, the bye dropped.
-    where = np.argsort(_schedule(n + n % 2)[0])[:n]
-    return x[np.ix_(where, where)]
+def _odd_even(w, v):
+    # Returns a function that runs one kernel sweep in place: w (m x m, m
+    # even, C-contiguous) <- J^T w J and v <- v J.  Round r rotates the
+    # pairs (f, f + 1), (f + 2, f + 3), ... with f = r % 2.  m is even, so a
+    # round's parity fixes both its pairs and the buffer it reads.
+    m = len(w)
+    step = 2 * (m + 1)
+    buffers = (w, np.empty_like(w))
+    parts = np.empty((m // 2, 2))  # z, then the rotation, as real pairs
+    rounds = []
+    for first in (0, 1):
+        src, dst = buffers[first], buffers[1 - first]
+        k = (m - first) // 2
+        pairs = slice(first, first + 2 * k)
+        # Flat from the first pair's (p, p): offsets 0, 1, m and m + 1 hold
+        # (p, p), (p, q), (q, p) and (q, q), and each next pair is `step` on.
+        a, b = (x.reshape(-1)[first * (m + 1) :] for x in (src, dst))
+        rounds.append((
+            a[::step][:k], a[m + 1 :: step][:k], a[1::step][:k],
+            parts[:k], parts[:k].view(np.complex128)[:, 0], src, dst,
+            src[:, pairs].view(np.complex128), dst[:, pairs].view(np.complex128),
+            b[1::step][:k], b[m::step][:k],
+            v[:, pairs].view(np.complex128),
+        ))
 
+    def sweep():
+        for _ in range(m // 2):
+            for app, aqq, apq, z, rotation, src, dst, src_c, dst_c, upper, lower, vc in rounds:
+                # z is minus the z of tan(2 theta) = 2 apq / (aqq - app), so
+                # its root is +-i e^(i theta) with |theta| <= pi/4; `tiny`
+                # keeps |z| nonzero, and copysign gives d = 0 the angle pi/4.
+                d = app - aqq
+                np.subtract(-_TINY, np.abs(d), out=z[:, 0])
+                np.multiply(np.copysign(2.0, d), apq, out=z[:, 1])
+                z /= np.abs(rotation)[:, None]
+                np.sqrt(rotation, out=rotation)
+                np.multiply(src_c, rotation, out=src_c)
+                np.copyto(dst, src.T)
+                np.multiply(dst_c, rotation, out=dst_c)
+                upper.fill(0.0)
+                lower.fill(0.0)
+                np.multiply(vc, rotation, out=vc)
 
-def _parallel_sweep(w, v):
-    # One parallel-order sweep, w <- J^T w J and v <- v J, each round's J
-    # rotating disjoint (p, q) planes in round 0's paired layout: rotations
-    # multiply the complex128 view, t = w.T[sigma] transposes (so the same
-    # multiply rotates the other side) and moves rows to the next round's
-    # layout, and t.T[sigma] moves the columns.  Returns (w, v) in round 0's.
-    n = w.shape[0]
-    step = 2 * (n + 1)
-    _, sigma, pivots = _schedule(n)
-    parts = np.empty((n // 2, 2))  # z, then the rotation, as real pairs
-    rotation = parts.view(np.complex128)[:, 0]
-    for perm, flat in zip(sigma, pivots):
-        # tan(2 theta) = 2 apq / d and |theta| <= pi/4, so sweeps converge;
-        # `tiny` keeps |z| nonzero and copysign gives d = 0 the angle pi/4.
-        entries = w.reshape(-1)
-        d = entries[n + 1 :: step] - entries[::step]
-        np.add(np.abs(d), _TINY, out=parts[:, 0])
-        np.multiply(np.copysign(2.0, d), entries[1::step], out=parts[:, 1])
-        parts /= np.abs(rotation)[:, None]
-        np.sqrt(rotation, out=rotation)
-        wc = w.view(np.complex128)
-        np.multiply(wc, rotation, out=wc)
-        t = w.T[perm]
-        tc = t.view(np.complex128)
-        np.multiply(tc, rotation, out=tc)
-        t.ravel()[flat] = 0.0
-        w = t.T[perm]
-        vc = v.view(np.complex128)
-        np.multiply(vc, rotation, out=vc)
-        v = np.take(v, perm, axis=1)
-    return w, v
+    return sweep
 
 
 def _block_sweep(w, v, skip, blocks):
-    # One block Jacobi sweep over the index blocks, in round-robin order.
-    # The off-diagonal of a pair's principal submatrix is reduced by one
-    # kernel sweep accumulating Q; then w <- Q^T w Q on those rows and
-    # columns (one product, whose transpose gives the rows) and v <- v Q.
+    # One block Jacobi sweep over the index blocks, in place.  A pair's
+    # principal submatrix gets one kernel sweep accumulating Q; then
+    # w <- Q^T w Q on those rows and columns (one product, whose transpose
+    # gives the rows) and v <- v Q.
     for round_p, round_q in zip(*_round_robin(len(blocks))):
         for i, j in zip(round_p, round_q):
             idx = np.concatenate((blocks[i], blocks[j]))
+            size = idx.size
             sub = w[np.ix_(idx, idx)]
             off = np.abs(sub)
             np.fill_diagonal(off, 0.0)
             if off.max() <= skip:
                 continue
-            paired = _paired(sub)
-            paired, rot = _parallel_sweep(paired, np.eye(len(paired)))
-            rot = _unpaired(rot, idx.size)
+            sub = _padded(sub)
+            rot = np.eye(size, len(sub))
+            _odd_even(sub, rot)()
+            rot = rot[:, ::-1][:, :size]
             cols = w[:, idx] @ rot
             w[:, idx] = cols
             w[idx, :] = cols.T
-            w[np.ix_(idx, idx)] = _unpaired(paired, idx.size)
+            w[np.ix_(idx, idx)] = sub[::-1, ::-1][:size, :size]
             v[:, idx] = v[:, idx] @ rot
-    return w, v
 
 
 def sym_eig(
@@ -251,16 +239,16 @@ def sym_eig(
     target = conv_tol * math.sqrt(float((w * w).sum()))
     single = n <= SINGLE_BLOCK_MAX
     if single:
-        # The kernel keeps w in its paired layout from sweep to sweep.
-        w = _paired(w)
-        sweep = _parallel_sweep
+        w = _padded(w)
+        v = np.eye(n, len(w))
+        sweep = _odd_even(w, v)
     else:
         count = 2 * math.ceil(n / (2 * BLOCK_WIDTH))
         blocks = np.array_split(np.arange(n), count)
+        v = np.eye(n)
         # A block pair whose entries are all at or below `skip` cannot push
         # off(w) past the target even if every off-diagonal sits there.
-        sweep = functools.partial(_block_sweep, skip=target / n, blocks=blocks)
-    v = np.eye(len(w))
+        sweep = functools.partial(_block_sweep, w, v, target / n, blocks)
     off = _off_diagonal_norm(w)
     sweeps = 0
     while off > target:
@@ -271,12 +259,13 @@ def sym_eig(
                 f"target {target:.3e} after {max_sweeps} sweeps",
                 residual=off,
             )
-        w, v = sweep(w, v)
+        sweep()
         sweeps += 1
         off = _off_diagonal_norm(w)
-    if single:
-        w, v = _unpaired(w, n), _unpaired(v, n)
-    eigenvalues = np.ldexp(np.diagonal(w), exponent)
+    if single and sweeps % 2:
+        # Undone, the reversal puts the bye back at index n, past all read.
+        w, v = w[::-1, ::-1], v[:, ::-1]
+    eigenvalues = np.ldexp(np.diagonal(w)[:n], exponent)
     order = np.argsort(-eigenvalues, kind="stable")
     eigenvalues = eigenvalues[order]
     vectors = np.ascontiguousarray(v[:, order])
@@ -299,6 +288,10 @@ def _fix_signs(vectors):
     # builds (seen with np.negative at 64-byte strides on numpy 2.2).
     peaks = np.argmax(np.abs(vectors), axis=0)
     vectors *= np.where(vectors[peaks, np.arange(vectors.shape[1])] < 0.0, -1.0, 1.0)
+    # The kernel's quarter turns make -0.0 out of exact zeros; adding +0.0
+    # turns each into +0.0, so vectors and the files written from them are
+    # canonical.
+    vectors += 0.0
 
 
 def numerical_rank(eigenvalues, rank_tol=RANK_TOL):

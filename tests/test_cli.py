@@ -586,8 +586,8 @@ def test_verify_triple_defaults_to_its_report_tolerance(tmp_path):
 
 
 def test_nonzero_tensor_with_no_terms_fails(tmp_path):
-    # Every entry is nonzero but the norm and the Gram underflow to 0, so
-    # the decomposition has no terms: that is not an exact reconstruction.
+    # Every entry is nonzero but the Gram underflows to 0, so the
+    # decomposition has no terms: that is not an exact reconstruction.
     src, out = tmp_path / "tiny.tz1", tmp_path / "fac"
     write_tensor(src, random_tensor((12, 5, 4), 3) * 1e-170)
     assert main(["decompose", str(src), "--groups", "1,1,1", "--out", str(out)]) == 1

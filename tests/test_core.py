@@ -1,6 +1,7 @@
 """Tensor storage, index maps, and contraction primitives."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -106,6 +107,19 @@ def test_norm_cases():
     assert norm(DenseTensor.zeros((3, 2, 5))) == 0.0
     assert norm(DenseTensor([-3.0])) == 3.0
     assert norm(DenseTensor(np.ones((4, 4)))) == 4.0
+
+
+def test_norm_scaled_by_a_power_of_two():
+    # Squares that overflow or underflow do not decide the norm, and where
+    # they are normal floats it is the unscaled formula's, bit for bit.
+    assert norm(DenseTensor([1e200, 1.0])) == 1e200
+    assert norm(DenseTensor(np.full(4, 1e-170))) == 2e-170
+    x = seeded((6, 5, 4), 5)
+    for k in (0, -300, 300):
+        values = np.ldexp(x.values, k)
+        assert norm(DenseTensor(values)) == math.sqrt(float(np.dot(values, values)))
+    for k in (-600, 600):
+        assert norm(DenseTensor(np.ldexp(x.data, k))) == math.ldexp(norm(x), k)
 
 
 # ----------------------------------------------------------------- outer

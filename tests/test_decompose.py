@@ -33,6 +33,7 @@ from tenspec.errors import (
     NotNND,
     NotSelfAdjoint,
     ShapeMismatch,
+    TenspecError,
 )
 
 
@@ -153,6 +154,16 @@ def test_gram_rayleigh_quotients_non_negative():
 def test_gram_bad_side():
     with pytest.raises(ValueError):
         gram_operator(GroupedTensor(random_tensor((2, 2), 1), (1, 1)), side="up")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("side", ["right", "left"])
+def test_gram_operator_refuses_an_overflowing_gram(side):
+    # The input is finite, its Gram is not: refused as _matrix_svd refuses
+    # it, with no overflow warning from numpy on the way.
+    a = GroupedTensor(random_tensor((12, 5, 4), 3) * 1e160, (1, 2))
+    with pytest.raises(TenspecError, match="Gram of the unfolding is not representable"):
+        gram_operator(a, side=side)
 
 
 # -------------------------------------------------------- is_self_adjoint
@@ -732,19 +743,22 @@ def test_residual_curve_zero_input():
 
 
 def test_residual_curve_underflowing_norm():
-    # A nonzero input whose norm underflows gets core.relative_error's
-    # verdict, inf after entry 0, not the 0/0 -> 0 of an all-zero input.
+    # A nonzero input whose squares underflow: its scaled norm is exact and
+    # nonzero, so a decomposition with no terms scores exactly 1, and the
+    # curve of another tensor's decomposition is finite (about 1e169).
     tiny = random_tensor((12, 5, 4), 3) * 1e-170
-    assert tiny.data.any() and norm(tiny) == 0.0
+    assert float(np.vdot(tiny.data, tiny.data)) == 0.0
+    assert norm(tiny) == math.ldexp(norm(DenseTensor(np.ldexp(tiny.data, 560))), -560)
     a = GroupedTensor(tiny, (1, 1, 1))
     own = decompose_triple(a)
-    assert relative_error(tiny, reconstruct(own)) == math.inf
+    assert component_count(own) == 0
+    assert relative_error(tiny, reconstruct(own)) == 1.0
+    assert residual_curve(a, own) == [(0, 1.0)]
     full = decompose_triple(GroupedTensor(random_tensor((12, 5, 4), 3), (1, 1, 1)))
-    assert component_count(full) > 0
-    for dec in (own, full):
-        count = component_count(dec)
-        expected = [(0, 1.0)] + [(k, math.inf) for k in range(1, count + 1)]
-        assert residual_curve(a, dec) == expected
+    curve = residual_curve(a, full)
+    assert len(curve) == component_count(full) + 1 > 1
+    assert all(math.isfinite(e) and e > 1e150 for _, e in curve[1:])
+    assert curve[-1][1] == pytest.approx(relative_error(tiny, reconstruct(full)), rel=1e-12)
 
 
 def test_residual_curve_monotone_and_matches_partial_sums():

@@ -1,5 +1,6 @@
 """Symmetric eigensolver: examples, properties, and rank semantics."""
 
+import itertools
 import math
 
 import numpy as np
@@ -209,12 +210,12 @@ def operator_matrix(group, seed):
 
 def sweep_cases():
     # The `operator` inputs of seed 1 (n = 48, 72, 96), two odd orders, and
-    # the block path.  Each count is the one the solver took when its
-    # rounds were still fancy-index row and column updates.
+    # the block path.  Each count is the one the odd-even kernel takes; the
+    # round-robin kernel before it took the same except at n = 45 (7).
     seeds = [int(s) for s in np.random.default_rng(1).integers(0, 2**31, size=3)]
     groups = ((8, 2, 3), (8, 3, 3), (8, 4, 3))
     cases = [(operator_matrix(g, s), count) for g, s, count in zip(groups, seeds, (8, 9, 10))]
-    cases += [(random_symmetric(45, 11), 7), (random_symmetric(97, 14), 8)]
+    cases += [(random_symmetric(45, 11), 8), (random_symmetric(97, 14), 8)]
     cases.append((random_symmetric(300, 4242), 9))
     return cases
 
@@ -226,14 +227,58 @@ def test_sweep_counts_pinned():
         assert 0.0 < res.off_norm <= jacobi.CONVERGENCE_TOL * np.linalg.norm(a)
 
 
+def kernel_sweep(a, n):
+    # One kernel sweep of a (order n, padded with the bye at odd n) and of
+    # the identity, in the order the sweep leaves.
+    w = jacobi._padded(a)
+    v = np.eye(len(w))
+    jacobi._odd_even(w, v)()
+    return w, v
+
+
 @pytest.mark.parametrize("n", [8, 9])
 def test_sweep_leaves_diagonal_matrix_bit_exact(n):
     # Every pivot is zero, the bye's included at odd n, so every rotation
-    # must be exactly 1 + 0i and one kernel sweep must change nothing.
+    # must be exactly +-i, a signed swap: with its reversed order undone,
+    # one kernel sweep leaves the matrix as it was and turns the identity
+    # into diag(+-1).
     d = np.diag(np.linspace(0.9, -0.7, n) ** 3)
-    w, v = jacobi._parallel_sweep(jacobi._paired(d), np.eye(n + n % 2))
-    assert jacobi._unpaired(w, n).tobytes() == d.tobytes()
-    assert jacobi._unpaired(v, n).tobytes() == np.eye(n).tobytes()
+    w, v = kernel_sweep(d, n)
+    w, v = w[::-1, ::-1][:n, :n], v[:, ::-1][:n, :n]
+    assert w.tobytes() == d.tobytes()
+    assert np.abs(v).tobytes() == np.eye(n).tobytes()
+    assert np.array_equal(v, np.diag(np.diagonal(v)))
+
+
+@pytest.mark.parametrize("n", [8, 9])
+def test_sweep_meets_every_pair_and_reverses_the_order(n):
+    # Uncoupled, every rotation is an exact signed swap, so one sweep moves
+    # index i to m - 1 - i, the bye included: each pair has crossed, and the
+    # m(m - 1)/2 rotations of a sweep leave no room for a second meeting.
+    m = n + n % 2
+    lam = np.arange(1.0, n + 1.0)
+    w, v = kernel_sweep(np.diag(lam), n)
+    assert np.array_equal(w, np.diag(np.append(lam, np.zeros(m - n))[::-1]))
+    assert np.array_equal(np.abs(v), np.eye(m)[:, ::-1])
+    # Coupling p and q alone: the pivot is zeroed when they meet, and every
+    # other rotation swaps exactly, so nothing off the diagonal is left.
+    for p, q in itertools.combinations(range(n), 2):
+        a = np.diag(lam)
+        a[p, q] = a[q, p] = 0.5
+        w, _ = kernel_sweep(a, n)
+        assert np.count_nonzero(w - np.diag(np.diagonal(w))) == 0, (p, q)
+
+
+@pytest.mark.parametrize("n, seed, parity", [(9, 0, 1), (9, 1, 0), (10, 2, 1), (10, 0, 0)])
+def test_solves_after_odd_and_even_sweep_counts(n, seed, parity):
+    # A kernel sweep reverses the index order, so sym_eig undoes it after an
+    # odd count; at odd n the bye must then be back past the last index.
+    a = random_symmetric(n, seed)
+    res = sym_eig(a)
+    assert res.sweeps % 2 == parity
+    assert_eigen_invariants(a, res)
+    recon = (res.vectors * res.eigenvalues) @ res.vectors.T
+    assert np.abs(recon - a).max() <= 1e-14 * np.abs(a).max()
 
 
 def test_block_diagonal_solved_bit_exactly():
