@@ -37,7 +37,7 @@ from .errors import (
     TenspecError,
 )
 
-SELF_ADJOINT_TOL = 1e-10
+SELF_ADJOINT_TOL = jacobi.SYMMETRY_TOL
 RANK_TOL = jacobi.RANK_TOL
 # residual_curve visits components this many at a time (reconstruct takes
 # them all at once).  A block costs its term Gram plus one product per
@@ -515,10 +515,17 @@ def residual_curve(a, decomposition):
         return [(0, 0.0)]
     weights, families = decomposition.terms()
     count = len(weights)
-    scale = norm(reference)
+    # The sums run on A and the weights scaled by a power of two to below 1,
+    # as in core.norm, so squares of a tiny A do not underflow and those of
+    # weights far above A do not overflow.  The curve is a ratio, so wherever
+    # the squares are normal floats it is the unscaled one bit for bit.
+    top = max(float(np.abs(reference.data).max()), float(np.abs(weights).max(initial=0.0)))
+    exponent = math.frexp(top)[1]
+    weights = np.ldexp(weights, -exponent)
+    scale = math.ldexp(norm(reference), -exponent)
     first, index, _ = families[0]
     resid = _sum_terms(weights, families, count)
-    np.subtract(reference.data.reshape(resid.shape), resid, out=resid)
+    np.subtract(np.ldexp(reference.data, -exponent).reshape(resid.shape), resid, out=resid)
     resid2 = float(np.vdot(resid, resid))
     first_gram = first @ first.T
     # drop[m] = ||A - S_m||^2 - ||A - S_(m+1)||^2; `proj` is F_1 (A - S_hi)

@@ -21,16 +21,18 @@ rotated and its pivot zeroed; the kernel has no skip test.  The transpose
 is copied into the other of two ping-pong buffers, where the same multiply
 rotates the rows.
 
-Up to ``SINGLE_BLOCK_MAX`` the kernel sweeps the whole matrix, and the
-reversal left by an odd sweep count is undone at the end.  Larger matrices
-are cut into index blocks about ``BLOCK_WIDTH`` wide, met in round-robin
-order (block Jacobi; Bischof 1989, Golub & Van Loan section 8.5): a block
-pair's principal submatrix gets one kernel sweep, its reversal undone at
-once so each block keeps its indices, and the accumulated rotation reaches
-the whole matrix and the eigenvectors as matrix products.
+Up to ``SINGLE_BLOCK_MAX`` the kernel sweeps the whole matrix.  Larger
+matrices are padded with byes and cut into an even count of equal index
+blocks about ``BLOCK_WIDTH`` wide, met in the same odd-even order (block
+Jacobi; Bischof 1989, Golub & Van Loan section 8.5): a round's block pairs
+are adjacent slices of the diagonal, each pair's principal submatrix gets
+one kernel sweep, and the accumulated rotation reaches the whole matrix and
+the eigenvectors as matrix products.  That sweep reverses the pair, so its
+blocks trade places, and a block sweep leaves the whole order reversed just
+as a kernel sweep does.  On either path the reversal left by an odd sweep
+count is undone once, at the end.
 """
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -50,13 +52,15 @@ CONVERGENCE_TOL = 1e-14
 MAX_SWEEPS = 50
 RANK_TOL = 1e-10
 
-# Up to this order the kernel sweeps the whole matrix; above it, block
-# pairs of about 2 * BLOCK_WIDTH indices are.  With the odd-even kernel, at
-# n = 256 a single block took 0.85 s against 0.77 s in 96-wide pairs and
-# kept orthogonality at 1.1e-14 against 2.0e-14.  At n = 768 (round-robin
-# paired-layout kernel), 96-wide pairs ran in 22 s, 64- and 128-wide ones
-# in 26 and 21 s, and 256-wide ones in 28 s (one random symmetric matrix
-# each, 2-vCPU VM, OpenBLAS).
+# Up to this order the kernel sweeps the whole matrix; above it, pairs of
+# equal blocks of about BLOCK_WIDTH indices are.  On the ladder's matrices
+# (one solve each, 2-vCPU VM, OpenBLAS) the whole matrix against block pairs
+# took 0.12 against 0.16 s at n = 128, 0.34 against 0.35 s at n = 192 and
+# 0.90 against 0.78 s at n = 256, where the pairs left orthogonality at
+# 2.0e-14 against 1.1e-14.  So the cut stays at 256: below it the pairs
+# are no faster, and at 256 they save an eighth of the time for a third of
+# a digit.  BLOCK_WIDTH was tuned at n = 768 (BENCH_eig.json,
+# block_width_probe) and is kept.
 SINGLE_BLOCK_MAX = 256
 BLOCK_WIDTH = 48
 _TINY = np.finfo(np.float64).tiny
@@ -109,30 +113,12 @@ def _off_diagonal_norm(w):
     return math.sqrt(float((off * off).sum()))
 
 
-@functools.lru_cache(maxsize=8)
-def _round_robin(m):
-    # Round-robin tournament on 0..m-1, m even: player 0 stays put and the
-    # others move one seat per round, so every pair meets exactly once in
-    # the m - 1 rounds.  Returns arrays p, q of shape (rounds, m / 2) with
-    # p < q.
-    seats = list(range(m))
-    half = m // 2
-    p_rounds, q_rounds = [], []
-    for _ in range(m - 1):
-        pairs = [
-            (min(a, b), max(a, b)) for a, b in zip(seats[:half], reversed(seats[half:]))
-        ]
-        p_rounds.append([a for a, _ in pairs])
-        q_rounds.append([b for _, b in pairs])
-        seats = [seats[0], seats[-1]] + seats[1:-1]
-    return np.array(p_rounds, dtype=np.intp), np.array(q_rounds, dtype=np.intp)
-
-
-def _padded(x):
-    # A contiguous copy of x, an odd order padded by one zero index (the
-    # bye), so that the odd-even rounds pair every index.
+def _padded(x, multiple=2):
+    # A contiguous copy of x padded by zero indices (the byes) to a multiple
+    # of `multiple`, so that the odd-even rounds pair every index.
     n = len(x)
-    padded = np.zeros((n + n % 2, n + n % 2))
+    m = -(-n // multiple) * multiple
+    padded = np.zeros((m, m))
     padded[:n, :n] = x
     return padded
 
@@ -183,29 +169,32 @@ def _odd_even(w, v):
     return sweep
 
 
-def _block_sweep(w, v, skip, blocks):
-    # One block Jacobi sweep over the index blocks, in place.  A pair's
-    # principal submatrix gets one kernel sweep accumulating Q; then
-    # w <- Q^T w Q on those rows and columns (one product, whose transpose
-    # gives the rows) and v <- v Q.
-    for round_p, round_q in zip(*_round_robin(len(blocks))):
-        for i, j in zip(round_p, round_q):
-            idx = np.concatenate((blocks[i], blocks[j]))
-            size = idx.size
-            sub = w[np.ix_(idx, idx)]
-            off = np.abs(sub)
-            np.fill_diagonal(off, 0.0)
-            if off.max() <= skip:
-                continue
-            sub = _padded(sub)
-            rot = np.eye(size, len(sub))
-            _odd_even(sub, rot)()
-            rot = rot[:, ::-1][:, :size]
-            cols = w[:, idx] @ rot
-            w[:, idx] = cols
-            w[idx, :] = cols.T
-            w[np.ix_(idx, idx)] = sub[::-1, ::-1][:size, :size]
-            v[:, idx] = v[:, idx] @ rot
+def _block_sweep(w, v, width):
+    # Returns a function that runs one block sweep in place, in the kernel's
+    # odd-even order over blocks of `width` indices (len(w) a multiple of
+    # 2 * width).  Round r meets the block pairs [lo, lo + 2 * width), lo
+    # stepping by 2 * width from (r % 2) * width.  A pair's principal
+    # submatrix gets one kernel sweep accumulating Q, which reverses it;
+    # then w <- Q^T w Q on those rows and columns (one product, whose
+    # transpose gives the rows) and v <- v Q.  Of the k blocks (k even), each
+    # meets the k - 1 others once and is reversed at each meeting, an odd
+    # count, so, like a kernel sweep, a block sweep reverses the whole order.
+    m, size = len(w), 2 * width
+
+    def sweep():
+        for r in range(m // width):
+            for lo in range(r % 2 * width, m - size + 1, size):
+                s = slice(lo, lo + size)
+                sub = w[s, s].copy()
+                rot = np.eye(size)
+                _odd_even(sub, rot)()
+                cols = w[:, s] @ rot
+                w[:, s] = cols
+                w[s, :] = cols.T
+                w[s, s] = sub
+                v[:, s] = v[:, s] @ rot
+
+    return sweep
 
 
 def sym_eig(
@@ -221,7 +210,8 @@ def sym_eig(
     ``conv_tol * ||a||_F``, tested before every sweep; raises NoConvergence
     (carrying the residual) if it is still above after ``max_sweeps``
     sweeps.  Matrices of order above ``SINGLE_BLOCK_MAX`` are swept in
-    blocks of about ``BLOCK_WIDTH`` indices.  Eigenvalues are returned
+    odd-even order over pairs of equal blocks of about ``BLOCK_WIDTH``
+    indices, padded with zero byes.  Eigenvalues are returned
     non-increasing with sign-fixed orthonormal eigenvector columns.
     """
     a = check_symmetric(a, sym_tol)
@@ -237,18 +227,15 @@ def sym_eig(
     half = np.ldexp(a, -exponent - 1)
     w = half + half.T
     target = conv_tol * math.sqrt(float((w * w).sum()))
-    single = n <= SINGLE_BLOCK_MAX
-    if single:
+    if n <= SINGLE_BLOCK_MAX:
         w = _padded(w)
         v = np.eye(n, len(w))
         sweep = _odd_even(w, v)
     else:
-        count = 2 * math.ceil(n / (2 * BLOCK_WIDTH))
-        blocks = np.array_split(np.arange(n), count)
-        v = np.eye(n)
-        # A block pair whose entries are all at or below `skip` cannot push
-        # off(w) past the target even if every off-diagonal sits there.
-        sweep = functools.partial(_block_sweep, w, v, target / n, blocks)
+        width = math.ceil(n / (2 * math.ceil(n / (2 * BLOCK_WIDTH))))
+        w = _padded(w, 2 * width)
+        v = np.eye(n, len(w))
+        sweep = _block_sweep(w, v, width)
     off = _off_diagonal_norm(w)
     sweeps = 0
     while off > target:
@@ -262,8 +249,8 @@ def sym_eig(
         sweep()
         sweeps += 1
         off = _off_diagonal_norm(w)
-    if single and sweeps % 2:
-        # Undone, the reversal puts the bye back at index n, past all read.
+    if sweeps % 2:
+        # Undone, the reversal puts the byes back past index n, unread.
         w, v = w[::-1, ::-1], v[:, ::-1]
     eigenvalues = np.ldexp(np.diagonal(w)[:n], exponent)
     order = np.argsort(-eigenvalues, kind="stable")

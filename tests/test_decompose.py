@@ -761,6 +761,24 @@ def test_residual_curve_underflowing_norm():
     assert curve[-1][1] == pytest.approx(relative_error(tiny, reconstruct(full)), rel=1e-12)
 
 
+def test_residual_curve_with_underflowing_squares():
+    # A nonzero transform and its singulars, both scaled so that every
+    # square underflows: the curve must follow the partial sums' relative
+    # errors (0.888, 0.806, ...), never read a perfect fit, and scaling by a
+    # power of two must leave it bit for bit as it was.
+    a = GroupedTensor(random_tensor((12, 20), 3), (1, 1))
+    dec = decompose_transform(a)
+    for factor in (1e-170, 2.0**-565):
+        tiny = GroupedTensor(a.tensor * factor, (1, 1))
+        scaled = dataclasses.replace(dec, singulars=dec.singulars * factor)
+        assert float(np.vdot(tiny.tensor.data, tiny.tensor.data)) == 0.0
+        curve = residual_curve(tiny, scaled)
+        for keep, err in curve[1:5]:
+            direct = relative_error(tiny.tensor, reconstruct(scaled, keep))
+            assert err == pytest.approx(direct, rel=1e-12) and err > 0.5, keep
+    assert curve == residual_curve(a, dec)
+
+
 def test_residual_curve_monotone_and_matches_partial_sums():
     a = GroupedTensor(random_tensor((4, 4, 4), 34), (1, 1, 1))
     dec = decompose_triple(a)

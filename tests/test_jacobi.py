@@ -177,10 +177,11 @@ def test_invariants_on_seeded_matrices():
         assert_eigen_invariants(a, sym_eig(a))
 
 
-def test_invariants_on_block_path():
+@pytest.mark.parametrize("n", [257, 300, 333])
+def test_invariants_on_block_path(n):
     # Above SINGLE_BLOCK_MAX the solver sweeps in block pairs; the seeded
-    # cases above never get there.
-    n = 300
+    # cases above never get there.  Each order needs byes (1, 4 and 3) to
+    # fill its blocks, and 257 is the first order past the cut.
     assert n > jacobi.SINGLE_BLOCK_MAX
     a = random_symmetric(n, 4242)
     res = sym_eig(a)
@@ -210,13 +211,14 @@ def operator_matrix(group, seed):
 
 def sweep_cases():
     # The `operator` inputs of seed 1 (n = 48, 72, 96), two odd orders, and
-    # the block path.  Each count is the one the odd-even kernel takes; the
-    # round-robin kernel before it took the same except at n = 45 (7).
+    # two block-path orders padded with byes (257 by one, 300 by four).  Each
+    # count is the one the odd-even kernel takes; the round-robin kernel
+    # before it took the same except at n = 45 (7).
     seeds = [int(s) for s in np.random.default_rng(1).integers(0, 2**31, size=3)]
     groups = ((8, 2, 3), (8, 3, 3), (8, 4, 3))
     cases = [(operator_matrix(g, s), count) for g, s, count in zip(groups, seeds, (8, 9, 10))]
     cases += [(random_symmetric(45, 11), 8), (random_symmetric(97, 14), 8)]
-    cases.append((random_symmetric(300, 4242), 9))
+    cases += [(random_symmetric(257, 16), 9), (random_symmetric(300, 4242), 9)]
     return cases
 
 
@@ -266,6 +268,32 @@ def test_sweep_meets_every_pair_and_reverses_the_order(n):
         a = np.diag(lam)
         a[p, q] = a[q, p] = 0.5
         w, _ = kernel_sweep(a, n)
+        assert np.count_nonzero(w - np.diag(np.diagonal(w))) == 0, (p, q)
+
+
+def block_sweep(a, width):
+    # One block sweep of a, padded with byes to a multiple of 2 * width, and
+    # of the identity, in the order the sweep leaves.
+    w = jacobi._padded(a, 2 * width)
+    v = np.eye(len(w))
+    jacobi._block_sweep(w, v, width)()
+    return w, v
+
+
+@pytest.mark.parametrize("n, width", [(8, 2), (9, 2), (11, 3)])
+def test_block_sweep_meets_every_pair_and_reverses_the_order(n, width):
+    # As for the kernel: uncoupled, one block sweep moves index i to
+    # m - 1 - i, byes included, and p and q coupled alone are always met,
+    # whether in one block or two.
+    lam = np.arange(1.0, n + 1.0)
+    w, v = block_sweep(np.diag(lam), width)
+    m = len(w)
+    assert np.array_equal(w, np.diag(np.append(lam, np.zeros(m - n))[::-1]))
+    assert np.array_equal(np.abs(v), np.eye(m)[:, ::-1])
+    for p, q in itertools.combinations(range(n), 2):
+        a = np.diag(lam)
+        a[p, q] = a[q, p] = 0.5
+        w, _ = block_sweep(a, width)
         assert np.count_nonzero(w - np.diag(np.diagonal(w))) == 0, (p, q)
 
 
