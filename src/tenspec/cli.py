@@ -20,9 +20,9 @@ from typing import Optional
 
 import numpy as np
 
+from . import jacobi
 from .core import DenseTensor, random_tensor, relative_error
 from .decompose import (
-    RANK_TOL,
     GroupedTensor,
     OperatorDecomposition,
     TransformDecomposition,
@@ -50,10 +50,10 @@ DEFAULT_SEED = 42
 MANIFEST_VERSION = 1
 SINGULAR_TOL = 1e-8
 # `decompose` refuses an input whose largest eigenproblem is above this
-# order, instead of running for long without a word.  sym_eig took 21 s at
-# n = 768 (BENCH_eig.json, 2-vCPU VM) and its time grows about as n^3, so
-# n = 2048 would take about 7 minutes (extrapolated, not measured): the
-# longest run that still reads as working rather than hung.
+# order, instead of running for long without a word.  sym_eig took 10.4 s at
+# n = 768 (BENCH_eig.json, block_odd_even, 2-vCPU VM) and its time grows as
+# about n^3, so n = 2048 would take about 3.3 minutes (extrapolated, not
+# measured): the longest run that still reads as working rather than hung.
 MAX_EIGEN_ORDER = 2048
 
 
@@ -74,8 +74,8 @@ class ExperimentSpec:
     ``groups`` partitions the source tensor's modes.  With ``gram_source``
     the decomposed operator is the gram of the grouped source (the way the
     canned SA-NND experiment builds its input); otherwise the source itself
-    is decomposed.  ``scale`` multiplies the source, so 0.0 exercises the
-    degenerate zero-tensor path.  ``tolerance=None`` takes the algorithm's.
+    is decomposed.  ``tolerance=None`` takes the algorithm's; the solver's
+    cuts are ``jacobi.RANK_TOL``, ``SYMMETRY_TOL``, ``CONVERGENCE_TOL`` and ``MAX_SWEEPS``.
     """
 
     name: str
@@ -85,7 +85,6 @@ class ExperimentSpec:
     seed: int = DEFAULT_SEED
     tolerance: Optional[float] = None
     gram_source: bool = False
-    scale: float = 1.0
 
 
 EXPERIMENTS = {
@@ -192,8 +191,6 @@ def _run(a, algorithm, out_dir, name="decompose", seed=None, tolerance=None, kee
 def run_experiment(spec, out_dir):
     """Run one experiment and write input.tz1, spectrum.csv, report.json."""
     source = random_tensor(spec.source_dims, spec.seed)
-    if spec.scale != 1.0:
-        source = source * spec.scale
     if spec.gram_source:
         a = gram_operator(GroupedTensor(source, spec.groups), side="right")
     else:
@@ -255,7 +252,7 @@ def run_decompose(path, groups, algorithm="auto", keep=None, out_dir="tenspec-ou
         "weights": [float(w) for w in weights[:kept]],
         "factors": factor_names,
         "tolerances": {
-            "rank_tol": RANK_TOL,
+            "rank_tol": jacobi.RANK_TOL,
             "reconstruction_tol": report.tolerance,
             "singular_tol": SINGULAR_TOL,
         },
@@ -279,11 +276,16 @@ def run_verify(tensor_path, manifest_path):
     try:
         algorithm = manifest["algorithm"]
         groups = manifest["groups"]
-        weights = np.array([float(w) for w in manifest["weights"]])
+        weights = manifest["weights"]
         factor_names = manifest["factors"]
         tolerances = manifest.get("tolerances", {})
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError) as exc:
         raise ParseError(f"{manifest_path}: bad manifest field: {exc}") from exc
+    if not isinstance(weights, list) or any(  # type() is exact: a bool is no weight
+        type(w) not in (int, float) or not abs(w) <= sys.float_info.max for w in weights
+    ):
+        raise ParseError(f"{manifest_path}: weights are not finite JSON numbers")
+    weights = np.array(weights, dtype=np.float64)
     if not isinstance(algorithm, str) or algorithm not in ALGORITHMS:
         raise ParseError(f"{manifest_path}: unknown algorithm {algorithm!r}")
     if not (isinstance(groups, list) and all(type(g) is int for g in groups)):
@@ -452,6 +454,12 @@ def _parse_groups(text):
     return groups
 
 
+def _positive(text):
+    if not 0 < float(text) < math.inf:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive finite number")
+    return float(text)
+
+
 def _cmd_decompose(args):
     report = run_decompose(
         args.file,
@@ -499,7 +507,7 @@ def build_parser():
     p_exp = sub.add_parser("experiment", help="run a canned seeded experiment")
     p_exp.add_argument("name", choices=sorted(EXPERIMENTS))
     p_exp.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p_exp.add_argument("--tol", type=float, default=None,
+    p_exp.add_argument("--tol", type=_positive, default=None,
                        help="override the pass/fail reconstruction tolerance")
     p_exp.add_argument("--out", default="tenspec-out", help="output directory")
     p_exp.set_defaults(func=_cmd_experiment)

@@ -33,12 +33,11 @@ from .errors import (
     InvalidKeep,
     NotNND,
     NotSelfAdjoint,
+    NotSymmetric,
     ShapeMismatch,
     TenspecError,
 )
 
-SELF_ADJOINT_TOL = jacobi.SYMMETRY_TOL
-RANK_TOL = jacobi.RANK_TOL
 # residual_curve visits components this many at a time (reconstruct takes
 # them all at once).  A block costs its term Gram plus one product per
 # distinct first-family row it holds: on a 64 x 32 x 32 triple (2048
@@ -264,11 +263,11 @@ def gram_operator(a, side="right"):
     )
 
 
-def is_self_adjoint(a, tol=SELF_ADJOINT_TOL):
+def is_self_adjoint(a):
     """Predicate: does swapping the two groups leave the tensor unchanged?
 
-    Returns a (ok, max_asymmetry, reason) tuple that is truthy iff ok.
-    Mismatched group shapes report ok=False rather than raising.
+    Returns (ok, max_asymmetry, reason), truthy iff ok by ``jacobi.asymmetry``
+    of the unfolding; mismatched group shapes report ok=False, not raising.
     """
     _require_groups(a, 2, "is_self_adjoint")
     shapes = a.group_shapes
@@ -276,14 +275,14 @@ def is_self_adjoint(a, tol=SELF_ADJOINT_TOL):
         return SelfAdjointCheck(
             False, math.inf, f"group shapes differ: {shapes[0].dims} vs {shapes[1].dims}"
         )
-    m = unfold(a.tensor, a.group_orders[0]).data
-    asym = float(np.abs(m - m.T).max())
-    scale = float(np.abs(m).max())
-    if asym > tol * scale:
-        return SelfAdjointCheck(
-            False, asym, f"max asymmetry {asym:.3e} exceeds {tol:.1e} * max entry"
-        )
+    asym, limit = jacobi.asymmetry(unfold(a.tensor, a.group_orders[0]).data)
+    if asym > limit:
+        return SelfAdjointCheck(False, asym, _asymmetric(asym))
     return SelfAdjointCheck(True, asym)
+
+
+def _asymmetric(asym):
+    return f"max asymmetry {asym:.3e} exceeds {jacobi.SYMMETRY_TOL:.1e} * max entry"
 
 
 def _as_rows(columns):
@@ -303,18 +302,18 @@ def _gram(t):
     return gram
 
 
-def _matrix_svd(m, rank_tol):
+def _matrix_svd(m):
     # SVD of the matrix m from the Gram on its smaller side: m m^T when m
     # has fewer rows than columns, else m^T m.  The Gram's eigenvalues are
     # the squared weights and its eigenvectors that side's columns; the
     # other side's follow in one product (m^T x / s for solved rows, m x / s
-    # for solved columns).  Components below the rank cut are dropped
-    # before the division, so a zero matrix gives none.  Returns the kept
-    # weights, the left and right factor columns, and the full spectrum
-    # (min(rows, cols) values).  A Gram that overflows is refused.
+    # for solved columns).  Components below the rank cut (jacobi.RANK_TOL)
+    # are dropped before the division, so a zero matrix gives none.  Returns
+    # the kept weights, the left and right factor columns, and the full
+    # spectrum (min(rows, cols) values).  A Gram that overflows is refused.
     by_rows = m.shape[0] < m.shape[1]
     t = m if by_rows else m.T
-    eig = jacobi.sym_eig(_gram(t), rank_tol=rank_tol)
+    eig = jacobi.sym_eig(_gram(t))
     r = eig.rank
     weights = np.sqrt(eig.eigenvalues[:r])
     solved = eig.vectors[:, :r]
@@ -323,25 +322,28 @@ def _matrix_svd(m, rank_tol):
     return weights, left, right, np.sqrt(np.clip(eig.eigenvalues, 0.0, None))
 
 
-def decompose_sa_nnd(a, rank_tol=RANK_TOL, sym_tol=SELF_ADJOINT_TOL):
+def decompose_sa_nnd(a):
     """Spectral decomposition of a self-adjoint non-negative operator.
 
     The operator is linearized over its (equal) groups, the resulting
     symmetric matrix is diagonalized, and eigenvector columns above the rank
-    threshold are mapped back to eigentensors over I.  The input must be
-    self-adjoint within ``sym_tol`` (the eigensolver symmetrizes it
-    exactly); an eigenvalue below ``-rank_tol * lambda_1`` raises NotNND.
+    threshold ``jacobi.RANK_TOL`` are mapped back to eigentensors over I.
+    Unequal group shapes, or an asymmetry beyond ``jacobi.SYMMETRY_TOL``
+    found by the eigensolver's own check, raise NotSelfAdjoint; an
+    eigenvalue below ``-jacobi.RANK_TOL * lambda_1`` raises NotNND.
     """
     _require_groups(a, 2, "decompose_sa_nnd")
-    check = is_self_adjoint(a, sym_tol)
-    if not check:
-        raise NotSelfAdjoint(check.reason)
-    d = a.group_orders[0]
-    shape_i = a.group_shapes[0]
-    m = unfold(a.tensor, d).data
-    eig = jacobi.sym_eig(m, sym_tol=sym_tol, rank_tol=rank_tol)
+    shape_i, shape_j = a.group_shapes
+    if shape_i.dims != shape_j.dims:
+        raise NotSelfAdjoint(is_self_adjoint(a).reason)  # returns before measuring
+    try:
+        eig = jacobi.sym_eig(unfold(a.tensor, a.group_orders[0]).data)
+    except NotSymmetric as exc:
+        if exc.asymmetry is None:  # not finite
+            raise
+        raise NotSelfAdjoint(_asymmetric(exc.asymmetry)) from exc
     lam = eig.eigenvalues
-    floor = -rank_tol * max(float(lam[0]), 0.0)
+    floor = -jacobi.RANK_TOL * max(float(lam[0]), 0.0)
     if float(lam[-1]) < floor:
         raise NotNND(
             f"eigenvalue {lam[-1]:.6e} below {floor:.3e}; operator is not "
@@ -356,7 +358,7 @@ def decompose_sa_nnd(a, rank_tol=RANK_TOL, sym_tol=SELF_ADJOINT_TOL):
     )
 
 
-def decompose_transform(a, rank_tol=RANK_TOL):
+def decompose_transform(a):
     """Singular-value style decomposition of a two-group tensor.
 
     The Gram of the unfolding over the smaller group (I x I when I has
@@ -364,15 +366,13 @@ def decompose_transform(a, rank_tol=RANK_TOL):
     are the squared weights and its eigenvectors that group's factors.  The
     other group's factors follow as ``A . X_p / s_p``, one matrix product.
     ``spectrum`` holds the min(I, J) singular values, the count that exists.
-    Components whose Gram eigenvalue falls below the rank threshold are
-    dropped before any inversion, so a zero tensor yields an empty (r = 0)
-    decomposition rather than an error.
+    Components whose Gram eigenvalue falls below the rank threshold
+    ``jacobi.RANK_TOL`` are dropped before any inversion, so a zero tensor
+    yields an empty (r = 0) decomposition rather than an error.
     """
     _require_groups(a, 2, "decompose_transform")
     shape_i, shape_j = a.group_shapes
-    singulars, left, right, spectrum = _matrix_svd(
-        unfold(a.tensor, a.group_orders[0]).data, rank_tol
-    )
+    singulars, left, right, spectrum = _matrix_svd(unfold(a.tensor, a.group_orders[0]).data)
     return TransformDecomposition(
         singulars=singulars,
         u=_as_rows(left),
@@ -383,7 +383,7 @@ def decompose_transform(a, rank_tol=RANK_TOL):
     )
 
 
-def decompose_triple(a, rank_tol=RANK_TOL):
+def decompose_triple(a):
     """Two-stage decomposition of a three-group tensor.
 
     Stage one is the SVD of the (I x JK) unfolding, giving weights
@@ -397,14 +397,12 @@ def decompose_triple(a, rank_tol=RANK_TOL):
     """
     _require_groups(a, 3, "decompose_triple")
     shape_j, shape_k = a.group_shapes[1:]
-    sigma, u_cols, v_cols, _ = _matrix_svd(
-        unfold(a.tensor, a.group_orders[0]).data, rank_tol
-    )
+    sigma, u_cols, v_cols, _ = _matrix_svd(unfold(a.tensor, a.group_orders[0]).data)
     r1 = len(sigma)
     # Row j of the stage-two matrix holds V_p[j, k] at column (k, p), so row
     # (k, p) of its right columns is the W fiber over K of each pair (p, s).
     gamma, z_cols, w_cols, _ = _matrix_svd(
-        v_cols.reshape(shape_j.element_count, shape_k.element_count * r1), rank_tol
+        v_cols.reshape(shape_j.element_count, shape_k.element_count * r1)
     )
     r2 = len(gamma)
 

@@ -26,7 +26,11 @@ class GroupingMismatch(TenspecError):
 
 
 class NotSymmetric(TenspecError):
-    """A matrix violates the symmetry tolerance."""
+    """A matrix is not square, finite and symmetric within tolerance."""
+
+    def __init__(self, message, asymmetry=None):
+        super().__init__(message)
+        self.asymmetry = asymmetry  # max|a - a^T|, when that is the fault
 
 
 class NotSorted(TenspecError):

@@ -84,9 +84,14 @@ class EigenResult:
     off_norm: float
 
 
-def check_symmetric(a, tol=SYMMETRY_TOL):
-    """Validate that ``a`` is square, finite and symmetric within ``tol``
-    (relative to max|a|).
+def asymmetry(a):
+    """max|a - a^T| of a square matrix and its bound ``SYMMETRY_TOL * max|a|``."""
+    scale = float(np.abs(a).max(initial=0.0))
+    return float(np.abs(a - a.T).max(initial=0.0)), SYMMETRY_TOL * scale
+
+
+def check_symmetric(a):
+    """Validate that ``a`` is square, finite and symmetric within ``SYMMETRY_TOL``.
 
     Returns the matrix as a float64 array; raises NotSymmetric otherwise.
     """
@@ -95,11 +100,10 @@ def check_symmetric(a, tol=SYMMETRY_TOL):
         raise NotSymmetric(f"expected a square matrix, got shape {a.shape}")
     if not np.isfinite(a).all():
         raise NotSymmetric("matrix has non-finite entries")
-    scale = float(np.abs(a).max(initial=0.0))
-    asym = float(np.abs(a - a.T).max(initial=0.0))
-    if asym > tol * scale:
+    asym, limit = asymmetry(a)
+    if asym > limit:
         raise NotSymmetric(
-            f"asymmetry {asym:.3e} exceeds {tol:.1e} * max|a| = {tol * scale:.3e}"
+            f"asymmetry {asym:.3e} exceeds {SYMMETRY_TOL:.1e} * max|a| = {limit:.3e}", asym
         )
     return a
 
@@ -197,24 +201,18 @@ def _block_sweep(w, v, width):
     return sweep
 
 
-def sym_eig(
-    a,
-    sym_tol=SYMMETRY_TOL,
-    conv_tol=CONVERGENCE_TOL,
-    max_sweeps=MAX_SWEEPS,
-    rank_tol=RANK_TOL,
-):
-    """Eigendecomposition of a symmetric matrix via (block) Jacobi sweeps.
+def sym_eig(a):
+    """Eigendecomposition of a ``check_symmetric`` matrix via (block) Jacobi.
 
     Stops when the off-diagonal Frobenius mass drops below
-    ``conv_tol * ||a||_F``, tested before every sweep; raises NoConvergence
-    (carrying the residual) if it is still above after ``max_sweeps``
-    sweeps.  Matrices of order above ``SINGLE_BLOCK_MAX`` are swept in
-    odd-even order over pairs of equal blocks of about ``BLOCK_WIDTH``
-    indices, padded with zero byes.  Eigenvalues are returned
+    ``CONVERGENCE_TOL * ||a||_F``, tested before every sweep; raises
+    NoConvergence (carrying the residual) if it is still above after
+    ``MAX_SWEEPS`` sweeps.  Matrices of order above ``SINGLE_BLOCK_MAX`` are
+    swept in odd-even order over pairs of equal blocks of about
+    ``BLOCK_WIDTH`` indices, padded with zero byes.  Eigenvalues are returned
     non-increasing with sign-fixed orthonormal eigenvector columns.
     """
-    a = check_symmetric(a, sym_tol)
+    a = check_symmetric(a)
     n = a.shape[0]
     if n == 0:
         return EigenResult(np.empty(0), np.empty((0, 0)), 0, 0, 0.0)
@@ -226,24 +224,19 @@ def sym_eig(
     exponent = math.frexp(float(np.abs(a).max()))[1]
     half = np.ldexp(a, -exponent - 1)
     w = half + half.T
-    target = conv_tol * math.sqrt(float((w * w).sum()))
-    if n <= SINGLE_BLOCK_MAX:
-        w = _padded(w)
-        v = np.eye(n, len(w))
-        sweep = _odd_even(w, v)
-    else:
-        width = math.ceil(n / (2 * math.ceil(n / (2 * BLOCK_WIDTH))))
-        w = _padded(w, 2 * width)
-        v = np.eye(n, len(w))
-        sweep = _block_sweep(w, v, width)
+    target = CONVERGENCE_TOL * math.sqrt(float((w * w).sum()))
+    width = math.ceil(n / (2 * math.ceil(n / (2 * BLOCK_WIDTH)))) if n > SINGLE_BLOCK_MAX else 1
+    w = _padded(w, 2 * width)
+    v = np.eye(n, len(w))
+    sweep = _block_sweep(w, v, width) if width > 1 else _odd_even(w, v)
     off = _off_diagonal_norm(w)
     sweeps = 0
     while off > target:
-        if sweeps >= max_sweeps:
+        if sweeps >= MAX_SWEEPS:
             off, target = math.ldexp(off, exponent), math.ldexp(target, exponent)
             raise NoConvergence(
                 f"Jacobi sweeps exhausted: off-diagonal {off:.3e} above "
-                f"target {target:.3e} after {max_sweeps} sweeps",
+                f"target {target:.3e} after {MAX_SWEEPS} sweeps",
                 residual=off,
             )
         sweep()
@@ -260,7 +253,7 @@ def sym_eig(
     return EigenResult(
         eigenvalues,
         vectors,
-        numerical_rank(eigenvalues, rank_tol),
+        numerical_rank(eigenvalues),
         sweeps,
         math.ldexp(off, exponent),
     )
@@ -281,8 +274,8 @@ def _fix_signs(vectors):
     vectors += 0.0
 
 
-def numerical_rank(eigenvalues, rank_tol=RANK_TOL):
-    """Count eigenvalues above ``rank_tol`` relative to the largest.
+def numerical_rank(eigenvalues):
+    """Count eigenvalues above ``RANK_TOL`` relative to the largest.
 
     The sequence must be non-increasing (NotSorted otherwise).  A spectrum
     whose largest value is not positive has rank 0.
@@ -290,11 +283,7 @@ def numerical_rank(eigenvalues, rank_tol=RANK_TOL):
     lam = np.asarray(eigenvalues, dtype=np.float64)
     if lam.ndim != 1:
         raise NotSorted(f"expected a 1-d spectrum, got shape {lam.shape}")
-    if lam.size == 0:
-        return 0
     if np.any(lam[:-1] < lam[1:]):
         raise NotSorted("spectrum is not sorted non-increasing")
-    lam1 = float(lam[0])
-    if lam1 <= 0.0:
-        return 0
-    return int(np.count_nonzero(lam > rank_tol * lam1))
+    # A largest value that is not positive has none above its RANK_TOL share.
+    return int(np.count_nonzero(lam > RANK_TOL * lam[0])) if lam.size else 0

@@ -79,20 +79,17 @@ def test_experiment_determinism_bytes(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
-def test_experiment_custom_zero_tensor(tmp_path):
-    spec = ExperimentSpec(
-        name="custom",
-        source_dims=(2, 2, 2),
-        groups=(1, 2),
-        algorithm="transform",
-        seed=5,
-        tolerance=1e-8,
-        scale=0.0,
-    )
-    report = run_experiment(spec, tmp_path / "zero")
-    assert report.rank == 0
-    assert report.reconstruction_relative_error == 0.0
-    assert report.passed
+def test_decompose_zero_tensor(tmp_path):
+    # The degenerate zero-tensor path: no components, and 0/0 counts as an
+    # exact reconstruction.
+    path, out = tmp_path / "zero.tz1", tmp_path / "zero"
+    write_tensor(path, DenseTensor.zeros((2, 2, 2)))
+    assert main(["decompose", str(path), "--groups", "1,2", "--algorithm", "transform",
+                 "--out", str(out)]) == 0
+    report = read_json(out / "report.json")
+    assert report["rank"] == 0
+    assert report["reconstruction_relative_error"] == 0.0
+    assert report["passed"] is True
 
 
 def test_experiment_tolerance_failure_exit_code(tmp_path):
@@ -100,6 +97,17 @@ def test_experiment_tolerance_failure_exit_code(tmp_path):
         ["experiment", "exp2", "--seed", "7", "--tol", "1e-18", "--out", str(tmp_path / "t")]
     )
     assert code == 1
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+def test_experiment_tolerance_must_be_positive_and_finite(tmp_path, capsys, tol):
+    # NaN and Infinity are not JSON, and a tolerance of inf passes every run.
+    out = tmp_path / "t"
+    with pytest.raises(SystemExit) as exc:
+        main(["experiment", "exp2", "--tol", tol, "--out", str(out)])
+    assert exc.value.code == 2
+    assert "is not a positive finite number" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_experiment_rejects_unknown_name(tmp_path):
@@ -251,6 +259,10 @@ def test_decompose_op_on_non_self_adjoint_exits_2(tmp_path):
          "--out", str(tmp_path / "x")]
     )
     assert code == 2
+    # `auto` falls back to the transform on the same square input.
+    out = tmp_path / "auto"
+    assert main(["decompose", str(path), "--groups", "1,1", "--out", str(out)]) == 0
+    assert read_json(out / "manifest.json")["algorithm"] == "transform"
 
 
 def test_decompose_keep_truncates(tmp_path):
@@ -530,11 +542,21 @@ def test_verify_bad_manifest_exits_2(tmp_path):
 def test_verify_unreadable_weights_and_factor_names_exit_2(tmp_path):
     # Found by test_fuzz_verify_manifests: an integer weight too large for a
     # float (OverflowError) and a factor name that resolves to a directory
-    # (IsADirectoryError) ended in tracebacks.
+    # (IsADirectoryError) ended in tracebacks.  Weights written as strings
+    # passed, a `true` weight read as 1.0, and NaN (a string or the JSON
+    # literal) exited 1 and printed NaN.
     src, manifest = make_verified_run(tmp_path)
     good = read_json(manifest)
     count = len(good["weights"])
     cases = [("weights", [10**400] * count)] + [
+        ("weights", bad)
+        for bad in (
+            [repr(w) for w in good["weights"]],
+            [True] + good["weights"][1:],
+            ["nan"] + good["weights"][1:],
+            [float("nan")] + good["weights"][1:],
+        )
+    ] + [
         ("factors", {**good["factors"], "u": [name] + good["factors"]["u"][1:]})
         for name in ("", "/", "..")
     ]

@@ -17,6 +17,7 @@ from tenspec import (
     gram_operator,
     inner,
     is_self_adjoint,
+    jacobi,
     norm,
     outer,
     random_tensor,
@@ -223,8 +224,26 @@ def test_sa_nnd_rank_one():
 def test_sa_nnd_rejects_asymmetric():
     arr = np.zeros((2, 2, 2, 2))
     arr[0, 0, 0, 1] = 1.0
+    asymmetric = GroupedTensor(DenseTensor(arr), (2, 2))
+    # Unequal group shapes are refused as well, before any eigensolve.
+    unequal = GroupedTensor(random_tensor((2, 3), 14), (1, 1))
+    for a in (asymmetric, unequal):
+        with pytest.raises(NotSelfAdjoint) as exc:
+            decompose_sa_nnd(a)
+        assert str(exc.value) == is_self_adjoint(a).reason
+
+
+def test_sa_nnd_measures_asymmetry_once(monkeypatch):
+    # The eigensolver's own symmetry check is the only measurement, on the
+    # accepted path and on the refused one.
+    measure, calls = jacobi.asymmetry, []
+    monkeypatch.setattr(jacobi, "asymmetry", lambda m: calls.append(m.shape) or measure(m))
+    src = GroupedTensor(random_tensor((3, 2, 3, 2), 5), (2, 2))
+    decompose_sa_nnd(gram_operator(src, side="right"))
+    assert calls == [(6, 6)]
     with pytest.raises(NotSelfAdjoint):
-        decompose_sa_nnd(GroupedTensor(DenseTensor(arr), (2, 2)))
+        decompose_sa_nnd(src)
+    assert calls == [(6, 6)] * 2
 
 
 def test_sa_nnd_rejects_indefinite():
