@@ -3,9 +3,13 @@
     python3 scripts/eig_ladder.py [--src DIR] [--sizes 16,32,...] [--repeats 5]
 
 Each order n gets one seeded random symmetric matrix (uniform entries in
-[-1, 1), symmetrized), solved `--repeats` times after one untimed warm-up
-solve.  One JSON line per order goes to stdout: the median and all times,
-the sweep count, max|V^T V - I| and the largest eigenvalue error against
+[-1, 1), symmetrized; indefinite, so `sym_eig` sweeps it two-sided) and one
+seeded Gaussian Gram G G^T (G n x n with standard normal entries; positive
+definite, so up to `SINGLE_BLOCK_MAX` it takes the one-sided path), each
+solved `--repeats` times after one untimed warm-up solve.  One JSON line
+per order goes to stdout: for the symmetric matrix at the top level and for
+the Gram under "gram", the median and all times, the sweep count,
+max|V^T V - I| and the largest eigenvalue error against
 `numpy.linalg.eigvalsh`, relative to max|lambda|.  `--src` selects the
 source tree to import, so two checkouts can be compared with one script;
 sweeps are read from `EigenResult.sweeps`.  BLAS threads are what the
@@ -29,6 +33,31 @@ def random_symmetric(n, seed):
     return 0.5 * (m + m.T)
 
 
+def gaussian_gram(n, seed):
+    g = np.random.Generator(np.random.PCG64(seed)).standard_normal((n, n))
+    return g @ g.T
+
+
+def measure(sym_eig, a, repeats):
+    res = sym_eig(a)
+    times = []
+    for _ in range(repeats):
+        started = time.perf_counter()
+        sym_eig(a)
+        times.append(time.perf_counter() - started)
+    v = res.vectors
+    reference = np.linalg.eigvalsh(a)[::-1]
+    return {
+        "median_s": round(statistics.median(times), 5),
+        "times_s": [round(t, 5) for t in times],
+        "sweeps": res.sweeps,
+        "ortho_err": float(np.abs(v.T @ v - np.eye(len(a))).max()),
+        "eig_rel_err": float(
+            np.abs(res.eigenvalues - reference).max() / np.abs(reference).max()
+        ),
+    }
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", default="src")
@@ -39,25 +68,8 @@ def main(argv=None):
     from tenspec import jacobi
 
     for n in (int(size) for size in args.sizes.split(",")):
-        a = random_symmetric(n, n)
-        res = jacobi.sym_eig(a)
-        times = []
-        for _ in range(args.repeats):
-            started = time.perf_counter()
-            jacobi.sym_eig(a)
-            times.append(time.perf_counter() - started)
-        v = res.vectors
-        reference = np.linalg.eigvalsh(a)[::-1]
-        row = {
-            "n": n,
-            "median_s": round(statistics.median(times), 5),
-            "times_s": [round(t, 5) for t in times],
-            "sweeps": res.sweeps,
-            "ortho_err": float(np.abs(v.T @ v - np.eye(n)).max()),
-            "eig_rel_err": float(
-                np.abs(res.eigenvalues - reference).max() / np.abs(reference).max()
-            ),
-        }
+        row = {"n": n, **measure(jacobi.sym_eig, random_symmetric(n, n), args.repeats)}
+        row["gram"] = measure(jacobi.sym_eig, gaussian_gram(n, n), args.repeats)
         print(json.dumps(row), flush=True)
 
 

@@ -74,7 +74,9 @@ class ExperimentSpec:
     ``groups`` partitions the source tensor's modes.  With ``gram_source``
     the decomposed operator is the gram of the grouped source (the way the
     canned SA-NND experiment builds its input); otherwise the source itself
-    is decomposed.  ``tolerance=None`` takes the algorithm's; the solver's
+    is decomposed.  ``tolerance=None`` takes the algorithm's; any other must
+    be a number in (0, inf) (ValueError otherwise): NaN and inf are not
+    JSON, and inf or one not above 0 decides every run alike.  The solver's
     cuts are ``jacobi.RANK_TOL``, ``SYMMETRY_TOL``, ``CONVERGENCE_TOL`` and ``MAX_SWEEPS``.
     """
 
@@ -85,6 +87,10 @@ class ExperimentSpec:
     seed: int = DEFAULT_SEED
     tolerance: Optional[float] = None
     gram_source: bool = False
+
+    def __post_init__(self):
+        if self.tolerance is not None and not 0.0 < self.tolerance < math.inf:
+            raise ValueError(f"tolerance {self.tolerance!r} is not a positive finite number")
 
 
 EXPERIMENTS = {

@@ -15,6 +15,10 @@ from .errors import InvalidAxis, InvalidSplit, ShapeMismatch
 
 # Largest element count the platform can address.
 MAX_ELEMENT_COUNT = np.iinfo(np.intp).max
+# The smallest normal float, 2^-1022, over the unit round-off 2^-53: a
+# square that underflowed lies under half an ulp of a sum this large, so it
+# cannot decide a norm whose sum of squares reaches it.
+_SAFE_SUM = 2.0**-969
 
 _EINSUM_LETTERS = string.ascii_lowercase + string.ascii_uppercase
 
@@ -204,14 +208,19 @@ def inner(x, y):
 def norm(x):
     """Frobenius-style tensor norm, sqrt(inner(x, x)).
 
-    Like LAPACK's dnrm2 the squares are summed on a copy scaled by a power
-    of two to max|x| < 1, so the sum neither overflows nor underflows: any
-    finite tensor gets a finite norm (unless the norm itself exceeds the
-    float range) and a nonzero one a nonzero norm.  Power-of-two scaling is
-    exact, so wherever the squares are normal floats the result is that of
-    the unscaled formula bit for bit.
+    A finite sum of squares of at least ``_SAFE_SUM`` gives the norm
+    directly.  Any other is summed again, like LAPACK's dnrm2, on a copy
+    scaled by a power of two to max|x| < 1, so the sum neither overflows nor
+    underflows: any finite tensor gets a finite norm (unless the norm itself
+    exceeds the float range) and a nonzero one a nonzero norm.
+    Power-of-two scaling is exact, so wherever the squares are normal floats
+    both routes give the same bits.
     """
     values = x.values
+    with np.errstate(over="ignore"):
+        total = float(np.dot(values, values))
+    if _SAFE_SUM <= total < math.inf:
+        return math.sqrt(total)
     exponent = math.frexp(float(np.abs(values).max()))[1]
     scaled = np.ldexp(values, -exponent)
     return math.ldexp(math.sqrt(float(np.dot(scaled, scaled))), exponent)

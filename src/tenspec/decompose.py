@@ -267,7 +267,8 @@ def is_self_adjoint(a):
     """Predicate: does swapping the two groups leave the tensor unchanged?
 
     Returns (ok, max_asymmetry, reason), truthy iff ok by ``jacobi.asymmetry``
-    of the unfolding; mismatched group shapes report ok=False, not raising.
+    of the unfolding; mismatched group shapes and non-finite entries report
+    ok=False with an infinite asymmetry, not raising.
     """
     _require_groups(a, 2, "is_self_adjoint")
     shapes = a.group_shapes
@@ -275,7 +276,10 @@ def is_self_adjoint(a):
         return SelfAdjointCheck(
             False, math.inf, f"group shapes differ: {shapes[0].dims} vs {shapes[1].dims}"
         )
-    asym, limit = jacobi.asymmetry(unfold(a.tensor, a.group_orders[0]).data)
+    matrix = unfold(a.tensor, a.group_orders[0]).data
+    if not np.isfinite(matrix).all():
+        return SelfAdjointCheck(False, math.inf, "operator has non-finite entries")
+    asym, limit = jacobi.asymmetry(matrix)
     if asym > limit:
         return SelfAdjointCheck(False, asym, _asymmetric(asym))
     return SelfAdjointCheck(True, asym)

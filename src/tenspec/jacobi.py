@@ -1,9 +1,9 @@
-"""Symmetric eigendecomposition by block Jacobi rotations.
+"""Symmetric eigendecomposition by Jacobi rotations, one- or two-sided.
 
-Self-contained on purpose: rotation parameters, sweep control, ordering and
-sign fixing are all implemented here, and no library eigensolver or
-factorization is called; numpy supplies elementwise arithmetic and BLAS
-matrix products only.
+Self-contained on purpose: rotation parameters, sweep control, ordering,
+the Cholesky factorization and sign fixing are all implemented here, and no
+library eigensolver or factorization is called; numpy supplies elementwise
+arithmetic and BLAS matrix products only.
 
 The kernel is a parallel-order Jacobi sweep in odd-even order (Brent & Luk
 1985; convergence: Luk & Park 1989).  An odd order is padded by one zero
@@ -17,20 +17,38 @@ i e^(i theta) = sqrt(z / |z|), z = -(|d| + tiny) + 2i apq sign(d),
 d = app - aqq, with z's parts divided by |z| as reals (numpy's complex /
 real division multiplies by a rounded reciprocal), so a zero pivot, the
 bye's included, gets exactly +-i: an exact signed swap.  Every pair is
-rotated and its pivot zeroed; the kernel has no skip test.  The transpose
-is copied into the other of two ping-pong buffers, where the same multiply
-rotates the rows.
+rotated; the kernel has no skip test.
 
-Up to ``SINGLE_BLOCK_MAX`` the kernel sweeps the whole matrix.  Larger
-matrices are padded with byes and cut into an even count of equal index
-blocks about ``BLOCK_WIDTH`` wide, met in the same odd-even order (block
-Jacobi; Bischof 1989, Golub & Van Loan section 8.5): a round's block pairs
-are adjacent slices of the diagonal, each pair's principal submatrix gets
-one kernel sweep, and the accumulated rotation reaches the whole matrix and
-the eigenvectors as matrix products.  That sweep reverses the pair, so its
-blocks trade places, and a block sweep leaves the whole order reversed just
-as a kernel sweep does.  On either path the reversal left by an odd sweep
-count is undone once, at the end.
+Which path runs is decided by the input.  A positive definite matrix of
+order up to ``SINGLE_BLOCK_MAX`` takes the one-sided path (implicit
+Cholesky Jacobi: Veselic & Hari 1989; preconditioned by the pivoted
+factor: Drmac & Veselic 2008; more accurate than two-sided Jacobi on such
+matrices: Demmel & Veselic 1992).  The library's own pivoted Cholesky loop
+gives X with X X^T = a, refused unless every pivot exceeds n * eps times
+the first, and the kernel rotates X's columns: for each pair, one square
+and one column sum of the complex view give d + 2i apq of X^T X, and the
+same multiply as above rotates the pair.  There is no transpose, no pivot
+zeroing and no accumulated eigenvector matrix: the normalized columns are
+the eigenvectors, and their Rayleigh quotients the eigenvalues.  Sweeps
+stop when no two columns have a cosine above ``CONVERGENCE_TOL``, measured
+from one product X^T X before every sweep, whose off-diagonal mass is
+reported.
+
+Every other matrix (indefinite, semidefinite or larger) takes the
+two-sided path.  The kernel multiplies the pair columns, copies the
+transpose into the other of two ping-pong buffers, where the same multiply
+rotates the rows, and zeros the pivots; sweeps stop when the off-diagonal
+mass falls below ``CONVERGENCE_TOL * ||a||_F``.  Up to ``SINGLE_BLOCK_MAX``
+the kernel sweeps the whole matrix.  Larger matrices are padded with byes
+and cut into an even count of equal index blocks about ``BLOCK_WIDTH`` wide,
+met in the same odd-even order (block Jacobi; Bischof 1989, Golub & Van
+Loan section 8.5): a round's block pairs are adjacent slices of the
+diagonal, each pair's principal submatrix gets one kernel sweep, and the
+accumulated rotation reaches the whole matrix and the eigenvectors as
+matrix products.  That sweep reverses the pair, so its blocks trade places,
+and a block sweep leaves the whole order reversed just as a kernel sweep
+does.  On every path the reversal left by an odd sweep count is undone
+once, at the end.
 """
 
 import math
@@ -41,8 +59,9 @@ import numpy as np
 from .errors import NoConvergence, NotSorted, NotSymmetric
 
 SYMMETRY_TOL = 1e-10
-# Sweeps stop once the off-diagonal Frobenius mass is below this share of
-# ||a||_F.  The off-diagonal mass left over becomes the error of every
+# Two-sided sweeps stop once the off-diagonal Frobenius mass is below this
+# share of ||a||_F, one-sided sweeps once no two columns of the factor have
+# a cosine above it.  What is left over becomes the error of every
 # eigenvector, and of each factor mapped through 1/sigma from them, so the
 # target sits near round-off: at 1e-12 the last sweep often landed between
 # 1e-13 and 1e-12, costing up to a digit of orthogonality and
@@ -60,10 +79,14 @@ RANK_TOL = 1e-10
 # 2.0e-14 against 1.1e-14.  So the cut stays at 256: below it the pairs
 # are no faster, and at 256 they save an eighth of the time for a third of
 # a digit.  BLOCK_WIDTH was tuned at n = 768 (BENCH_eig.json,
-# block_width_probe) and is kept.
+# block_width_probe) and is kept.  The one-sided path stops at the same
+# order: unblocked, it took 0.66 against 0.98 s on a Gaussian Gram at
+# n = 300, 3.74 against 3.93 s at n = 512, and 14.7 against 10.9 s on
+# exp1's operator at n = 768 (one solve each, same VM).
 SINGLE_BLOCK_MAX = 256
 BLOCK_WIDTH = 48
 _TINY = np.finfo(np.float64).tiny
+_EPS = np.finfo(np.float64).eps
 
 
 @dataclass(frozen=True)
@@ -74,7 +97,9 @@ class EigenResult:
     ``eigenvalues[p]``; ``rank`` counts eigenvalues above the relative rank
     threshold (the spectrum itself is never truncated here).  ``sweeps``
     counts the Jacobi sweeps taken and ``off_norm`` is the off-diagonal
-    Frobenius mass they left, on the scale of the input.
+    Frobenius mass they left, on the scale of the input: that of X^T X, for
+    the Cholesky factor X, on the one-sided path, and that of the rotated
+    matrix on the two-sided one (see ``sym_eig``).
     """
 
     eigenvalues: np.ndarray
@@ -127,6 +152,18 @@ def _padded(x, multiple=2):
     return padded
 
 
+def _half_angle(d, apq, factor, z, rotation):
+    # The rotations i e^(i theta) = sqrt(z / |z|) of the pairs with pivots
+    # d = app - aqq and apq, given as `factor` * apq.  z, rotation's parts as
+    # real pairs, is minus the z of tan(2 theta) = 2 apq / (aqq - app), so its
+    # root is +-i e^(i theta) with |theta| <= pi/4; `tiny` keeps |z| nonzero,
+    # and copysign gives d = 0 the angle pi/4.
+    np.subtract(-_TINY, np.abs(d), out=z[:, 0])
+    np.multiply(np.copysign(factor, d), apq, out=z[:, 1])
+    z /= np.abs(rotation)[:, None]
+    np.sqrt(rotation, out=rotation)
+
+
 def _odd_even(w, v):
     # Returns a function that runs one kernel sweep in place: w (m x m, m
     # even, C-contiguous) <- J^T w J and v <- v J.  Round r rotates the
@@ -155,14 +192,7 @@ def _odd_even(w, v):
     def sweep():
         for _ in range(m // 2):
             for app, aqq, apq, z, rotation, src, dst, src_c, dst_c, upper, lower, vc in rounds:
-                # z is minus the z of tan(2 theta) = 2 apq / (aqq - app), so
-                # its root is +-i e^(i theta) with |theta| <= pi/4; `tiny`
-                # keeps |z| nonzero, and copysign gives d = 0 the angle pi/4.
-                d = app - aqq
-                np.subtract(-_TINY, np.abs(d), out=z[:, 0])
-                np.multiply(np.copysign(2.0, d), apq, out=z[:, 1])
-                z /= np.abs(rotation)[:, None]
-                np.sqrt(rotation, out=rotation)
+                _half_angle(app - aqq, apq, 2.0, z, rotation)
                 np.multiply(src_c, rotation, out=src_c)
                 np.copyto(dst, src.T)
                 np.multiply(dst_c, rotation, out=dst_c)
@@ -201,16 +231,96 @@ def _block_sweep(w, v, width):
     return sweep
 
 
+def _pivoted_cholesky(w):
+    # X (n x m, m = n padded to even by a zero bye column) with X X^T = w:
+    # column k is the Cholesky factor's, pivoted on the largest remaining
+    # diagonal.  None unless every pivot exceeds n * eps times the first,
+    # that is, unless w is safely positive definite.
+    n = len(w)
+    x = np.zeros((n, n + n % 2))
+    left = np.diagonal(w).copy()  # the remaining Schur complement's diagonal
+    floor = n * _EPS * left.max()
+    pivots = []
+    for k in range(n):
+        p = int(np.argmax(left))
+        if not left[p] > floor:
+            return None
+        root = math.sqrt(left[p])
+        col = x[:, k]
+        np.subtract(w[:, p], x[:, :k] @ x[p, :k], out=col)
+        col /= root
+        pivots.append(p)
+        col[pivots] = 0.0
+        col[p] = root
+        left -= col * col
+        left[pivots] = -np.inf
+    return x
+
+
+def _one_sided(x):
+    # Returns a function that runs one kernel sweep in place on the columns
+    # of x (n x m, m even, C-contiguous): x <- x J, with J the rotations the
+    # kernel would apply to x^T x, in the same odd-even order, so a sweep
+    # leaves the columns reversed.  Each row's pair entries read as complex
+    # c = x_p + i x_q, so one square and one column sum give
+    # sum(c^2) = |x_p|^2 - |x_q|^2 + 2i x_p.x_q, the d and 2 apq of x^T x.
+    m = x.shape[1]
+    parts = np.empty((m // 2, 2))
+    sums = np.empty(m // 2, np.complex128)
+    rounds = []
+    for first in (0, 1):
+        k = (m - first) // 2
+        pairs = x[:, first : first + 2 * k].view(np.complex128)
+        rounds.append((
+            pairs, np.empty_like(pairs), sums[:k],
+            parts[:k], parts[:k].view(np.complex128)[:, 0],
+        ))
+
+    def sweep():
+        for _ in range(m // 2):
+            for pairs, squares, s, z, rotation in rounds:
+                np.square(pairs, out=squares)
+                np.sum(squares, axis=0, out=s)
+                _half_angle(s.real, s.imag, 1.0, z, rotation)
+                np.multiply(pairs, rotation, out=pairs)
+
+    return sweep
+
+
+def _cosines(x):
+    # The off-diagonal Frobenius mass of g = x^T x and the largest cosine
+    # |g_pq| / sqrt(g_pp g_qq) between two columns of x.  The bye, a zero
+    # column, has a zero row and column in g, which any finite scale keeps
+    # at zero.  g is reused in place, so no other m x m array is made.
+    g = x.T @ x
+    scale = 1.0 / np.sqrt(np.maximum(np.diagonal(g), _TINY))
+    np.fill_diagonal(g, 0.0)
+    off = math.sqrt(float(np.vdot(g, g)))
+    np.abs(g, out=g)
+    g *= scale
+    g *= scale[:, None]
+    return off, float(g.max())
+
+
 def sym_eig(a):
     """Eigendecomposition of a ``check_symmetric`` matrix via (block) Jacobi.
 
-    Stops when the off-diagonal Frobenius mass drops below
-    ``CONVERGENCE_TOL * ||a||_F``, tested before every sweep; raises
-    NoConvergence (carrying the residual) if it is still above after
-    ``MAX_SWEEPS`` sweeps.  Matrices of order above ``SINGLE_BLOCK_MAX`` are
-    swept in odd-even order over pairs of equal blocks of about
-    ``BLOCK_WIDTH`` indices, padded with zero byes.  Eigenvalues are returned
-    non-increasing with sign-fixed orthonormal eigenvector columns.
+    A matrix of order at most ``SINGLE_BLOCK_MAX`` whose pivoted Cholesky
+    factor X (X X^T = a, up to the power-of-two scaling) exists, with every
+    pivot above n * eps times the first, is solved by one-sided Jacobi on
+    X's columns: sweeps stop once no two columns have a cosine above
+    ``CONVERGENCE_TOL``, and the eigenvectors are the normalized columns,
+    the eigenvalues their Rayleigh quotients.  Any other matrix
+    (indefinite, semidefinite, or larger) is swept two-sided until its
+    off-diagonal Frobenius mass drops below ``CONVERGENCE_TOL * ||a||_F``;
+    above ``SINGLE_BLOCK_MAX`` in odd-even order over pairs of equal blocks
+    of about ``BLOCK_WIDTH`` indices, padded with zero byes.  ``sweeps``
+    counts the sweeps of the path taken; ``off_norm`` is the off-diagonal
+    Frobenius mass of X^T X on the one-sided path and of the swept matrix
+    on the two-sided one.  The test is made before every sweep; after
+    ``MAX_SWEEPS`` sweeps NoConvergence is raised, carrying that mass as
+    its residual.  Eigenvalues are returned non-increasing with sign-fixed
+    orthonormal eigenvector columns.
     """
     a = check_symmetric(a)
     n = a.shape[0]
@@ -224,28 +334,50 @@ def sym_eig(a):
     exponent = math.frexp(float(np.abs(a).max()))[1]
     half = np.ldexp(a, -exponent - 1)
     w = half + half.T
-    target = CONVERGENCE_TOL * math.sqrt(float((w * w).sum()))
-    width = math.ceil(n / (2 * math.ceil(n / (2 * BLOCK_WIDTH)))) if n > SINGLE_BLOCK_MAX else 1
-    w = _padded(w, 2 * width)
-    v = np.eye(n, len(w))
-    sweep = _block_sweep(w, v, width) if width > 1 else _odd_even(w, v)
-    off = _off_diagonal_norm(w)
+    x = _pivoted_cholesky(w) if n <= SINGLE_BLOCK_MAX else None
+    if x is None:
+        target = CONVERGENCE_TOL * math.sqrt(float((w * w).sum()))
+        width = math.ceil(n / (2 * math.ceil(n / (2 * BLOCK_WIDTH)))) if n > SINGLE_BLOCK_MAX else 1
+        w = _padded(w, 2 * width)
+        v = np.eye(n, len(w))
+        sweep = _block_sweep(w, v, width) if width > 1 else _odd_even(w, v)
+
+        def measure():
+            off = _off_diagonal_norm(w)
+            return off, off <= target
+    else:
+        v = x
+        sweep = _one_sided(x)
+
+        def measure():
+            off, cosine = _cosines(x)
+            return off, cosine <= CONVERGENCE_TOL
+
+    off, converged = measure()
     sweeps = 0
-    while off > target:
+    while not converged:
         if sweeps >= MAX_SWEEPS:
-            off, target = math.ldexp(off, exponent), math.ldexp(target, exponent)
+            off = math.ldexp(off, exponent)
             raise NoConvergence(
-                f"Jacobi sweeps exhausted: off-diagonal {off:.3e} above "
-                f"target {target:.3e} after {MAX_SWEEPS} sweeps",
+                f"Jacobi sweeps exhausted: off-diagonal {off:.3e} left after "
+                f"{MAX_SWEEPS} sweeps",
                 residual=off,
             )
         sweep()
         sweeps += 1
-        off = _off_diagonal_norm(w)
-    if sweeps % 2:
-        # Undone, the reversal puts the byes back past index n, unread.
-        w, v = w[::-1, ::-1], v[:, ::-1]
-    eigenvalues = np.ldexp(np.diagonal(w)[:n], exponent)
+        off, converged = measure()
+    # Undone, the reversal left by an odd sweep count puts the byes back
+    # past index n, unread.
+    undo = slice(None, None, -1 if sweeps % 2 else 1)
+    v = v[:, undo][:, :n]
+    if x is None:
+        eigenvalues = np.diagonal(w)[undo][:n]
+    else:
+        # Rayleigh quotients u^T w u, not squared column norms: an exact
+        # input stays exact (squared norms give 1 + eps for the identity).
+        v = v / np.sqrt((v * v).sum(axis=0))
+        eigenvalues = (v * (w @ v)).sum(axis=0)
+    eigenvalues = np.ldexp(eigenvalues, exponent)
     order = np.argsort(-eigenvalues, kind="stable")
     eigenvalues = eigenvalues[order]
     vectors = np.ascontiguousarray(v[:, order])

@@ -1,6 +1,7 @@
 """Command line: experiments, decompose/verify round trips, determinism."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -123,6 +124,17 @@ def test_experiment_spec_registry():
     assert spec.gram_source
     with pytest.raises(ValueError):
         experiment_spec("nope")
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-8])
+def test_experiment_spec_refuses_tolerance_outside_open_interval(tol):
+    # The library path refuses what `--tol` refuses, before anything runs,
+    # so report.json can never hold NaN or Infinity.
+    with pytest.raises(ValueError, match="is not a positive finite number"):
+        experiment_spec("exp2", tolerance=tol)
+    with pytest.raises(ValueError, match="is not a positive finite number"):
+        ExperimentSpec("probe", (2, 2), (1, 1), "transform", tolerance=tol)
+    assert experiment_spec("exp2", tolerance=1e-3).tolerance == 1e-3
 
 
 # -------------------------------------------------------------- decompose

@@ -122,6 +122,22 @@ def test_norm_scaled_by_a_power_of_two():
         assert norm(DenseTensor(np.ldexp(x.data, k))) == math.ldexp(norm(x), k)
 
 
+def scaled_norm(values):
+    # The scaled route alone: squares summed on a copy scaled to max|x| < 1.
+    exponent = math.frexp(float(np.abs(values).max()))[1]
+    scaled = np.ldexp(values, -exponent)
+    return math.ldexp(math.sqrt(float(np.dot(scaled, scaled))), exponent)
+
+
+@pytest.mark.parametrize("k", [0, -500, 500])
+def test_norm_equals_the_scaled_route_bit_for_bit(k):
+    # The direct sum of squares is taken when it is safely normal, which it
+    # is at k = 0 and 500; either way the bits are the scaled route's.
+    for seed, dims in enumerate([(7,), (6, 5, 4), (64, 32, 32), (3, 1000)]):
+        values = np.ldexp(seeded(dims, 40 + seed).data, k)
+        assert norm(DenseTensor(values)) == scaled_norm(values.reshape(-1)), (dims, k)
+
+
 # ----------------------------------------------------------------- outer
 
 

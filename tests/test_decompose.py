@@ -33,6 +33,7 @@ from tenspec.errors import (
     InvalidKeep,
     NotNND,
     NotSelfAdjoint,
+    NotSymmetric,
     ShapeMismatch,
     TenspecError,
 )
@@ -197,6 +198,20 @@ def test_self_adjoint_group_shape_mismatch():
     check = is_self_adjoint(GroupedTensor(random_tensor((2, 3), 14), (1, 1)))
     assert not check
     assert "differ" in check.reason
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_self_adjoint_refuses_non_finite_operators(bad):
+    # NaN compares false and an infinite entry makes the bound infinite, so
+    # neither may reach the asymmetry measurement.  decompose_sa_nnd keeps
+    # refusing them through the eigensolver's own check.
+    for entries in ([[1.0, bad], [bad, 1.0]], [[1.0, bad], [0.0, 1.0]]):
+        a = GroupedTensor(DenseTensor(entries, check_finite=False), (1, 1))
+        check = is_self_adjoint(a)
+        assert (check.ok, check.max_asymmetry) == (False, math.inf)
+        assert check.reason == "operator has non-finite entries"
+        with pytest.raises(NotSymmetric, match="matrix has non-finite entries"):
+            decompose_sa_nnd(a)
 
 
 # -------------------------------------------------------- decompose_sa_nnd

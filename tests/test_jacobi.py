@@ -214,12 +214,14 @@ def operator_matrix(group, seed):
 
 def sweep_cases():
     # The `operator` inputs of seed 1 (n = 48, 72, 96), two odd orders, and
-    # two block-path orders padded with byes (257 by one, 300 by four).  Each
-    # count is the one the odd-even kernel takes; the round-robin kernel
-    # before it took the same except at n = 45 (7).
+    # two block-path orders padded with byes (257 by one, 300 by four).  The
+    # operators are positive definite and take the one-sided path (two-sided,
+    # they took 8, 9 and 10 sweeps); the random matrices are indefinite, and
+    # each count is the one the two-sided odd-even kernel takes.  The
+    # round-robin kernel before it took the same except at n = 45 (7).
     seeds = [int(s) for s in np.random.default_rng(1).integers(0, 2**31, size=3)]
     groups = ((8, 2, 3), (8, 3, 3), (8, 4, 3))
-    cases = [(operator_matrix(g, s), count) for g, s, count in zip(groups, seeds, (8, 9, 10))]
+    cases = [(operator_matrix(g, s), count) for g, s, count in zip(groups, seeds, (7, 7, 8))]
     cases += [(random_symmetric(45, 11), 8), (random_symmetric(97, 14), 8)]
     cases += [(random_symmetric(257, 16), 9), (random_symmetric(300, 4242), 9)]
     return cases
@@ -344,12 +346,88 @@ def test_block_diagonal_solved_bit_exactly():
 
 
 def test_orthonormality_at_n96():
-    # Half-angle rotations normalized by real division: on a seeded n = 96
-    # Gaussian Gram the eigenvectors are orthonormal to 8.4e-15, where
-    # cosine-sine rotations with a skip mask leave 2.7e-14.
+    # A seeded n = 96 Gaussian Gram is positive definite, so it takes the
+    # one-sided path: its eigenvectors are orthonormal to 1.3e-15.  The
+    # two-sided half-angle kernel left 8.4e-15 on it, and cosine-sine
+    # rotations with a skip mask 2.7e-14.  The indefinite matrix keeps the
+    # two-sided kernel to the same bound (5.8e-15).
     g = np.random.Generator(np.random.PCG64(96)).standard_normal((96, 96))
-    v = sym_eig(g @ g.T).vectors
-    assert np.abs(v.T @ v - np.eye(96)).max() <= 1.2e-14
+    for a in (g @ g.T, random_symmetric(96, 96)):
+        v = sym_eig(a).vectors
+        assert np.abs(v.T @ v - np.eye(96)).max() <= 1.2e-14
+
+
+def graded_definite(n, seed, decades=12):
+    # Q diag(1 ... 10^-decades) Q^T with Q orthonormalized from a seeded
+    # Gaussian: positive definite with condition number 10^decades.
+    q = gram_schmidt(np.random.Generator(np.random.PCG64(seed)).standard_normal((n, n)))
+    a = (q * np.logspace(0, -decades, n)) @ q.T
+    return 0.5 * (a + a.T)
+
+
+@pytest.mark.parametrize("n", [33, 48])
+def test_graded_definite_orthonormal_to_round_off(n):
+    # One-sided Jacobi on the pivoted Cholesky factor: 7 sweeps and
+    # orthonormality of 4.4e-16 to 8.9e-16 on these inputs, where the
+    # two-sided kernel took 12 to 14 sweeps and left 3.0e-15 to 6.0e-15.  At
+    # n = 33 the bye column pads the factor.
+    for seed in (0, 1):
+        a = graded_definite(n, seed)
+        res = sym_eig(a)
+        v = res.vectors
+        assert np.abs(v.T @ v - np.eye(n)).max() <= 1.5e-15, seed
+        assert_eigen_invariants(a, res)
+
+
+def test_definite_identity_is_exact():
+    # Rayleigh quotients, not squared column norms, give the eigenvalues.
+    res = sym_eig(np.eye(7))
+    assert res.eigenvalues.tobytes() == np.ones(7).tobytes()
+    assert res.vectors.tobytes() == np.eye(7).tobytes()
+    assert (res.sweeps, res.off_norm) == (0, 0.0)
+
+
+def test_no_convergence_on_definite_path(monkeypatch):
+    # The residual on the one-sided path is the off-diagonal mass of
+    # X^T X, which a sweep must shrink.
+    a = graded_definite(20, 5)
+    assert jacobi._pivoted_cholesky(a) is not None
+    monkeypatch.setattr(jacobi, "MAX_SWEEPS", 0)
+    with pytest.raises(NoConvergence) as exc:
+        sym_eig(a)
+    start = exc.value.residual
+    assert start is not None and start > 0.0
+    monkeypatch.setattr(jacobi, "MAX_SWEEPS", 1)
+    with pytest.raises(NoConvergence) as exc:
+        sym_eig(a)
+    assert 0.0 < exc.value.residual < start
+
+
+def test_pivoted_cholesky_factors_definite_matrices_only():
+    a = graded_definite(9, 3, decades=6)
+    x = jacobi._pivoted_cholesky(a)
+    assert x.shape == (9, 10) and not x[:, 9].any()
+    assert np.abs(x @ x.T - a).max() <= 1e-15
+    # Semidefinite (a Gram of rank 2) and indefinite: no factor.
+    g = np.random.Generator(np.random.PCG64(4)).standard_normal((6, 2))
+    assert jacobi._pivoted_cholesky(g @ g.T) is None
+    assert jacobi._pivoted_cholesky(np.diag([1.0, 0.5, -1e-3])) is None
+
+
+@pytest.mark.parametrize("n", [24, 25])
+def test_rank_deficient_and_indefinite_take_the_two_sided_path(n, monkeypatch):
+    # Neither has a Cholesky factor, so neither may reach the one-sided
+    # kernel; each still gets a full orthonormal basis.
+    def refuse(x):
+        raise AssertionError("one-sided kernel reached")
+
+    monkeypatch.setattr(jacobi, "_one_sided", refuse)
+    g = np.random.Generator(np.random.PCG64(n)).standard_normal((n, n // 3))
+    for a in (g @ g.T, random_symmetric(n, n)):
+        res = sym_eig(a)
+        assert res.vectors.shape == (n, n)
+        assert_eigen_invariants(a, res)
+    assert sym_eig(g @ g.T).rank == n // 3
 
 
 def test_trace_preserved():
