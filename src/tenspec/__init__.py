@@ -8,14 +8,9 @@ with full reconstruction and oracle-based verification.
 
 from .core import (
     DenseTensor,
-    IndexMap,
     Shape,
-    build_index_map,
     contract,
-    fold,
-    inner,
     norm,
-    outer,
     random_tensor,
     unfold,
 )
@@ -24,7 +19,6 @@ from .decompose import (
     OperatorDecomposition,
     TransformDecomposition,
     TripleDecomposition,
-    apply_operator,
     component_count,
     decompose_sa_nnd,
     decompose_transform,
@@ -35,12 +29,7 @@ from .decompose import (
     residual_curve,
 )
 from .jacobi import EigenResult, numerical_rank, sym_eig
-from .oracle import (
-    OracleReport,
-    matricized_singulars,
-    naive_contract,
-    verify_decomposition,
-)
+from .oracle import OracleReport, matricized_singulars, verify_decomposition
 from .tz1 import read_tensor, write_tensor
 
 __version__ = "0.1.0"
@@ -49,28 +38,21 @@ __all__ = [
     "DenseTensor",
     "EigenResult",
     "GroupedTensor",
-    "IndexMap",
     "OperatorDecomposition",
     "OracleReport",
     "Shape",
     "TransformDecomposition",
     "TripleDecomposition",
-    "apply_operator",
-    "build_index_map",
     "component_count",
     "contract",
     "decompose_sa_nnd",
     "decompose_transform",
     "decompose_triple",
-    "fold",
     "gram_operator",
-    "inner",
     "is_self_adjoint",
     "matricized_singulars",
-    "naive_contract",
     "norm",
     "numerical_rank",
-    "outer",
     "random_tensor",
     "read_tensor",
     "reconstruct",

@@ -75,8 +75,9 @@ class ExperimentSpec:
     the decomposed operator is the gram of the grouped source (the way the
     canned SA-NND experiment builds its input); otherwise the source itself
     is decomposed.  ``tolerance=None`` takes the algorithm's; any other must
-    be a number in (0, inf) (ValueError otherwise): NaN and inf are not
-    JSON, and inf or one not above 0 decides every run alike.  The solver's
+    be an int or float, not a bool, in (0, inf) (ValueError otherwise): NaN
+    and inf are not JSON, and inf or one not above 0 decides every run
+    alike.  The solver's
     cuts are ``jacobi.RANK_TOL``, ``SYMMETRY_TOL``, ``CONVERGENCE_TOL`` and ``MAX_SWEEPS``.
     """
 
@@ -89,7 +90,8 @@ class ExperimentSpec:
     gram_source: bool = False
 
     def __post_init__(self):
-        if self.tolerance is not None and not 0.0 < self.tolerance < math.inf:
+        tol = self.tolerance  # type() is exact: a bool is no tolerance
+        if tol is not None and (type(tol) not in (int, float) or not 0.0 < tol < math.inf):
             raise ValueError(f"tolerance {self.tolerance!r} is not a positive finite number")
 
 

@@ -1,9 +1,9 @@
-"""Dense real tensors with row-major linearization and contraction primitives.
+"""Dense real tensors with row-major linearization, their norm and contraction.
 
 Every value in the library is a :class:`DenseTensor`: an order-d array of
-64-bit floats stored contiguously with the last index varying fastest.  The
-same enumeration order drives :class:`IndexMap`, so unfolding a mode group is
-a pure reinterpretation of the storage, never a permutation.
+64-bit floats stored contiguously with the last index varying fastest, so
+unfolding a mode group is a pure reinterpretation of the storage, never a
+permutation.
 """
 
 import math
@@ -71,13 +71,6 @@ class Shape:
         return f"Shape{self.dims}"
 
 
-def as_shape(obj):
-    """Coerce a Shape or an iterable of extents into a Shape."""
-    if isinstance(obj, Shape):
-        return obj
-    return Shape(obj)
-
-
 class DenseTensor:
     """Order-d real tensor backed by a contiguous row-major float64 array.
 
@@ -97,10 +90,6 @@ class DenseTensor:
         if check_finite and not np.isfinite(arr).all():
             raise ValueError("tensor values must be finite")
         self.data = arr
-
-    @classmethod
-    def zeros(cls, shape):
-        return cls(np.zeros(as_shape(shape).dims), check_finite=False)
 
     @property
     def shape(self):
@@ -151,62 +140,8 @@ def _require_same_shape(x, y, what):
         raise ShapeMismatch(f"cannot {what} tensors of shapes {x.dims} and {y.dims}")
 
 
-class IndexMap:
-    """Bijection between the multi-indices of a shape and linear indices.
-
-    ``rows[m]`` is the zero-based multi-index assigned to linear index m.
-    Enumeration is row-major lexicographic (last coordinate fastest), the
-    order in which :class:`DenseTensor` stores its values.
-    """
-
-    __slots__ = ("shape", "rows", "_strides")
-
-    def __init__(self, shape, rows):
-        self.shape = as_shape(shape)
-        self.rows = np.asarray(rows, dtype=np.intp)
-        strides = [1] * self.shape.order
-        for k in range(self.shape.order - 2, -1, -1):
-            strides[k] = strides[k + 1] * self.shape.dims[k + 1]
-        self._strides = tuple(strides)
-
-    def __len__(self):
-        return self.shape.element_count
-
-    def row(self, m):
-        """Multi-index mapped to linear index m."""
-        return tuple(int(v) for v in self.rows[m])
-
-    def linearize(self, multi_index):
-        """Linear index of a multi-index; inverse of :meth:`row`."""
-        coords = tuple(int(c) for c in multi_index)
-        if len(coords) != self.shape.order:
-            raise ValueError(
-                f"multi-index length {len(coords)} != order {self.shape.order}"
-            )
-        m = 0
-        for c, extent, stride in zip(coords, self.shape.dims, self._strides):
-            if not 0 <= c < extent:
-                raise ValueError(f"coordinate {c} outside [0, {extent - 1}]")
-            m += c * stride
-        return m
-
-
-def build_index_map(shape):
-    """Enumerate all multi-indices of ``shape`` in storage order."""
-    shape = as_shape(shape)
-    lin = np.arange(shape.element_count, dtype=np.intp)
-    rows = np.stack(np.unravel_index(lin, shape.dims), axis=1)
-    return IndexMap(shape, rows)
-
-
-def inner(x, y):
-    """Inner product: the sum of elementwise products over all positions."""
-    _require_same_shape(x, y, "take the inner product of")
-    return float(np.dot(x.values, y.values))
-
-
 def norm(x):
-    """Frobenius-style tensor norm, sqrt(inner(x, x)).
+    """Frobenius-style tensor norm: the square root of the sum of squares.
 
     A finite sum of squares of at least ``_SAFE_SUM`` gives the norm
     directly.  Any other is summed again, like LAPACK's dnrm2, on a copy
@@ -238,15 +173,6 @@ def relative_error(reference, candidate):
     return 0.0 if diff == 0.0 else math.inf
 
 
-def outer(x, y):
-    """Outer product; result modes are x's modes followed by y's modes."""
-    if x.size * y.size > MAX_ELEMENT_COUNT:
-        raise OverflowError(
-            f"outer product of {x.size} x {y.size} elements exceeds addressing limits"
-        )
-    return DenseTensor(np.multiply.outer(x.data, y.data), check_finite=False)
-
-
 def _check_axes(t, axes, label):
     axes = tuple(int(a) for a in axes)
     seen = set()
@@ -265,7 +191,8 @@ def contract(x, y, axes_x, axes_y):
     ``axes_x[t]`` of x is summed against ``axes_y[t]`` of y; the paired
     extents must match.  The result keeps x's free modes (in order) followed
     by y's free modes.  Contracting every mode of both yields a shape-(1,)
-    tensor holding the scalar, which equals ``inner`` for equal shapes.
+    tensor holding the scalar: for equal shapes, the sum of the elementwise
+    products.
 
     Summation runs in a fixed stride order (no intermediate transposes), so
     results are bit-reproducible on a given platform.
@@ -306,32 +233,16 @@ def unfold(x, split):
     """Reinterpret x as the (N x M) matrix over its first ``split`` modes.
 
     N is the product of the first ``split`` extents and M the product of the
-    rest; entry (n, m) is the value whose multi-index concatenates row n of
-    the leading group's IndexMap with row m of the trailing group's.  With
-    row-major storage this is a zero-copy reshape, so ``fold`` restores the
-    original tensor bit-exactly.
+    rest; entry (n, m) is the value whose multi-index concatenates the n-th
+    multi-index of the leading modes with the m-th of the trailing ones,
+    each group enumerated in storage order (last index fastest).  With
+    row-major storage this is a zero-copy reshape of the same values.
     """
     if not 1 <= split <= x.order - 1:
         raise InvalidSplit(f"split {split} not in [1, {x.order - 1}]")
     n = int(np.prod(x.dims[:split]))
     m = int(np.prod(x.dims[split:]))
     return DenseTensor(x.data.reshape(n, m), check_finite=False)
-
-
-def fold(matrix, shape, split):
-    """Inverse of :func:`unfold`: reshape an (N x M) matrix back to ``shape``."""
-    shape = as_shape(shape)
-    if not 1 <= split <= shape.order - 1:
-        raise InvalidSplit(f"split {split} not in [1, {shape.order - 1}]")
-    if matrix.order != 2:
-        raise ShapeMismatch(f"expected an order-2 tensor, got order {matrix.order}")
-    n = int(np.prod(shape.dims[:split]))
-    m = int(np.prod(shape.dims[split:]))
-    if matrix.dims != (n, m):
-        raise ShapeMismatch(
-            f"matrix shape {matrix.dims} does not match split {split} of {shape.dims}"
-        )
-    return DenseTensor(matrix.data.reshape(shape.dims), check_finite=False)
 
 
 def random_tensor(shape, seed):
@@ -341,7 +252,7 @@ def random_tensor(shape, seed):
     storage order, so a given (shape, seed) pair reproduces bit-identical
     values on any platform with the same numpy generation code.
     """
-    shape = as_shape(shape)
+    shape = Shape(shape)
     rng = np.random.Generator(np.random.PCG64(int(seed)))
     vals = rng.random(shape.element_count) * 2.0 - 1.0
     return DenseTensor(vals.reshape(shape.dims), check_finite=False)

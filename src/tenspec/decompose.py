@@ -34,7 +34,6 @@ from .errors import (
     NotNND,
     NotSelfAdjoint,
     NotSymmetric,
-    ShapeMismatch,
     TenspecError,
 )
 
@@ -79,11 +78,6 @@ class GroupedTensor:
             shapes.append(Shape(self.tensor.dims[start : start + g]))
             start += g
         return tuple(shapes)
-
-    def positions(self, group):
-        """Mode positions of one group within the tensor."""
-        start = sum(self.group_orders[:group])
-        return tuple(range(start, start + self.group_orders[group]))
 
     def __repr__(self):
         return f"GroupedTensor(dims={self.tensor.dims}, groups={self.group_orders})"
@@ -227,19 +221,6 @@ class TripleDecomposition:
 def _require_groups(a, n, what):
     if a.group_count != n:
         raise GroupingMismatch(f"{what} needs {n} groups, got {a.group_count}")
-
-
-def apply_operator(a, x):
-    """Apply a two-group tensor to x by contracting the second group."""
-    _require_groups(a, 2, "apply_operator")
-    shapes = a.group_shapes
-    if x.dims != shapes[1].dims:
-        raise ShapeMismatch(
-            f"operand shape {x.dims} does not match second group {shapes[1].dims}"
-        )
-    m = unfold(a.tensor, a.group_orders[0]).data
-    y = m @ x.data.reshape(-1)
-    return DenseTensor(y.reshape(shapes[0].dims), check_finite=False)
 
 
 def gram_operator(a, side="right"):

@@ -2,12 +2,12 @@
 
 Deliberately disjoint from the main path: singular values come from
 LAPACK's SVD of the unfolded matrix itself (never from the Gram spectrum
-the decompositions diagonalize with their own Jacobi solver), contraction
-is redone with explicit nested loops, and reconstructions are replayed
-term by term: every component's weighted first-family row and the outer
-product of its other rows are formed explicitly, a block of components at
-a time, and each block is summed with one matrix product, never through
-the grouped first-family sums of ``reconstruct``.  Shared code is limited
+the decompositions diagonalize with their own Jacobi solver), and
+reconstructions are replayed term by term: every component's weighted
+first-family row and the outer product of its other rows are formed
+explicitly, a block of components at a time, and each block is summed with
+one matrix product, never through the grouped first-family sums of
+``reconstruct``.  Shared code is limited
 to tensor storage, the error measure ``core.relative_error``, and the
 records' ``terms()`` layout: each factor family one array of flattened
 factors with a row index per component.
@@ -16,13 +16,12 @@ factors with a row index per component.
 import functools
 import math
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
 from .core import DenseTensor, relative_error
 from .decompose import reconstructed_dims
-from .errors import GroupingMismatch, InvalidAxis, ShapeMismatch
+from .errors import GroupingMismatch
 
 RANK_TOL = 1e-10
 # Elements of a replay block's outer-product rows (B components x the
@@ -54,58 +53,6 @@ def matricized_singulars(a):
     n = int(np.prod(a.tensor.dims[: a.group_orders[0]]))
     sig = np.linalg.svd(a.tensor.data.reshape(n, -1), compute_uv=False)
     return sig[sig > RANK_TOL * sig[0]]
-
-
-def naive_contract(x, y, axes_x, axes_y):
-    """Contraction semantics redone with explicit nested loops.
-
-    Same contract as the stride-based implementation (including the
-    shape-(1,) result when no free modes remain) but every output entry is
-    a plain scalar summation over the shared index box.
-    """
-    axes_x = _check_axes(x, axes_x)
-    axes_y = _check_axes(y, axes_y)
-    if len(axes_x) != len(axes_y):
-        raise InvalidAxis(f"axis lists must pair up, got {len(axes_x)} vs {len(axes_y)}")
-    for ax, ay in zip(axes_x, axes_y):
-        if x.dims[ax] != y.dims[ay]:
-            raise ShapeMismatch(
-                f"contracted extents differ: x mode {ax} has {x.dims[ax]}, "
-                f"y mode {ay} has {y.dims[ay]}"
-            )
-    free_x = [k for k in range(x.order) if k not in axes_x]
-    free_y = [k for k in range(y.order) if k not in axes_y]
-    out_dims = tuple(x.dims[k] for k in free_x) + tuple(y.dims[k] for k in free_y)
-    out = np.zeros(out_dims or (1,))
-    shared = [range(x.dims[ax]) for ax in axes_x]
-    ix = [0] * x.order
-    iy = [0] * y.order
-    for fx in product(*(range(x.dims[k]) for k in free_x)):
-        for k, c in zip(free_x, fx):
-            ix[k] = c
-        for fy in product(*(range(y.dims[k]) for k in free_y)):
-            for k, c in zip(free_y, fy):
-                iy[k] = c
-            total = 0.0
-            for ks in product(*shared):
-                for ax, ay, c in zip(axes_x, axes_y, ks):
-                    ix[ax] = c
-                    iy[ay] = c
-                total += float(x.data[tuple(ix)]) * float(y.data[tuple(iy)])
-            out[fx + fy if out_dims else (0,)] = total
-    return DenseTensor(out, check_finite=False)
-
-
-def _check_axes(t, axes):
-    axes = tuple(int(a) for a in axes)
-    seen = set()
-    for a in axes:
-        if not 0 <= a < t.order:
-            raise InvalidAxis(f"position {a} out of range for order {t.order}")
-        if a in seen:
-            raise InvalidAxis(f"position {a} repeated")
-        seen.add(a)
-    return axes
 
 
 def replay_reconstruction(decomposition):

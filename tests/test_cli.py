@@ -10,8 +10,6 @@ from hypothesis import given, settings, strategies as st
 from tenspec import (
     DenseTensor,
     GroupedTensor,
-    norm,
-    outer,
     random_tensor,
     read_tensor,
     write_tensor,
@@ -24,10 +22,7 @@ from tenspec.cli import (
     run_verify,
 )
 
-
-def unit(dims, seed):
-    t = random_tensor(dims, seed)
-    return t * (1.0 / norm(t))
+from helpers import unit
 
 
 def read_json(path):
@@ -84,7 +79,7 @@ def test_decompose_zero_tensor(tmp_path):
     # The degenerate zero-tensor path: no components, and 0/0 counts as an
     # exact reconstruction.
     path, out = tmp_path / "zero.tz1", tmp_path / "zero"
-    write_tensor(path, DenseTensor.zeros((2, 2, 2)))
+    write_tensor(path, DenseTensor(np.zeros((2, 2, 2))))
     assert main(["decompose", str(path), "--groups", "1,2", "--algorithm", "transform",
                  "--out", str(out)]) == 0
     report = read_json(out / "report.json")
@@ -126,10 +121,11 @@ def test_experiment_spec_registry():
         experiment_spec("nope")
 
 
-@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-8])
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-8, True, "1e-8"])
 def test_experiment_spec_refuses_tolerance_outside_open_interval(tol):
     # The library path refuses what `--tol` refuses, before anything runs,
-    # so report.json can never hold NaN or Infinity.
+    # so report.json can never hold NaN, Infinity or `true`; a string is
+    # refused with the same ValueError, not a TypeError from comparing it.
     with pytest.raises(ValueError, match="is not a positive finite number"):
         experiment_spec("exp2", tolerance=tol)
     with pytest.raises(ValueError, match="is not a positive finite number"):
@@ -143,7 +139,7 @@ def test_experiment_spec_refuses_tolerance_outside_open_interval(tol):
 def test_decompose_rank_one_round_trip(tmp_path):
     u = unit((2, 2), 60)
     v = unit((3,), 61)
-    t = 2.5 * outer(u, v)
+    t = DenseTensor(2.5 * np.multiply.outer(u.data, v.data))
     src = tmp_path / "rank1.tz1"
     write_tensor(src, t)
     out = tmp_path / "fac"

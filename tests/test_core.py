@@ -1,24 +1,12 @@
-"""Tensor storage, index maps, and contraction primitives."""
+"""Tensor storage, norm, unfolding and contraction."""
 
-import itertools
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tenspec import (
-    DenseTensor,
-    Shape,
-    build_index_map,
-    contract,
-    fold,
-    inner,
-    norm,
-    outer,
-    random_tensor,
-    unfold,
-)
+from tenspec import DenseTensor, Shape, contract, norm, random_tensor, unfold
 from tenspec.errors import InvalidAxis, InvalidSplit, ShapeMismatch
 
 small_shapes = st.lists(st.integers(1, 4), min_size=1, max_size=4).map(tuple)
@@ -62,49 +50,11 @@ def test_scalar_input_becomes_shape_1():
     assert t.values[0] == 5.0
 
 
-# ----------------------------------------------------------- inner / norm
-
-
-def test_inner_all_ones():
-    x = DenseTensor(np.ones((2, 3)))
-    assert inner(x, x) == 6.0
-
-
-def test_inner_disjoint_supports_is_zero():
-    a = np.zeros((2, 2, 2))
-    b = np.zeros((2, 2, 2))
-    a[0, 0, 0] = 3.5
-    a[1, 0, 1] = -2.0
-    b[0, 1, 1] = 7.0
-    b[1, 1, 0] = 4.0
-    assert inner(DenseTensor(a), DenseTensor(b)) == 0.0
-
-
-def test_inner_matches_flat_loop_oracle():
-    x = seeded((3, 3, 3), 101)
-    y = seeded((3, 3, 3), 202)
-    expected = 0.0
-    for xv, yv in zip(x.values.tolist(), y.values.tolist()):
-        expected += xv * yv
-    assert inner(x, y) == pytest.approx(expected, rel=1e-12)
-
-
-def test_inner_shape_mismatch():
-    with pytest.raises(ShapeMismatch):
-        inner(DenseTensor(np.ones((2, 2))), DenseTensor(np.ones((4,))))
-
-
-def test_inner_symmetry_and_cauchy_schwarz():
-    for seed in range(20):
-        x = seeded((4, 5), 2 * seed)
-        y = seeded((4, 5), 2 * seed + 1)
-        assert inner(x, y) == inner(y, x)
-        bound = norm(x) * norm(y)
-        assert abs(inner(x, y)) <= bound * (1.0 + 1e-9)
+# ------------------------------------------------------------------ norm
 
 
 def test_norm_cases():
-    assert norm(DenseTensor.zeros((3, 2, 5))) == 0.0
+    assert norm(DenseTensor(np.zeros((3, 2, 5)))) == 0.0
     assert norm(DenseTensor([-3.0])) == 3.0
     assert norm(DenseTensor(np.ones((4, 4)))) == 4.0
 
@@ -138,46 +88,19 @@ def test_norm_equals_the_scaled_route_bit_for_bit(k):
         assert norm(DenseTensor(values)) == scaled_norm(values.reshape(-1)), (dims, k)
 
 
-# ----------------------------------------------------------------- outer
-
-
-def test_outer_hand_example():
-    x = DenseTensor([1.0, 2.0])
-    y = DenseTensor([3.0, 4.0])
-    z = outer(x, y)
-    assert z.dims == (2, 2)
-    assert np.array_equal(z.data, [[3.0, 4.0], [6.0, 8.0]])
-
-
-def test_outer_with_scalar_like_is_scaling():
-    c = DenseTensor([2.5])
-    y = seeded((3, 2), 7)
-    z = outer(c, y)
-    assert z.dims == (1, 3, 2)
-    assert np.array_equal(z.data[0], 2.5 * y.data)
-
-
-def test_outer_fibers_proportional_to_second_factor():
-    x = seeded((2, 2), 11)
-    y = seeded((3,), 12)
-    z = outer(x, y)
-    for i in range(2):
-        for j in range(2):
-            fiber = z.data[i, j, :]
-            assert np.allclose(fiber, x.data[i, j] * y.data, rtol=0, atol=1e-15)
+# -------------------------------------------------------------- contract
 
 
 def test_outer_then_full_contraction_identity():
+    # Contracting every mode of an outer product with itself multiplies the
+    # factors' sums of squares.
     for seed in range(10):
         x = seeded((2, 3), 3 * seed)
         y = seeded((4,), 3 * seed + 1)
-        z = outer(x, y)
-        lhs = inner(z, z)
-        rhs = inner(x, x) * inner(y, y)
+        z = DenseTensor(np.multiply.outer(x.data, y.data))
+        lhs = contract(z, z, (0, 1, 2), (0, 1, 2)).values[0]
+        rhs = np.dot(x.values, x.values) * np.dot(y.values, y.values)
         assert lhs == pytest.approx(rhs, rel=1e-10)
-
-
-# -------------------------------------------------------------- contract
 
 
 def test_contract_identity_action():
@@ -192,7 +115,7 @@ def test_contract_all_modes_reduces_to_inner():
     x = DenseTensor(np.ones((2, 2)))
     out = contract(x, x, (0, 1), (0, 1))
     assert out.dims == (1,)
-    assert out.values[0] == 4.0 == inner(x, x)
+    assert out.values[0] == 4.0 == np.dot(x.values, x.values)
 
 
 def test_contract_matches_triple_loop_matmul():
@@ -244,70 +167,7 @@ def test_contract_errors():
         contract(x, y, (0, 1), (1,))
 
 
-# ------------------------------------------------------------- index map
-
-
-def test_index_map_2x2():
-    im = build_index_map((2, 2))
-    assert [im.row(m) for m in range(4)] == [(0, 0), (0, 1), (1, 0), (1, 1)]
-
-
-def test_index_map_single_mode():
-    im = build_index_map((3,))
-    assert [im.row(m) for m in range(3)] == [(0,), (1,), (2,)]
-
-
-def test_index_map_round_trip_2x3x2():
-    im = build_index_map((2, 3, 2))
-    rows = [im.row(m) for m in range(12)]
-    assert len(set(rows)) == 12
-    for m in range(12):
-        assert im.linearize(rows[m]) == m
-
-
-@given(small_shapes)
-@settings(max_examples=40, deadline=None)
-def test_index_map_is_bijection(dims):
-    im = build_index_map(dims)
-    count = int(np.prod(dims))
-    rows = {im.row(m) for m in range(count)}
-    assert len(rows) == count
-    box = set(itertools.product(*(range(d) for d in dims)))
-    assert rows == box
-
-
-def test_index_map_exhaustive_large():
-    # coverage + round trip at the 1e5-element scale
-    im = build_index_map((50, 40, 50))
-    rows = im.rows
-    assert rows.shape == (100000, 3)
-    seen = {tuple(r) for r in rows.tolist()}
-    assert len(seen) == 100000
-    strides = (40 * 50, 50, 1)
-    lin = rows @ np.array(strides)
-    assert np.array_equal(lin, np.arange(100000))
-
-
-def test_index_map_matches_storage_order():
-    x = seeded((2, 3, 2), 77)
-    m = unfold(x, 1)
-    rows_n = build_index_map((2,))
-    rows_m = build_index_map((3, 2))
-    for n in range(2):
-        for k in range(6):
-            idx = rows_n.row(n) + rows_m.row(k)
-            assert m.data[n, k] == x.data[idx]
-
-
-def test_index_map_linearize_validation():
-    im = build_index_map((2, 3))
-    with pytest.raises(ValueError):
-        im.linearize((0,))
-    with pytest.raises(ValueError):
-        im.linearize((0, 3))
-
-
-# ---------------------------------------------------------- unfold / fold
+# ---------------------------------------------------------------- unfold
 
 
 def test_unfold_order_2_is_identity():
@@ -319,17 +179,19 @@ def test_unfold_order_2_is_identity():
 def test_unfold_of_outer_is_rank_one():
     u = seeded((2, 2), 9)
     v = seeded((3,), 10)
-    z = outer(u, v)
+    z = DenseTensor(np.multiply.outer(u.data, v.data))
     m = unfold(z, 2)
     expected = np.multiply.outer(u.values, v.values)
     assert np.array_equal(m.data, expected)
 
 
 def test_unfold_fold_round_trip_bit_exact():
+    # Unfolding is the row-major reshape of the same values, bit for bit.
     x = seeded((2, 3, 4), 13)
-    for split in (1, 2):
-        back = fold(unfold(x, split), x.shape, split)
-        assert np.array_equal(back.data, x.data)
+    for split, rows in ((1, 2), (2, 6)):
+        m = unfold(x, split)
+        assert np.array_equal(m.data, x.data.reshape(rows, -1))
+        assert np.array_equal(m.data.reshape(x.dims), x.data)
 
 
 def test_unfold_fold_errors():
@@ -338,8 +200,6 @@ def test_unfold_fold_errors():
         unfold(x, 0)
     with pytest.raises(InvalidSplit):
         unfold(x, 3)
-    with pytest.raises(ShapeMismatch):
-        fold(unfold(x, 1), (2, 3, 5), 1)
 
 
 @given(small_shapes, st.integers(0, 1000))
@@ -349,8 +209,9 @@ def test_unfold_fold_property(dims, seed):
         return
     x = random_tensor(dims, seed)
     for split in range(1, len(dims)):
-        back = fold(unfold(x, split), x.shape, split)
-        assert np.array_equal(back.data, x.data)
+        m = unfold(x, split)
+        assert np.array_equal(m.data, x.data.reshape(int(np.prod(dims[:split])), -1))
+        assert np.array_equal(m.data.reshape(dims), x.data)
 
 
 # --------------------------------------------------------- random tensor

@@ -9,17 +9,14 @@ import pytest
 from tenspec import (
     DenseTensor,
     GroupedTensor,
-    apply_operator,
     component_count,
     decompose_sa_nnd,
     decompose_transform,
     decompose_triple,
     gram_operator,
-    inner,
     is_self_adjoint,
     jacobi,
     norm,
-    outer,
     random_tensor,
     reconstruct,
     residual_curve,
@@ -34,18 +31,10 @@ from tenspec.errors import (
     NotNND,
     NotSelfAdjoint,
     NotSymmetric,
-    ShapeMismatch,
     TenspecError,
 )
 
-
-def unit(dims, seed):
-    t = random_tensor(dims, seed)
-    return t * (1.0 / norm(t))
-
-
-def rel_err(reference, candidate):
-    return norm(reference - candidate) / norm(reference)
+from helpers import ortho_err, rel_err, stage_identity_errors, unit
 
 
 def identity_operator(dims):
@@ -69,43 +58,6 @@ def test_grouping_validation():
     g = GroupedTensor(t, (1, 2))
     assert g.group_shapes[0] == (2,)
     assert g.group_shapes[1] == (3, 4)
-    assert g.positions(1) == (1, 2)
-
-
-# --------------------------------------------------------- apply_operator
-
-
-def test_apply_identity_operator():
-    a = identity_operator((2, 2))
-    x = random_tensor((2, 2), 3)
-    y = apply_operator(a, x)
-    assert np.allclose(y.data, x.data, atol=1e-15)
-
-
-def test_apply_rank_one_projector():
-    u = unit((3, 2), 4)
-    a = GroupedTensor(outer(u, u), (2, 2))
-    y = apply_operator(a, u)
-    assert np.allclose(y.data, u.data, atol=1e-12)
-
-
-def test_apply_matches_matricized_multiply():
-    t = random_tensor((2, 3, 4), 5)
-    a = GroupedTensor(t, (2, 1))
-    x = random_tensor((4,), 6)
-    y = apply_operator(a, x)
-    m = unfold(t, 2).data  # (6, 4)
-    expected = np.zeros(6)
-    for n in range(6):
-        for k in range(4):
-            expected[n] += m[n, k] * x.values[k]
-    assert np.allclose(y.values, expected, rtol=1e-12, atol=1e-15)
-
-
-def test_apply_shape_mismatch():
-    a = identity_operator((2, 2))
-    with pytest.raises(ShapeMismatch):
-        apply_operator(a, random_tensor((3,), 1))
 
 
 # ---------------------------------------------------------- gram operator
@@ -120,7 +72,7 @@ def test_gram_of_orthonormal_columns_is_identity():
 
 
 def test_gram_of_zero_is_zero():
-    a = GroupedTensor(DenseTensor.zeros((2, 2, 2)), (1, 2))
+    a = GroupedTensor(DenseTensor(np.zeros((2, 2, 2))), (1, 2))
     g = gram_operator(a, side="right")
     assert not g.tensor.data.any()
 
@@ -148,9 +100,10 @@ def test_gram_left_side():
 def test_gram_rayleigh_quotients_non_negative():
     t = random_tensor((2, 2, 3), 11)
     g = gram_operator(GroupedTensor(t, (2, 1)), side="right")
+    m = unfold(g.tensor, 1).data
     for seed in range(10):
-        v = random_tensor((3,), 100 + seed)
-        assert inner(v, apply_operator(g, v)) >= -1e-12
+        v = random_tensor((3,), 100 + seed).values
+        assert v @ m @ v >= -1e-12
 
 
 def test_gram_bad_side():
@@ -227,11 +180,11 @@ def test_sa_nnd_identity_operator():
 
 def test_sa_nnd_rank_one():
     u = unit((3, 2), 15)
-    a = GroupedTensor(5.0 * outer(u, u), (2, 2))
+    a = GroupedTensor(DenseTensor(5.0 * np.multiply.outer(u.data, u.data)), (2, 2))
     dec = decompose_sa_nnd(a)
     assert dec.rank == 1
     assert dec.eigenvalues[0] == pytest.approx(5.0, rel=1e-12)
-    overlap = abs(inner(dec.eigentensors[0], u))
+    overlap = abs(np.dot(dec.eigentensors[0].values, u.values))
     assert overlap == pytest.approx(1.0, abs=1e-10)
     assert rel_err(a.tensor, reconstruct(dec)) <= 1e-10
 
@@ -275,14 +228,11 @@ def test_sa_nnd_gram_built_operator():
     assert rel_err(a.tensor, reconstruct(dec)) <= 1e-8
     # eigentensor equation residual, per component
     top = max(1.0, float(dec.eigenvalues[0]))
+    m = unfold(a.tensor, 2).data
     for lam, u in zip(dec.eigenvalues, dec.eigentensors):
-        resid = norm(apply_operator(a, u) - float(lam) * u)
+        resid = np.linalg.norm(m @ u.values - float(lam) * u.values)
         assert resid <= 1e-8 * top
-    # orthonormal family
-    for p in range(dec.rank):
-        for q in range(p, dec.rank):
-            expected = 1.0 if p == q else 0.0
-            assert abs(inner(dec.eigentensors[p], dec.eigentensors[q]) - expected) <= 1e-10
+    assert ortho_err(dec.eigentensors) <= 1e-10
 
 
 def test_sa_nnd_equals_matrix_spectral_decomposition():
@@ -308,7 +258,8 @@ def test_sa_nnd_distinct_eigenvalue_orthogonality():
     for p in range(dec.rank):
         for q in range(p + 1, dec.rank):
             if abs(dec.eigenvalues[p] - dec.eigenvalues[q]) > 1e-6 * lam1:
-                assert abs(inner(dec.eigentensors[p], dec.eigentensors[q])) <= 1e-10
+                overlap = np.dot(dec.eigentensors[p].values, dec.eigentensors[q].values)
+                assert abs(overlap) <= 1e-10
 
 
 # ---------------------------------------------------- decompose_transform
@@ -317,17 +268,17 @@ def test_sa_nnd_distinct_eigenvalue_orthogonality():
 def test_transform_rank_one():
     u = unit((4,), 19)
     v = unit((2, 2), 20)
-    a = GroupedTensor(3.0 * outer(u, v), (1, 2))
+    a = GroupedTensor(DenseTensor(3.0 * np.multiply.outer(u.data, v.data)), (1, 2))
     dec = decompose_transform(a)
     assert dec.rank == 1
     assert dec.singulars[0] == pytest.approx(3.0, rel=1e-12)
-    assert abs(inner(dec.left[0], u)) == pytest.approx(1.0, abs=1e-10)
-    assert abs(inner(dec.right[0], v)) == pytest.approx(1.0, abs=1e-10)
+    assert abs(np.dot(dec.left[0].values, u.values)) == pytest.approx(1.0, abs=1e-10)
+    assert abs(np.dot(dec.right[0].values, v.values)) == pytest.approx(1.0, abs=1e-10)
     assert rel_err(a.tensor, reconstruct(dec)) <= 1e-10
 
 
 def test_transform_zero_tensor():
-    a = GroupedTensor(DenseTensor.zeros((3, 2, 2)), (1, 2))
+    a = GroupedTensor(DenseTensor(np.zeros((3, 2, 2))), (1, 2))
     dec = decompose_transform(a)
     assert dec.rank == 0
     assert dec.left == [] and dec.right == []
@@ -339,14 +290,11 @@ def test_transform_random_properties():
     dec = decompose_transform(a)
     assert rel_err(a.tensor, reconstruct(dec)) <= 1e-8
     for family in (dec.left, dec.right):
-        r = len(family)
-        for p in range(r):
-            for q in range(p, r):
-                expected = 1.0 if p == q else 0.0
-                assert abs(inner(family[p], family[q]) - expected) <= 1e-10
+        assert ortho_err(family) <= 1e-10
     # weight identity: s_p = <U_p, A . V_p>
+    m = unfold(a.tensor, 1).data
     for s, u, v in zip(dec.singulars, dec.left, dec.right):
-        got = inner(u, apply_operator(a, v))
+        got = u.values @ m @ v.values
         assert got == pytest.approx(float(s), rel=1e-8)
     # spectrum of the right gram operator gives the squared weights
     g = gram_operator(a, side="right")
@@ -374,8 +322,7 @@ def test_transform_solves_smaller_side(monkeypatch, dims, groups):
     assert orders == [smaller]
     assert len(dec.spectrum) == smaller
     for family in (dec.left, dec.right):
-        flat = np.array([f.data.ravel() for f in family])
-        assert np.abs(flat @ flat.T - np.eye(len(family))).max() <= 1e-12
+        assert ortho_err(family) <= 1e-12
     assert rel_err(a.tensor, reconstruct(dec)) <= 1e-12
 
 
@@ -386,61 +333,36 @@ def test_triple_rank_one():
     u = unit((2,), 22)
     z = unit((3,), 23)
     w = unit((2,), 24)
-    t = 6.0 * outer(outer(u, z), w)
+    t = DenseTensor(6.0 * np.multiply.outer(np.multiply.outer(u.data, z.data), w.data))
     dec = decompose_triple(GroupedTensor(t, (1, 1, 1)))
     assert dec.count == 1
     assert dec.weights[0] == pytest.approx(6.0, rel=1e-12)
-    assert abs(inner(dec.factors_u[0], u)) == pytest.approx(1.0, abs=1e-10)
-    assert abs(inner(dec.factors_z[0], z)) == pytest.approx(1.0, abs=1e-10)
-    assert abs(inner(dec.factors_w[0], w)) == pytest.approx(1.0, abs=1e-10)
+    for factors, x in ((dec.factors_u, u), (dec.factors_z, z), (dec.factors_w, w)):
+        assert abs(np.dot(factors[0].values, x.values)) == pytest.approx(1.0, abs=1e-10)
     assert rel_err(t, reconstruct(dec)) <= 1e-10
 
 
 def test_triple_zero_tensor():
-    dec = decompose_triple(GroupedTensor(DenseTensor.zeros((2, 2, 2)), (1, 1, 1)))
+    dec = decompose_triple(GroupedTensor(DenseTensor(np.zeros((2, 2, 2))), (1, 1, 1)))
     assert dec.count == 0
     assert dec.pair_map.shape == (0, 2)
     assert not reconstruct(dec).data.any()
 
 
-def couplings(a, dec):
-    # Stage one's factors over J x K, V_p = A_(1)^T U_p / sigma_p.
-    d = a.group_orders[0]
-    v = (dec.u @ unfold(a.tensor, d).data) / dec.sigma[:, None]
-    return [DenseTensor(row.reshape(a.tensor.dims[d:])) for row in v]
-
-
 def check_triple_contract(a, dec, recon_tol=1e-10):
     r1, r2 = len(dec.sigma), len(dec.gamma)
-    coupling = couplings(a, dec)
     # orthonormal bases
     for family in (dec.u_basis, dec.z_basis):
-        for p in range(len(family)):
-            for q in range(p, len(family)):
-                expected = 1.0 if p == q else 0.0
-                assert abs(inner(family[p], family[q]) - expected) <= 1e-10
+        assert ortho_err(family) <= 1e-10
     # joint W orthonormality: contraction over the K modes AND p
     w = dec.w_joint.data.reshape(-1, r1, r2)
     gw = np.einsum("kpr,kps->rs", w, w)
     assert np.abs(gw - np.eye(r2)).max() <= 1e-8
-    # stage-one identity: A is the sigma-weighted sum of U x coupling
-    stage1 = np.zeros(a.tensor.dims)
-    for s, u, v in zip(dec.sigma, dec.u_basis, coupling):
-        stage1 += float(s) * np.multiply.outer(u.data, v.data)
-    assert norm(a.tensor - DenseTensor(stage1, check_finite=False)) <= 1e-8 * norm(a.tensor)
-    # stage-two identity: each coupling factor is the gamma-weighted sum
-    # of Z x W fibers
-    couple_scale = math.sqrt(sum(norm(v) ** 2 for v in coupling))
-    worst = 0.0
-    for p, v in enumerate(coupling):
-        rebuilt = np.zeros(v.dims)
-        for s in range(r2):
-            fiber = dec.w_joint.data[..., p, s]
-            rebuilt += float(dec.gamma[s]) * np.multiply.outer(
-                dec.z_basis[s].data, fiber
-            )
-        worst = max(worst, float(np.sqrt(((rebuilt - v.data) ** 2).sum())))
-    assert worst <= 1e-8 * couple_scale
+    # stage identities: A is the sigma-weighted sum of U x coupling, and
+    # each coupling factor the gamma-weighted sum of Z x W fibers
+    stage1_err, stage2_err = stage_identity_errors(a, dec)
+    assert stage1_err <= 1e-8
+    assert stage2_err <= 1e-8
     # flattening bookkeeping
     pairs = [tuple(row) for row in dec.pair_map]
     assert len(set(pairs)) == dec.count == r1 * r2
@@ -497,8 +419,7 @@ def test_triple_solves_smaller_sides(monkeypatch, dims, orders):
     assert seen == orders
     r1, r2 = len(dec.sigma), len(dec.gamma)
     for family in (dec.u_basis, dec.z_basis):
-        flat = np.array([f.data.ravel() for f in family])
-        assert np.abs(flat @ flat.T - np.eye(len(family))).max() <= 1e-12
+        assert ortho_err(family) <= 1e-12
     w = dec.w_joint.data.reshape(-1, r2)
     assert np.abs(w.T @ w - np.eye(r2)).max() <= 1e-12
     assert dec.count == r1 * r2
@@ -507,14 +428,9 @@ def test_triple_solves_smaller_sides(monkeypatch, dims, orders):
 
 def test_triple_weight_tie_break_order():
     # Equal weights must come out in lexicographic (p, s) order.
-    u0 = DenseTensor([1.0, 0.0])
-    u1 = DenseTensor([0.0, 1.0])
-    z0 = DenseTensor([1.0, 0.0])
-    z1 = DenseTensor([0.0, 1.0])
-    w0 = DenseTensor([1.0, 0.0])
-    t = (
-        2.0 * outer(outer(u0, z0), w0).data
-        + 2.0 * outer(outer(u1, z1), w0).data
+    e0, e1 = np.eye(2)
+    t = 2.0 * np.multiply.outer(np.multiply.outer(e0, e0), e0) + 2.0 * np.multiply.outer(
+        np.multiply.outer(e1, e1), e0
     )
     dec = decompose_triple(GroupedTensor(DenseTensor(t), (1, 1, 1)))
     assert dec.count == 4
@@ -591,7 +507,7 @@ def test_truncated_triple_record_has_zero_fibers_at_absent_pairs():
     assert not joint[:, ~kept].any()
     assert np.array_equal(joint[:, kept], dec.w_joint.data.reshape(joint.shape)[:, kept])
     assert cut.u_basis[0].dims == (4,) and len(cut.z_basis) == len(dec.z)
-    empty = decompose_triple(GroupedTensor(DenseTensor.zeros((2, 2, 2)), (1, 1, 1)))
+    empty = decompose_triple(GroupedTensor(DenseTensor(np.zeros((2, 2, 2))), (1, 1, 1)))
     assert empty.w_joint is None
 
 
@@ -763,7 +679,7 @@ def test_residual_curve_matches_partial_sums_across_blocks():
 def test_residual_curve_rank_one():
     u = unit((3,), 32)
     v = unit((2, 2), 33)
-    a = GroupedTensor(2.0 * outer(u, v), (1, 2))
+    a = GroupedTensor(DenseTensor(2.0 * np.multiply.outer(u.data, v.data)), (1, 2))
     curve = residual_curve(a, decompose_transform(a))
     assert curve[0] == (0, 1.0)
     assert curve[1][0] == 1
@@ -771,7 +687,7 @@ def test_residual_curve_rank_one():
 
 
 def test_residual_curve_zero_input():
-    a = GroupedTensor(DenseTensor.zeros((2, 2, 2)), (1, 1, 1))
+    a = GroupedTensor(DenseTensor(np.zeros((2, 2, 2))), (1, 1, 1))
     curve = residual_curve(a, decompose_triple(a))
     assert curve == [(0, 0.0)]
 
