@@ -7,13 +7,14 @@ every Python function called, runs in one process: every command of
 `scripts/cli_digest.py` except `exp1`, on its inputs, through
 `tenspec.cli.main`; then every benchmark workload of
 `perfbench/workloads.py` on its `tiny` inputs, controls included.  One
-JSON line goes to stdout per function defined (with `def`) in
-`DIR/tenspec` that none of them called: its module, qualified name and
-first line.  `exp1` is left out because it takes about 12 s, and the only
-function it reaches that the rest do not is the eigensolver's block sweep
-(`jacobi._block_sweep`, for orders above `jacobi.SINGLE_BLOCK_MAX`), which
-is therefore always listed.  The exit code is 1 if a workload input or
-control fails, since then the run may have missed code it should reach.
+JSON line goes to stdout per function defined (with `def` or `lambda`, so
+property getters written as lambdas count) in `DIR/tenspec` that none of
+them called: its module, qualified name and first line.  `exp1` is left
+out because it takes about 12 s, and the only function it reaches that the
+rest do not is the eigensolver's block sweep (`jacobi._block_sweep`, for
+orders above `jacobi.SINGLE_BLOCK_MAX`), which is therefore always listed.
+The exit code is 1 if a workload input or control fails, since then the run
+may have missed code it should reach.
 """
 
 import argparse
@@ -31,16 +32,19 @@ SEED = 7
 
 
 def defined_functions(package):
-    """(module, qualified name, first line) of every `def` in the package."""
+    """(module, qualified name, first line) of every `def` and `lambda` in
+    the package."""
     found = set()
     for path in sorted(package.glob("*.py")):
         stack = [compile(path.read_text(encoding="utf-8"), str(path), "exec")]
         while stack:
             code = stack.pop()
             stack.extend(c for c in code.co_consts if hasattr(c, "co_code"))
-            # Class bodies are not optimized; lambdas and comprehensions are
-            # named `<...>`.
-            if code.co_flags & inspect.CO_OPTIMIZED and not code.co_name.startswith("<"):
+            # Class bodies are not optimized; comprehensions and generator
+            # expressions are part of the function that holds them.
+            if code.co_flags & inspect.CO_OPTIMIZED and code.co_name not in (
+                "<module>", "<listcomp>", "<setcomp>", "<dictcomp>", "<genexpr>"
+            ):
                 found.add((path.stem, code.co_qualname, code.co_firstlineno))
     return found
 

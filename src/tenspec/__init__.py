@@ -8,7 +8,6 @@ with full reconstruction and oracle-based verification.
 
 from .core import (
     DenseTensor,
-    Shape,
     contract,
     norm,
     random_tensor,
@@ -24,7 +23,6 @@ from .decompose import (
     decompose_transform,
     decompose_triple,
     gram_operator,
-    is_self_adjoint,
     reconstruct,
     residual_curve,
 )
@@ -40,7 +38,6 @@ __all__ = [
     "GroupedTensor",
     "OperatorDecomposition",
     "OracleReport",
-    "Shape",
     "TransformDecomposition",
     "TripleDecomposition",
     "component_count",
@@ -49,7 +46,6 @@ __all__ = [
     "decompose_transform",
     "decompose_triple",
     "gram_operator",
-    "is_self_adjoint",
     "matricized_singulars",
     "norm",
     "numerical_rank",

@@ -77,8 +77,8 @@ class ExperimentSpec:
     is decomposed.  ``tolerance=None`` takes the algorithm's; any other must
     be an int or float, not a bool, in (0, inf) (ValueError otherwise): NaN
     and inf are not JSON, and inf or one not above 0 decides every run
-    alike.  The solver's
-    cuts are ``jacobi.RANK_TOL``, ``SYMMETRY_TOL``, ``CONVERGENCE_TOL`` and ``MAX_SWEEPS``.
+    alike.  The solver's cuts are ``jacobi.RANK_TOL``, ``SYMMETRY_TOL``,
+    ``CONVERGENCE_TOL`` and ``MAX_SWEEPS``.
     """
 
     name: str
@@ -216,7 +216,7 @@ def _eigen_order(a):
     second stage is the (J x K*r1) coupling matrix, with r1 at most
     min(I, JK).
     """
-    sizes = [shape.element_count for shape in a.group_shapes]
+    sizes = [math.prod(shape) for shape in a.group_shapes]
     if len(sizes) == 2:
         return min(sizes)
     i, j, k = sizes
@@ -248,14 +248,14 @@ def run_decompose(path, groups, algorithm="auto", keep=None, out_dir="tenspec-ou
         names = []
         for m in range(kept):
             fname = f"{family}-{m + 1:04d}.tz1"
-            factor = DenseTensor(rows[index[m]].reshape(shape.dims), check_finite=False)
+            factor = DenseTensor(rows[index[m]].reshape(shape), check_finite=False)
             write_tensor(out_dir / fname, factor)
             names.append(fname)
         factor_names[family] = names
     manifest = {
         "version": MANIFEST_VERSION,
         "algorithm": algorithm,
-        "shapes": [list(s.dims) for s in a.group_shapes],
+        "shapes": [list(s) for s in a.group_shapes],
         "groups": list(a.group_orders),
         "weights": [float(w) for w in weights[:kept]],
         "factors": factor_names,
@@ -304,7 +304,7 @@ def run_verify(tensor_path, manifest_path):
     a = GroupedTensor(tensor, groups)
     declared = manifest.get("shapes")
     if declared is not None:
-        actual = [list(s.dims) for s in a.group_shapes]
+        actual = [list(s) for s in a.group_shapes]
         if declared != actual:
             raise ParseError(
                 f"{manifest_path}: declared shapes {declared} do not match "
@@ -313,10 +313,10 @@ def run_verify(tensor_path, manifest_path):
     shapes = a.group_shapes
     group_count, families, _ = ALGORITHMS[algorithm]
     one_shape = algorithm == "op"  # an operator maps its group onto itself
-    if len(shapes) != group_count or (one_shape and shapes[0].dims != shapes[1].dims):
+    if len(shapes) != group_count or (one_shape and shapes[0] != shapes[1]):
         raise ParseError(
             f"{manifest_path}: {algorithm} needs {group_count} groups"
-            f"{' of one shape' if one_shape else ''}, got {[s.dims for s in shapes]}"
+            f"{' of one shape' if one_shape else ''}, got {list(shapes)}"
         )
     stacks = {}
     for family, shape in zip(families, shapes):
@@ -338,10 +338,10 @@ def run_verify(tensor_path, manifest_path):
             loaded = [read_tensor(manifest_path.parent / n) for n in names]
         except OSError as exc:
             raise ParseError(f"{manifest_path}: unreadable factor file: {exc}") from exc
-        if any(t.dims != shape.dims for t in loaded):
-            raise ShapeMismatch(f"a {family} factor is not of shape {shape.dims}")
+        if any(t.dims != shape for t in loaded):
+            raise ShapeMismatch(f"a {family} factor is not of shape {shape}")
         stacks[family] = np.array([t.values for t in loaded]).reshape(
-            len(loaded), shape.element_count
+            len(loaded), math.prod(shape)
         )
 
     if algorithm == "op":

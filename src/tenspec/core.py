@@ -3,10 +3,11 @@
 Every value in the library is a :class:`DenseTensor`: an order-d array of
 64-bit floats stored contiguously with the last index varying fastest, so
 unfolding a mode group is a pure reinterpretation of the storage, never a
-permutation.
+permutation.  A shape is a plain tuple of extents, a tensor's ``dims``.
 """
 
 import math
+import operator
 import string
 
 import numpy as np
@@ -21,54 +22,6 @@ MAX_ELEMENT_COUNT = np.iinfo(np.intp).max
 _SAFE_SUM = 2.0**-969
 
 _EINSUM_LETTERS = string.ascii_lowercase + string.ascii_uppercase
-
-
-class Shape:
-    """Mode extents (I_1, ..., I_d) of an order-d tensor. Immutable."""
-
-    __slots__ = ("dims", "element_count")
-
-    def __init__(self, dims):
-        dims = tuple(int(d) for d in dims)
-        if not dims:
-            raise ValueError("a shape needs at least one mode")
-        if any(d < 1 for d in dims):
-            raise ValueError(f"extents must be >= 1, got {dims}")
-        count = 1
-        for d in dims:
-            count *= d
-            if count > MAX_ELEMENT_COUNT:
-                raise OverflowError(
-                    f"element count of shape {dims} exceeds addressing limits"
-                )
-        self.dims = dims
-        self.element_count = count
-
-    @property
-    def order(self):
-        return len(self.dims)
-
-    def __len__(self):
-        return len(self.dims)
-
-    def __iter__(self):
-        return iter(self.dims)
-
-    def __getitem__(self, k):
-        return self.dims[k]
-
-    def __eq__(self, other):
-        if isinstance(other, Shape):
-            return self.dims == other.dims
-        if isinstance(other, tuple):
-            return self.dims == other
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.dims)
-
-    def __repr__(self):
-        return f"Shape{self.dims}"
 
 
 class DenseTensor:
@@ -86,14 +39,10 @@ class DenseTensor:
         arr = np.ascontiguousarray(data, dtype=np.float64)
         if arr.ndim == 0:
             arr = arr.reshape(1)
-        Shape(arr.shape)  # validates extents and addressing
+        _dims(arr.shape)
         if check_finite and not np.isfinite(arr).all():
             raise ValueError("tensor values must be finite")
         self.data = arr
-
-    @property
-    def shape(self):
-        return Shape(self.data.shape)
 
     @property
     def dims(self):
@@ -104,23 +53,15 @@ class DenseTensor:
         return self.data.ndim
 
     @property
-    def size(self):
-        return self.data.size
-
-    @property
     def values(self):
         """Flat view of the storage, row-major (last index fastest)."""
         return self.data.reshape(-1)
 
-    def __getitem__(self, multi_index):
-        return float(self.data[tuple(multi_index)])
-
-    def __add__(self, other):
-        _require_same_shape(self, other, "add")
-        return DenseTensor(self.data + other.data, check_finite=False)
-
     def __sub__(self, other):
-        _require_same_shape(self, other, "subtract")
+        if self.dims != other.dims:
+            raise ShapeMismatch(
+                f"cannot subtract tensors of shapes {self.dims} and {other.dims}"
+            )
         return DenseTensor(self.data - other.data, check_finite=False)
 
     def __mul__(self, scalar):
@@ -128,16 +69,28 @@ class DenseTensor:
 
     __rmul__ = __mul__
 
-    def __neg__(self):
-        return DenseTensor(-self.data, check_finite=False)
 
-    def __repr__(self):
-        return f"DenseTensor(shape={self.dims}, norm={norm(self):.6g})"
+def _integer(value, error, what):
+    # `value` as an int; `error` unless it is an integer other than a bool.
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise error(f"{what} {value!r} is not an integer")
 
 
-def _require_same_shape(x, y, what):
-    if x.dims != y.dims:
-        raise ShapeMismatch(f"cannot {what} tensors of shapes {x.dims} and {y.dims}")
+def _dims(extents):
+    # The extents of a tensor as a tuple of ints: at least one mode, each an
+    # integer >= 1 (ValueError), their product addressable (OverflowError).
+    dims = tuple(_integer(d, ValueError, "extent") for d in extents)
+    if not dims:
+        raise ValueError("a shape needs at least one mode")
+    if min(dims) < 1:
+        raise ValueError(f"extents must be >= 1, got {dims}")
+    if math.prod(dims) > MAX_ELEMENT_COUNT:
+        raise OverflowError(f"element count of shape {dims} exceeds addressing limits")
+    return dims
 
 
 def norm(x):
@@ -252,7 +205,7 @@ def random_tensor(shape, seed):
     storage order, so a given (shape, seed) pair reproduces bit-identical
     values on any platform with the same numpy generation code.
     """
-    shape = Shape(shape)
+    dims = _dims(shape)
     rng = np.random.Generator(np.random.PCG64(int(seed)))
-    vals = rng.random(shape.element_count) * 2.0 - 1.0
-    return DenseTensor(vals.reshape(shape.dims), check_finite=False)
+    vals = rng.random(math.prod(dims)) * 2.0 - 1.0
+    return DenseTensor(vals.reshape(dims), check_finite=False)

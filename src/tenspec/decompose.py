@@ -22,12 +22,12 @@ partial sums since distinct terms are mutually orthogonal.
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
 from . import jacobi
-from .core import DenseTensor, Shape, norm, unfold
+from .core import DenseTensor, _integer, norm, unfold
 from .errors import (
     GroupingMismatch,
     InvalidKeep,
@@ -52,7 +52,9 @@ class GroupedTensor:
     __slots__ = ("tensor", "group_orders")
 
     def __init__(self, tensor, group_orders):
-        group_orders = tuple(int(g) for g in group_orders)
+        group_orders = tuple(
+            _integer(g, GroupingMismatch, "group order") for g in group_orders
+        )
         if len(group_orders) not in (2, 3):
             raise GroupingMismatch(
                 f"need 2 or 3 groups, got {len(group_orders)}"
@@ -75,26 +77,14 @@ class GroupedTensor:
         shapes = []
         start = 0
         for g in self.group_orders:
-            shapes.append(Shape(self.tensor.dims[start : start + g]))
+            shapes.append(self.tensor.dims[start : start + g])
             start += g
         return tuple(shapes)
-
-    def __repr__(self):
-        return f"GroupedTensor(dims={self.tensor.dims}, groups={self.group_orders})"
-
-
-class SelfAdjointCheck(NamedTuple):
-    ok: bool
-    max_asymmetry: float
-    reason: Optional[str] = None
-
-    def __bool__(self):
-        return self.ok
 
 
 def _views(rows, shape):
     # One DenseTensor per row of a factor array (a view unless rows are strided).
-    return [DenseTensor(row.reshape(shape.dims), check_finite=False) for row in rows]
+    return [DenseTensor(row.reshape(shape), check_finite=False) for row in rows]
 
 
 def _factors(decomposition, family):
@@ -117,7 +107,7 @@ class OperatorDecomposition:
 
     eigenvalues: np.ndarray
     vectors: np.ndarray
-    operand_shape: Shape
+    operand_shape: tuple
     spectrum: np.ndarray
 
     @property
@@ -129,7 +119,8 @@ class OperatorDecomposition:
     def terms(self):
         """Weights and one (rows, index, shape) triple per factor family:
         component m is ``weights[m]`` times the outer product over families
-        of ``rows[index[m]]``, each row reshaped to ``shape``."""
+        of ``rows[index[m]]``, each row reshaped to ``shape``, the family's
+        dims tuple."""
         family = (self.vectors, np.arange(len(self.eigenvalues)), self.operand_shape)
         return self.eigenvalues, (family, family)
 
@@ -142,16 +133,9 @@ class TransformDecomposition:
     singulars: np.ndarray
     u: np.ndarray
     v: np.ndarray
-    left_shape: Shape
-    right_shape: Shape
+    left_shape: tuple
+    right_shape: tuple
     spectrum: np.ndarray
-
-    @property
-    def rank(self):
-        return len(self.singulars)
-
-    left = property(lambda self: _factors(self, 0))
-    right = property(lambda self: _factors(self, 1))
 
     def terms(self):
         """See ``OperatorDecomposition.terms``."""
@@ -203,9 +187,9 @@ class TripleDecomposition:
     def w_joint(self):
         """``w`` scattered by ``pair_map`` into a K x r1 x r2 tensor whose
         fibers are the W factors, zero at absent pairs (None when empty)."""
-        joint = np.zeros((self.shapes[2].element_count, len(self.u), len(self.z)))
+        joint = np.zeros((math.prod(self.shapes[2]), len(self.u), len(self.z)))
         joint[:, self.pair_map[:, 0], self.pair_map[:, 1]] = self.w.T
-        joint = joint.reshape(self.shapes[2].dims + joint.shape[1:])
+        joint = joint.reshape(self.shapes[2] + joint.shape[1:])
         return DenseTensor(joint, check_finite=False) if joint.size else None
 
     def terms(self):
@@ -240,30 +224,8 @@ def gram_operator(a, side="right"):
     else:
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     return GroupedTensor(
-        DenseTensor(g.reshape(shape.dims * 2), check_finite=False), (shape.order,) * 2
+        DenseTensor(g.reshape(shape * 2), check_finite=False), (len(shape),) * 2
     )
-
-
-def is_self_adjoint(a):
-    """Predicate: does swapping the two groups leave the tensor unchanged?
-
-    Returns (ok, max_asymmetry, reason), truthy iff ok by ``jacobi.asymmetry``
-    of the unfolding; mismatched group shapes and non-finite entries report
-    ok=False with an infinite asymmetry, not raising.
-    """
-    _require_groups(a, 2, "is_self_adjoint")
-    shapes = a.group_shapes
-    if shapes[0].dims != shapes[1].dims:
-        return SelfAdjointCheck(
-            False, math.inf, f"group shapes differ: {shapes[0].dims} vs {shapes[1].dims}"
-        )
-    matrix = unfold(a.tensor, a.group_orders[0]).data
-    if not np.isfinite(matrix).all():
-        return SelfAdjointCheck(False, math.inf, "operator has non-finite entries")
-    asym, limit = jacobi.asymmetry(matrix)
-    if asym > limit:
-        return SelfAdjointCheck(False, asym, _asymmetric(asym))
-    return SelfAdjointCheck(True, asym)
 
 
 def _asymmetric(asym):
@@ -319,8 +281,8 @@ def decompose_sa_nnd(a):
     """
     _require_groups(a, 2, "decompose_sa_nnd")
     shape_i, shape_j = a.group_shapes
-    if shape_i.dims != shape_j.dims:
-        raise NotSelfAdjoint(is_self_adjoint(a).reason)  # returns before measuring
+    if shape_i != shape_j:
+        raise NotSelfAdjoint(f"group shapes differ: {shape_i} vs {shape_j}")
     try:
         eig = jacobi.sym_eig(unfold(a.tensor, a.group_orders[0]).data)
     except NotSymmetric as exc:
@@ -387,7 +349,7 @@ def decompose_triple(a):
     # Row j of the stage-two matrix holds V_p[j, k] at column (k, p), so row
     # (k, p) of its right columns is the W fiber over K of each pair (p, s).
     gamma, z_cols, w_cols, _ = _matrix_svd(
-        v_cols.reshape(shape_j.element_count, shape_k.element_count * r1)
+        v_cols.reshape(math.prod(shape_j), math.prod(shape_k) * r1)
     )
     r2 = len(gamma)
 
@@ -401,7 +363,7 @@ def decompose_triple(a):
         pair_map=np.stack(np.unravel_index(order, (r1, r2)), axis=1),
         u=_as_rows(u_cols),
         z=_as_rows(z_cols),
-        w=w_cols.reshape(shape_k.element_count, r1 * r2).T[order],
+        w=w_cols.reshape(math.prod(shape_k), r1 * r2).T[order],
         shapes=a.group_shapes,
         sigma=sigma,
         gamma=gamma,
@@ -415,7 +377,7 @@ def component_count(decomposition):
 
 def reconstructed_dims(decomposition):
     """Dims of the tensor the decomposition reproduces."""
-    return sum((shape.dims for *_, shape in decomposition.terms()[1]), ())
+    return sum((shape for *_, shape in decomposition.terms()[1]), ())
 
 
 def _blocks(count):

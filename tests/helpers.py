@@ -16,16 +16,15 @@ def rel_err(reference, candidate):
     return norm(reference - candidate) / norm(reference)
 
 
-def ortho_err(family):
-    # max|F F^T - I| over the flattened factors of a family.
-    f = np.array([t.values for t in family])
-    return float(np.abs(f @ f.T - np.eye(len(f))).max(initial=0.0))
+def ortho_err(rows):
+    # max|F F^T - I| over a family's rows F, one flattened factor each.
+    return float(np.abs(rows @ rows.T - np.eye(len(rows))).max(initial=0.0))
 
 
 def couplings(a, dec):
     # Stage one's factors over J x K, V_p = A_(1)^T U_p / sigma_p.
     d = a.group_orders[0]
-    m = a.tensor.data.reshape(a.group_shapes[0].element_count, -1)
+    m = a.tensor.data.reshape(math.prod(a.group_shapes[0]), -1)
     v = (dec.u @ m) / dec.sigma[:, None]
     return [DenseTensor(row.reshape(a.tensor.dims[d:])) for row in v]
 

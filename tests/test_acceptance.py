@@ -5,6 +5,7 @@ with ``pytest -s``) and then asserts, so the suite doubles as a checklist.
 """
 
 import dataclasses
+import math
 import time
 
 import numpy as np
@@ -77,11 +78,11 @@ def test_experiment_2(tmp_path):
     a = GroupedTensor(random_tensor((64, 8, 4), report.seed), (1, 2))
     dec = decompose_transform(a)
     ref = matricized_singulars(a)
-    width = max(len(ref), dec.rank)
+    width = max(len(ref), len(dec.singulars))
     padded_ref = np.zeros(width)
     padded_got = np.zeros(width)
     padded_ref[: len(ref)] = ref
-    padded_got[: dec.rank] = dec.singulars
+    padded_got[: len(dec.singulars)] = dec.singulars
     dev = float(np.abs(padded_got - padded_ref).max() / ref[0])
 
     ok = err < RECON_TOL_TRANSFORM and dev <= SINGULAR_TOL and elapsed < RUNTIME_EXP23
@@ -159,10 +160,10 @@ def _instance(idx):
 
 
 def _residual_ok(m, pairs, top):
-    # Every (lambda, x) pair solves m x = lambda x to RESIDUAL_TOL * top.
+    # Every (lambda, x) pair, x a flattened factor, solves m x = lambda x to
+    # RESIDUAL_TOL * top.
     return all(
-        np.linalg.norm(m @ x.values - float(lam) * x.values) <= RESIDUAL_TOL * top
-        for lam, x in pairs
+        np.linalg.norm(m @ x - float(lam) * x) <= RESIDUAL_TOL * top for lam, x in pairs
     )
 
 
@@ -170,24 +171,24 @@ def _eigentensor_residuals_ok(kind, a, dec):
     if kind == "op":
         top = max(1.0, float(dec.eigenvalues[0])) if dec.rank else 1.0
         m = unfold(a.tensor, a.group_orders[0]).data
-        return _residual_ok(m, zip(dec.eigenvalues, dec.eigentensors), top)
+        return _residual_ok(m, zip(dec.eigenvalues, dec.vectors), top)
     if kind == "transform":
         g = gram_operator(a, side="right")
         lam = dec.singulars**2
-        top = max(1.0, float(lam[0])) if dec.rank else 1.0
+        top = max(1.0, float(lam[0])) if len(lam) else 1.0
         m = unfold(g.tensor, g.group_orders[0]).data
-        return _residual_ok(m, zip(lam, dec.right), top)
+        return _residual_ok(m, zip(lam, dec.v), top)
     d = a.group_orders[0]
     stage1_op = gram_operator(
         GroupedTensor(a.tensor, (d, a.tensor.order - d)), side="left"
     )
     lam1 = dec.sigma**2
     top1 = max(1.0, float(lam1[0])) if len(lam1) else 1.0
-    ok = _residual_ok(unfold(stage1_op.tensor, d).data, zip(lam1, dec.u_basis), top1)
+    ok = _residual_ok(unfold(stage1_op.tensor, d).data, zip(lam1, dec.u), top1)
     if not ok or not len(dec.gamma):
         return ok
     e = a.group_orders[1]
-    l_j = int(np.prod(a.group_shapes[1].dims))
+    l_j = math.prod(a.group_shapes[1])
     h = np.zeros((l_j, l_j))
     for v in couplings(a, dec):
         k_axes = tuple(range(e, v.order))
@@ -195,7 +196,7 @@ def _eigentensor_residuals_ok(kind, a, dec):
         h += part.data.reshape(l_j, l_j)
     lam2 = dec.gamma**2
     top2 = max(1.0, float(lam2[0]))
-    return _residual_ok(h, zip(lam2, dec.z_basis), top2)
+    return _residual_ok(h, zip(lam2, dec.z), top2)
 
 
 def test_property_suite():
@@ -204,13 +205,13 @@ def test_property_suite():
         kind, a = _instance(idx)
         if kind == "op":
             dec = decompose_sa_nnd(a)
-            families = {"eigentensors": dec.eigentensors}
+            families = {"eigentensors": dec.vectors}
         elif kind == "transform":
             dec = decompose_transform(a)
-            families = {"left": dec.left, "right": dec.right}
+            families = {"left": dec.u, "right": dec.v}
         else:
             dec = decompose_triple(a)
-            families = {"u": dec.u_basis, "z": dec.z_basis}
+            families = {"u": dec.u, "z": dec.z}
 
         for fname, family in families.items():
             worst = ortho_err(family)
@@ -268,11 +269,11 @@ def test_oracle_equivalence():
         )
         dec = decompose_transform(a)
         ref = matricized_singulars(a)
-        width = max(len(ref), dec.rank)
+        width = max(len(ref), len(dec.singulars))
         padded_ref = np.zeros(width)
         padded_got = np.zeros(width)
         padded_ref[: len(ref)] = ref
-        padded_got[: dec.rank] = dec.singulars
+        padded_got[: len(dec.singulars)] = dec.singulars
         if width:
             worst = max(worst, float(np.abs(padded_got - padded_ref).max() / padded_ref[0]))
 
@@ -300,8 +301,9 @@ def test_oracle_equivalence():
 def test_truncation_strictly_increases_error():
     a = GroupedTensor(random_tensor((64, 8, 4), 42), (1, 2))
     dec = decompose_transform(a)
-    full = rel_err(a.tensor, reconstruct(dec, dec.rank))
-    truncated = rel_err(a.tensor, reconstruct(dec, dec.rank - 1))
+    rank = len(dec.singulars)
+    full = rel_err(a.tensor, reconstruct(dec, rank))
+    truncated = rel_err(a.tensor, reconstruct(dec, rank - 1))
     ok = truncated > full
     _report(
         "exactness-degradation (keep = r-1)",

@@ -14,7 +14,6 @@ from tenspec import (
     decompose_transform,
     decompose_triple,
     gram_operator,
-    is_self_adjoint,
     jacobi,
     norm,
     random_tensor,
@@ -56,8 +55,21 @@ def test_grouping_validation():
     with pytest.raises(GroupingMismatch):
         GroupedTensor(t, (0, 3))
     g = GroupedTensor(t, (1, 2))
-    assert g.group_shapes[0] == (2,)
-    assert g.group_shapes[1] == (3, 4)
+    assert g.group_shapes == ((2,), (3, 4))
+
+
+def test_non_integer_extents_and_group_orders_are_refused():
+    # Neither is truncated to an int; numpy integers, as `.shape` and
+    # arrays give them, are integers.
+    for extent in (2.5, 2.0, True, "2", None):
+        with pytest.raises(ValueError, match="is not an integer"):
+            random_tensor((extent, 3), 1)
+    assert random_tensor((np.int64(2), 3), 1).dims == (2, 3)
+    t = random_tensor((2, 3), 1)
+    for order in (1.5, 1.0, True, "1", None):
+        with pytest.raises(GroupingMismatch, match="is not an integer"):
+            GroupedTensor(t, (order, 1))
+    assert GroupedTensor(t, np.array([1, 1])).group_orders == (1, 1)
 
 
 # ---------------------------------------------------------- gram operator
@@ -85,7 +97,8 @@ def test_gram_matches_flat_loop_oracle():
     m = unfold(t, 1).data  # (3, 4)
     expected = [[sum(m[k][i] * m[k][j] for k in range(3)) for j in range(4)] for i in range(4)]
     assert np.allclose(gm, np.array(expected), rtol=1e-12, atol=1e-15)
-    assert is_self_adjoint(g)
+    asym, limit = jacobi.asymmetry(gm)
+    assert asym <= limit
 
 
 def test_gram_left_side():
@@ -121,50 +134,50 @@ def test_gram_operator_refuses_an_overflowing_gram(side):
         gram_operator(a, side=side)
 
 
-# -------------------------------------------------------- is_self_adjoint
+# ---------------------------------------------------------- self-adjointness
 
 
 def test_self_adjoint_of_gram_output():
     g = gram_operator(GroupedTensor(random_tensor((2, 3, 3), 12), (1, 2)), "right")
-    check = is_self_adjoint(g)
-    assert check
-    assert check.max_asymmetry <= 1e-15
+    asym, limit = jacobi.asymmetry(unfold(g.tensor, 2).data)
+    assert asym <= limit
+    assert asym <= 1e-15
 
 
 def test_self_adjoint_constructed_violation():
     arr = np.zeros((2, 2, 2, 2))
     arr[0, 0, 0, 1] = 1.0
-    check = is_self_adjoint(GroupedTensor(DenseTensor(arr), (2, 2)))
-    assert not check
-    assert check.max_asymmetry == 1.0
-    assert check.reason
+    with pytest.raises(NotSelfAdjoint) as exc:
+        decompose_sa_nnd(GroupedTensor(DenseTensor(arr), (2, 2)))
+    assert str(exc.value) == "max asymmetry 1.000e+00 exceeds 1.0e-10 * max entry"
+    assert exc.value.__cause__.asymmetry == 1.0
 
 
 def test_self_adjoint_after_symmetrizing():
     t = random_tensor((2, 2, 2, 2), 13)
     sym = 0.5 * (t.data + np.transpose(t.data, (2, 3, 0, 1)))
-    check = is_self_adjoint(GroupedTensor(DenseTensor(sym), (2, 2)))
-    assert check
+    asym, limit = jacobi.asymmetry(sym.reshape(4, 4))
+    assert asym <= limit
 
 
 def test_self_adjoint_group_shape_mismatch():
-    check = is_self_adjoint(GroupedTensor(random_tensor((2, 3), 14), (1, 1)))
-    assert not check
-    assert "differ" in check.reason
+    # Equal element counts, so the unfolding is square; the shapes differ.
+    a = GroupedTensor(random_tensor((2, 3, 6), 14), (2, 1))
+    with pytest.raises(NotSelfAdjoint) as exc:
+        decompose_sa_nnd(a)
+    assert str(exc.value) == "group shapes differ: (2, 3) vs (6,)"
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_self_adjoint_refuses_non_finite_operators(bad):
     # NaN compares false and an infinite entry makes the bound infinite, so
-    # neither may reach the asymmetry measurement.  decompose_sa_nnd keeps
-    # refusing them through the eigensolver's own check.
+    # neither may reach the asymmetry measurement: the eigensolver's own
+    # check refuses them first.
     for entries in ([[1.0, bad], [bad, 1.0]], [[1.0, bad], [0.0, 1.0]]):
         a = GroupedTensor(DenseTensor(entries, check_finite=False), (1, 1))
-        check = is_self_adjoint(a)
-        assert (check.ok, check.max_asymmetry) == (False, math.inf)
-        assert check.reason == "operator has non-finite entries"
-        with pytest.raises(NotSymmetric, match="matrix has non-finite entries"):
+        with pytest.raises(NotSymmetric) as exc:
             decompose_sa_nnd(a)
+        assert str(exc.value) == "matrix has non-finite entries"
 
 
 # -------------------------------------------------------- decompose_sa_nnd
@@ -195,10 +208,13 @@ def test_sa_nnd_rejects_asymmetric():
     asymmetric = GroupedTensor(DenseTensor(arr), (2, 2))
     # Unequal group shapes are refused as well, before any eigensolve.
     unequal = GroupedTensor(random_tensor((2, 3), 14), (1, 1))
-    for a in (asymmetric, unequal):
+    for a, message in (
+        (asymmetric, "max asymmetry 1.000e+00 exceeds 1.0e-10 * max entry"),
+        (unequal, "group shapes differ: (2,) vs (3,)"),
+    ):
         with pytest.raises(NotSelfAdjoint) as exc:
             decompose_sa_nnd(a)
-        assert str(exc.value) == is_self_adjoint(a).reason
+        assert str(exc.value) == message
 
 
 def test_sa_nnd_measures_asymmetry_once(monkeypatch):
@@ -232,7 +248,7 @@ def test_sa_nnd_gram_built_operator():
     for lam, u in zip(dec.eigenvalues, dec.eigentensors):
         resid = np.linalg.norm(m @ u.values - float(lam) * u.values)
         assert resid <= 1e-8 * top
-    assert ortho_err(dec.eigentensors) <= 1e-10
+    assert ortho_err(dec.vectors) <= 1e-10
 
 
 def test_sa_nnd_equals_matrix_spectral_decomposition():
@@ -270,18 +286,18 @@ def test_transform_rank_one():
     v = unit((2, 2), 20)
     a = GroupedTensor(DenseTensor(3.0 * np.multiply.outer(u.data, v.data)), (1, 2))
     dec = decompose_transform(a)
-    assert dec.rank == 1
+    assert len(dec.singulars) == 1
     assert dec.singulars[0] == pytest.approx(3.0, rel=1e-12)
-    assert abs(np.dot(dec.left[0].values, u.values)) == pytest.approx(1.0, abs=1e-10)
-    assert abs(np.dot(dec.right[0].values, v.values)) == pytest.approx(1.0, abs=1e-10)
+    assert abs(np.dot(dec.u[0], u.values)) == pytest.approx(1.0, abs=1e-10)
+    assert abs(np.dot(dec.v[0], v.values)) == pytest.approx(1.0, abs=1e-10)
     assert rel_err(a.tensor, reconstruct(dec)) <= 1e-10
 
 
 def test_transform_zero_tensor():
     a = GroupedTensor(DenseTensor(np.zeros((3, 2, 2))), (1, 2))
     dec = decompose_transform(a)
-    assert dec.rank == 0
-    assert dec.left == [] and dec.right == []
+    assert len(dec.singulars) == 0
+    assert dec.u.shape == (0, 3) and dec.v.shape == (0, 4)
     assert not reconstruct(dec).data.any()
 
 
@@ -289,18 +305,18 @@ def test_transform_random_properties():
     a = GroupedTensor(random_tensor((5, 3, 2), 21), (1, 2))
     dec = decompose_transform(a)
     assert rel_err(a.tensor, reconstruct(dec)) <= 1e-8
-    for family in (dec.left, dec.right):
+    for family in (dec.u, dec.v):
         assert ortho_err(family) <= 1e-10
     # weight identity: s_p = <U_p, A . V_p>
     m = unfold(a.tensor, 1).data
-    for s, u, v in zip(dec.singulars, dec.left, dec.right):
-        got = u.values @ m @ v.values
+    for s, u, v in zip(dec.singulars, dec.u, dec.v):
+        got = u @ m @ v
         assert got == pytest.approx(float(s), rel=1e-8)
     # spectrum of the right gram operator gives the squared weights
     g = gram_operator(a, side="right")
     geig = sym_eig(unfold(g.tensor, 2).data)
     assert np.allclose(
-        dec.singulars**2, geig.eigenvalues[: dec.rank], rtol=0, atol=1e-10 * geig.eigenvalues[0]
+        dec.singulars**2, geig.eigenvalues[: len(dec.singulars)], rtol=0, atol=1e-10 * geig.eigenvalues[0]
     )
 
 
@@ -318,10 +334,10 @@ def test_transform_solves_smaller_side(monkeypatch, dims, groups):
     monkeypatch.setattr(jacobi, "sym_eig", recording)
     a = GroupedTensor(random_tensor(dims, 25), groups)
     dec = decompose_transform(a)
-    smaller = min(s.element_count for s in a.group_shapes)
+    smaller = min(math.prod(s) for s in a.group_shapes)
     assert orders == [smaller]
     assert len(dec.spectrum) == smaller
-    for family in (dec.left, dec.right):
+    for family in (dec.u, dec.v):
         assert ortho_err(family) <= 1e-12
     assert rel_err(a.tensor, reconstruct(dec)) <= 1e-12
 
@@ -352,7 +368,7 @@ def test_triple_zero_tensor():
 def check_triple_contract(a, dec, recon_tol=1e-10):
     r1, r2 = len(dec.sigma), len(dec.gamma)
     # orthonormal bases
-    for family in (dec.u_basis, dec.z_basis):
+    for family in (dec.u, dec.z):
         assert ortho_err(family) <= 1e-10
     # joint W orthonormality: contraction over the K modes AND p
     w = dec.w_joint.data.reshape(-1, r1, r2)
@@ -418,7 +434,7 @@ def test_triple_solves_smaller_sides(monkeypatch, dims, orders):
     dec = decompose_triple(a)
     assert seen == orders
     r1, r2 = len(dec.sigma), len(dec.gamma)
-    for family in (dec.u_basis, dec.z_basis):
+    for family in (dec.u, dec.z):
         assert ortho_err(family) <= 1e-12
     w = dec.w_joint.data.reshape(-1, r2)
     assert np.abs(w.T @ w - np.eye(r2)).max() <= 1e-12
@@ -449,17 +465,20 @@ def test_record_surface():
     d_tr = decompose_transform(tr)
     d_tp = decompose_triple(tp)
     r1, r2 = len(d_tp.sigma), len(d_tp.gamma)
-    assert (d_op.rank, d_tr.rank, d_tp.count) == (6, 5, r1 * r2)
+    assert (d_op.rank, len(d_tr.singulars), d_tp.count) == (6, 5, r1 * r2)
     assert [f.name for f in dataclasses.fields(d_tp)] == [
         "weights", "pair_map", "u", "z", "w", "shapes", "sigma", "gamma"
     ]
     assert d_tp.raw is d_tp
     p, s = d_tp.pair_map.T
     assert np.array_equal(d_tp.weights, d_tp.sigma[p] * d_tp.gamma[s])
+    # A family's shape is its group's dims: a tuple of ints.
+    for dec, a in ((d_op, op), (d_tr, tr), (d_tp, tp)):
+        shapes = tuple(shape for *_, shape in dec.terms()[1])
+        assert shapes == a.group_shapes
+        assert all(type(d) is int for shape in shapes for d in shape)
     views = [
         (d_op.eigentensors, d_op.vectors, np.arange(6), (3, 2)),
-        (d_tr.left, d_tr.u, np.arange(5), (5,)),
-        (d_tr.right, d_tr.v, np.arange(5), (2, 3)),
         (d_tp.factors_u, d_tp.u, p, (6,)),
         (d_tp.factors_z, d_tp.z, s, (4,)),
         (d_tp.factors_w, d_tp.w, np.arange(r1 * r2), (3,)),
@@ -528,7 +547,7 @@ def test_reconstruct_keep_validation():
     with pytest.raises(InvalidKeep):
         reconstruct(dec, -1)
     with pytest.raises(InvalidKeep):
-        reconstruct(dec, dec.rank + 1)
+        reconstruct(dec, len(dec.singulars) + 1)
 
 
 def test_reconstruct_completeness_all_algorithms():
@@ -546,7 +565,9 @@ def explicit_terms(dec):
     if hasattr(dec, "eigentensors"):
         terms = zip(dec.eigenvalues, dec.eigentensors, dec.eigentensors)
     elif hasattr(dec, "singulars"):
-        terms = zip(dec.singulars, dec.left, dec.right)
+        u = dec.u.reshape((-1,) + dec.left_shape)
+        v = dec.v.reshape((-1,) + dec.right_shape)
+        terms = zip(dec.singulars, map(DenseTensor, u), map(DenseTensor, v))
     else:
         terms = zip(dec.weights, dec.factors_u, dec.factors_z, dec.factors_w)
     for weight, *factors in terms:

@@ -204,7 +204,7 @@ def read_or_refuse(path, blob):
     except ParseError:
         return
     assert isinstance(t, DenseTensor)
-    assert 12 + 8 * t.order + 8 * t.size == len(blob)
+    assert 12 + 8 * t.order + 8 * t.data.size == len(blob)
     assert np.isfinite(t.data).all()
 
 
