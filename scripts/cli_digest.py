@@ -50,10 +50,6 @@ def commands():
     table = {}
     for name in ("exp1", "exp2", "exp3"):
         table[name] = (["experiment", name, "--out", name], ())
-    # Refused: --tol takes only a positive finite number.
-    for suffix, tol in (("nan", "nan"), ("inf", "inf"), ("neg", "-1")):
-        name = f"exp2-tol-{suffix}"
-        table[name] = (["experiment", "exp2", "--tol", tol, "--out", name], ())
     for name, (source, groups, algorithm, extra) in DECOMPOSE.items():
         table[name] = (["decompose", source, "--groups", groups, "--algorithm", algorithm,
                         *extra, "--out", name], ())

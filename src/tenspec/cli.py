@@ -20,8 +20,8 @@ from typing import Optional
 
 import numpy as np
 
-from . import jacobi
-from .core import DenseTensor, random_tensor, relative_error
+from . import jacobi, oracle
+from .core import DenseTensor, _integer, random_tensor, relative_error
 from .decompose import (
     GroupedTensor,
     OperatorDecomposition,
@@ -48,7 +48,6 @@ from .tz1 import read_tensor, write_tensor
 
 DEFAULT_SEED = 42
 MANIFEST_VERSION = 1
-SINGULAR_TOL = 1e-8
 # `decompose` refuses an input whose largest eigenproblem is above this
 # order, instead of running for long without a word.  sym_eig took 10.4 s at
 # n = 768 (BENCH_eig.json, block_odd_even, 2-vCPU VM) and its time grows as
@@ -57,13 +56,13 @@ SINGULAR_TOL = 1e-8
 MAX_EIGEN_ORDER = 2048
 
 
-# Each algorithm's number of mode groups, its manifest factor families (in
-# ``terms()`` order) and the reconstruction error its report passes at.
-Algorithm = namedtuple("Algorithm", "groups families tolerance")
+# Each algorithm's number of mode groups and its manifest factor families
+# (in ``terms()`` order).
+Algorithm = namedtuple("Algorithm", "groups families")
 ALGORITHMS = {
-    "op": Algorithm(2, ("u",), 1e-8),
-    "transform": Algorithm(2, ("u", "v"), 1e-8),
-    "triple": Algorithm(3, ("u", "z", "w"), 1e-10),
+    "op": Algorithm(2, ("u",)),
+    "transform": Algorithm(2, ("u", "v")),
+    "triple": Algorithm(3, ("u", "z", "w")),
 }
 
 
@@ -71,13 +70,11 @@ ALGORITHMS = {
 class ExperimentSpec:
     """One runnable experiment: a seeded random source and an algorithm.
 
-    ``groups`` partitions the source tensor's modes.  With ``gram_source``
-    the decomposed operator is the gram of the grouped source (the way the
-    canned SA-NND experiment builds its input); otherwise the source itself
-    is decomposed.  ``tolerance=None`` takes the algorithm's; any other must
-    be an int or float, not a bool, in (0, inf) (ValueError otherwise): NaN
-    and inf are not JSON, and inf or one not above 0 decides every run
-    alike.  The solver's cuts are ``jacobi.RANK_TOL``, ``SYMMETRY_TOL``,
+    ``groups`` partitions the source tensor's modes.  An ``op`` experiment
+    decomposes the right Gram of the grouped source, so its operator is
+    self-adjoint and non-negative definite; any other decomposes the source
+    itself.  The report passes at ``oracle.RECONSTRUCTION_TOL``, and the
+    solver's cuts are ``jacobi.RANK_TOL``, ``SYMMETRY_TOL``,
     ``CONVERGENCE_TOL`` and ``MAX_SWEEPS``.
     """
 
@@ -86,13 +83,6 @@ class ExperimentSpec:
     groups: tuple
     algorithm: str
     seed: int = DEFAULT_SEED
-    tolerance: Optional[float] = None
-    gram_source: bool = False
-
-    def __post_init__(self):
-        tol = self.tolerance  # type() is exact: a bool is no tolerance
-        if tol is not None and (type(tol) not in (int, float) or not 0.0 < tol < math.inf):
-            raise ValueError(f"tolerance {self.tolerance!r} is not a positive finite number")
 
 
 EXPERIMENTS = {
@@ -100,7 +90,6 @@ EXPERIMENTS = {
         source_dims=(16, 16, 3, 16, 16, 3),
         groups=(3, 3),
         algorithm="op",
-        gram_source=True,
     ),
     "exp2": dict(
         source_dims=(64, 8, 4),
@@ -115,12 +104,13 @@ EXPERIMENTS = {
 }
 
 
-def experiment_spec(name, seed=DEFAULT_SEED, tolerance=None):
-    """Spec for one of the canned experiments, with optional overrides."""
+def experiment_spec(name, seed=DEFAULT_SEED):
+    """Spec for one of the canned experiments with the given seed (an
+    integer, ValueError otherwise)."""
     if name not in EXPERIMENTS:
         raise ValueError(f"unknown experiment {name!r}")
     return ExperimentSpec(
-        name=name, seed=int(seed), tolerance=tolerance, **EXPERIMENTS[name]
+        name=name, seed=_integer(seed, ValueError, "seed"), **EXPERIMENTS[name]
     )
 
 
@@ -166,7 +156,7 @@ def _decompose(a, algorithm):
     raise ValueError(f"unknown algorithm {algorithm!r}")
 
 
-def _run(a, algorithm, out_dir, name="decompose", seed=None, tolerance=None, keep=None):
+def _run(a, algorithm, out_dir, name="decompose", seed=None, keep=None):
     """Decompose ``a``, rebuild its leading ``keep`` components and write
     spectrum.csv and report.json; returns the result and the report."""
     started = time.perf_counter()
@@ -175,8 +165,7 @@ def _run(a, algorithm, out_dir, name="decompose", seed=None, tolerance=None, kee
     wall_ms = int(round(1000.0 * (time.perf_counter() - started)))
 
     err = relative_error(a.tensor, rebuilt)
-    if tolerance is None:
-        tolerance = ALGORITHMS[algorithm].tolerance
+    tolerance = oracle.RECONSTRUCTION_TOL[a.group_count]
     report = RunReport(
         name=name,
         algorithm=algorithm,
@@ -198,13 +187,11 @@ def _run(a, algorithm, out_dir, name="decompose", seed=None, tolerance=None, kee
 
 def run_experiment(spec, out_dir):
     """Run one experiment and write input.tz1, spectrum.csv, report.json."""
-    source = random_tensor(spec.source_dims, spec.seed)
-    if spec.gram_source:
-        a = gram_operator(GroupedTensor(source, spec.groups), side="right")
-    else:
-        a = GroupedTensor(source, spec.groups)
+    a = GroupedTensor(random_tensor(spec.source_dims, spec.seed), spec.groups)
+    if spec.algorithm == "op":
+        a = gram_operator(a, side="right")
     out_dir = Path(out_dir)
-    _, report = _run(a, spec.algorithm, out_dir, spec.name, spec.seed, spec.tolerance)
+    _, report = _run(a, spec.algorithm, out_dir, spec.name, spec.seed)
     write_tensor(out_dir / "input.tz1", a.tensor)
     return report
 
@@ -240,7 +227,7 @@ def run_decompose(path, groups, algorithm="auto", keep=None, out_dir="tenspec-ou
     out_dir = Path(out_dir)
     dec, report = _run(a, algorithm, out_dir, keep=keep)
     algorithm = report.algorithm
-    kept = report.rank if keep is None else int(keep)
+    kept = report.rank if keep is None else keep
 
     weights, families = dec.terms()
     factor_names = {}
@@ -259,10 +246,11 @@ def run_decompose(path, groups, algorithm="auto", keep=None, out_dir="tenspec-ou
         "groups": list(a.group_orders),
         "weights": [float(w) for w in weights[:kept]],
         "factors": factor_names,
+        # A record of the constants the run was judged by; verify reads none.
         "tolerances": {
             "rank_tol": jacobi.RANK_TOL,
             "reconstruction_tol": report.tolerance,
-            "singular_tol": SINGULAR_TOL,
+            "singular_tol": oracle.SINGULAR_TOL,
         },
     }
     if algorithm == "triple":
@@ -274,7 +262,9 @@ def run_decompose(path, groups, algorithm="auto", keep=None, out_dir="tenspec-ou
 
 
 def run_verify(tensor_path, manifest_path):
-    """Replay a manifest's factors against the tensor via the oracle."""
+    """Replay a manifest's factors against the tensor via the oracle, which
+    judges them by its fixed standard (the manifest's ``tolerances`` map is
+    not read)."""
     tensor = read_tensor(tensor_path)
     manifest_path = Path(manifest_path)
     try:
@@ -286,7 +276,6 @@ def run_verify(tensor_path, manifest_path):
         groups = manifest["groups"]
         weights = manifest["weights"]
         factor_names = manifest["factors"]
-        tolerances = manifest.get("tolerances", {})
     except (KeyError, TypeError) as exc:
         raise ParseError(f"{manifest_path}: bad manifest field: {exc}") from exc
     if not isinstance(weights, list) or any(  # type() is exact: a bool is no weight
@@ -311,7 +300,7 @@ def run_verify(tensor_path, manifest_path):
                 f"tensor groups {actual}"
             )
     shapes = a.group_shapes
-    group_count, families, _ = ALGORITHMS[algorithm]
+    group_count, families = ALGORITHMS[algorithm]
     one_shape = algorithm == "op"  # an operator maps its group onto itself
     if len(shapes) != group_count or (one_shape and shapes[0] != shapes[1]):
         raise ParseError(
@@ -355,23 +344,7 @@ def run_verify(tensor_path, manifest_path):
         result = TripleDecomposition(
             weights, pair_map, stacks["u"], stacks["z"], stacks["w"], shapes
         )
-    tolerances = _tolerances(tolerances, ALGORITHMS[algorithm].tolerance, manifest_path)
-    return verify_decomposition(a, result, **tolerances)
-
-
-def _tolerances(declared, reconstruction_tol, manifest_path):
-    """``verify``'s tolerances: a manifest may declare smaller ones than
-    the defaults (``reconstruction_tol`` is the algorithm's), never larger."""
-    if not isinstance(declared, dict):
-        raise ParseError(f"{manifest_path}: tolerances must map name to value")
-    tolerances = {}
-    defaults = (("singular_tol", SINGULAR_TOL), ("reconstruction_tol", reconstruction_tol))
-    for key, default in defaults:
-        value = declared.get(key, default)
-        if type(value) not in (int, float) or not 0 < value < math.inf:
-            raise ParseError(f"{manifest_path}: {key} {value!r} is not a positive number")
-        tolerances[key] = float(min(value, default))
-    return tolerances
+    return verify_decomposition(a, result)
 
 
 def _compact_pair_map(entries, stacks, manifest_path):
@@ -443,7 +416,7 @@ def _write_json(path, value):
 
 
 def _cmd_experiment(args):
-    spec = experiment_spec(args.name, seed=args.seed, tolerance=args.tol)
+    spec = experiment_spec(args.name, seed=args.seed)
     report = run_experiment(spec, args.out)
     print(
         f"[tenspec] {spec.name}: rank {report.rank}, reconstruction error "
@@ -460,12 +433,6 @@ def _parse_groups(text):
     except ValueError as exc:
         raise GroupingMismatch(f"bad --groups value {text!r}") from exc
     return groups
-
-
-def _positive(text):
-    if not 0 < float(text) < math.inf:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a positive finite number")
-    return float(text)
 
 
 def _cmd_decompose(args):
@@ -515,8 +482,6 @@ def build_parser():
     p_exp = sub.add_parser("experiment", help="run a canned seeded experiment")
     p_exp.add_argument("name", choices=sorted(EXPERIMENTS))
     p_exp.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p_exp.add_argument("--tol", type=_positive, default=None,
-                       help="override the pass/fail reconstruction tolerance")
     p_exp.add_argument("--out", default="tenspec-out", help="output directory")
     p_exp.set_defaults(func=_cmd_experiment)
 

@@ -127,7 +127,7 @@ def relative_error(reference, candidate):
 
 
 def _check_axes(t, axes, label):
-    axes = tuple(int(a) for a in axes)
+    axes = tuple(_integer(a, InvalidAxis, f"{label} position") for a in axes)
     seen = set()
     for a in axes:
         if not 0 <= a < t.order:
@@ -191,6 +191,7 @@ def unfold(x, split):
     each group enumerated in storage order (last index fastest).  With
     row-major storage this is a zero-copy reshape of the same values.
     """
+    split = _integer(split, InvalidSplit, "split")
     if not 1 <= split <= x.order - 1:
         raise InvalidSplit(f"split {split} not in [1, {x.order - 1}]")
     n = int(np.prod(x.dims[:split]))
@@ -203,9 +204,10 @@ def random_tensor(shape, seed):
 
     The generator is numpy's PCG64; one double is drawn per element in
     storage order, so a given (shape, seed) pair reproduces bit-identical
-    values on any platform with the same numpy generation code.
+    values on any platform with the same numpy generation code.  The seed
+    must be an integer (ValueError otherwise).
     """
     dims = _dims(shape)
-    rng = np.random.Generator(np.random.PCG64(int(seed)))
+    rng = np.random.Generator(np.random.PCG64(_integer(seed, ValueError, "seed")))
     vals = rng.random(math.prod(dims)) * 2.0 - 1.0
     return DenseTensor(vals.reshape(dims), check_finite=False)

@@ -429,7 +429,7 @@ def reconstruct(decomposition, keep=None):
     is one matrix product of the rows with those coefficients.
     """
     weights, families = decomposition.terms()
-    keep = len(weights) if keep is None else int(keep)
+    keep = len(weights) if keep is None else _integer(keep, InvalidKeep, "keep")
     if not 0 <= keep <= len(weights):
         raise InvalidKeep(f"keep {keep} not in [0, {len(weights)}]")
     acc = _sum_terms(weights, families, keep)

@@ -409,12 +409,15 @@ def _fix_signs(vectors):
 def numerical_rank(eigenvalues):
     """Count eigenvalues above ``RANK_TOL`` relative to the largest.
 
-    The sequence must be non-increasing (NotSorted otherwise).  A spectrum
-    whose largest value is not positive has rank 0.
+    The sequence must be finite and non-increasing (NotSorted otherwise).
+    A spectrum whose largest value is not positive has rank 0.
     """
     lam = np.asarray(eigenvalues, dtype=np.float64)
     if lam.ndim != 1:
         raise NotSorted(f"expected a 1-d spectrum, got shape {lam.shape}")
+    bad = np.flatnonzero(~np.isfinite(lam))
+    if bad.size:
+        raise NotSorted(f"spectrum entry {bad[0]} is {lam[bad[0]]}, not finite")
     if np.any(lam[:-1] < lam[1:]):
         raise NotSorted("spectrum is not sorted non-increasing")
     # A largest value that is not positive has none above its RANK_TOL share.

@@ -476,3 +476,14 @@ def test_numerical_rank_of_dependent_vectors():
 def test_numerical_rank_not_sorted():
     with pytest.raises(NotSorted):
         numerical_rank([1.0, 2.0])
+
+
+@pytest.mark.parametrize(
+    "spectrum, entry",
+    [([1.0, math.nan], 1), ([math.nan, 1.0], 0), ([math.inf, 1.0], 0), ([2.0, 1.0, -math.inf], 2)],
+)
+def test_numerical_rank_refuses_non_finite(spectrum, entry):
+    # A NaN compares false either way, so it passed the order check and read
+    # rank 1 after a finite top value and rank 0 in front of one.
+    with pytest.raises(NotSorted, match=f"spectrum entry {entry} is .*, not finite"):
+        numerical_rank(spectrum)

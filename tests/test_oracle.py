@@ -118,7 +118,7 @@ def test_verify_operator_decomposition():
 
 def test_verify_triple_uses_reconstruction_only():
     a = GroupedTensor(random_tensor((3, 3, 2), 47), (1, 1, 1))
-    report = verify_decomposition(a, decompose_triple(a), reconstruction_tol=1e-10)
+    report = verify_decomposition(a, decompose_triple(a))
     assert report.passed
     assert report.singulars_reference.size == 0
     assert report.max_singular_deviation == 0.0
@@ -126,9 +126,7 @@ def test_verify_triple_uses_reconstruction_only():
 
 def test_verify_experiment2_scale():
     a = GroupedTensor(random_tensor((64, 8, 4), 48), (1, 2))
-    report = verify_decomposition(
-        a, decompose_transform(a), singular_tol=1e-8, reconstruction_tol=1e-8
-    )
+    report = verify_decomposition(a, decompose_transform(a))
     assert report.passed
 
 
