@@ -40,6 +40,8 @@ DECOMPOSE = {
     "auto-asym": ("asym.tz1", "1,1", "auto", ()),  # not self-adjoint: transform
     "op-asym": ("asym.tz1", "1,1", "op", ()),  # refused, exit 2
     "keep3": ("transform.tz1", "1,2", "auto", ("--keep", "3")),
+    # Only the U and Z rows the five leading components use: a prefix.
+    "keep-triple": ("triple.tz1", "1,1,1", "triple", ("--keep", "5")),
     "tiny": ("tiny.tz1", "1,1,1", "auto", ()),  # 1e-170: no terms, exit 1
 }
 REFUSED = {"op-asym"}

@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import jacobi, oracle
+from . import oracle
 from .core import DenseTensor, _integer, random_tensor, relative_error
 from .decompose import (
     GroupedTensor,
@@ -36,6 +36,7 @@ from .decompose import (
 )
 from .errors import (
     GroupingMismatch,
+    InvalidKeep,
     NotNND,
     NotSelfAdjoint,
     ParseError,
@@ -47,7 +48,7 @@ from .oracle import verify_decomposition
 from .tz1 import read_tensor, write_tensor
 
 DEFAULT_SEED = 42
-MANIFEST_VERSION = 1
+MANIFEST_VERSION = 2
 # `decompose` refuses an input whose largest eigenproblem is above this
 # order, instead of running for long without a word.  sym_eig took 10.4 s at
 # n = 768 (BENCH_eig.json, block_odd_even, 2-vCPU VM) and its time grows as
@@ -214,9 +215,15 @@ def _eigen_order(a):
 def run_decompose(path, groups, algorithm="auto", keep=None, out_dir="tenspec-out"):
     """Decompose a TZ1 file; write factor files, manifest.json, report.json.
 
-    Raises TooLarge, before any solve, when ``_eigen_order`` of the input
-    exceeds ``MAX_EIGEN_ORDER``.
+    Each family gets one file per ``terms()`` row that the leading ``keep``
+    components use, always its first rows (weights are non-increasing in p
+    and in s, ties in (p, s) order); a triple's ``pairMap`` entry m names
+    the U and Z files of component m.  Raises InvalidKeep for a negative
+    ``keep`` before the tensor is read, and TooLarge, before any solve,
+    when ``_eigen_order`` of the input exceeds ``MAX_EIGEN_ORDER``.
     """
+    if keep is not None and _integer(keep, InvalidKeep, "keep") < 0:
+        raise InvalidKeep(f"keep {keep} is negative")
     a = GroupedTensor(read_tensor(path), groups)
     order = _eigen_order(a)
     if order > MAX_EIGEN_ORDER:
@@ -232,13 +239,10 @@ def run_decompose(path, groups, algorithm="auto", keep=None, out_dir="tenspec-ou
     weights, families = dec.terms()
     factor_names = {}
     for family, (rows, index, shape) in zip(ALGORITHMS[algorithm].families, families):
-        names = []
-        for m in range(kept):
-            fname = f"{family}-{m + 1:04d}.tz1"
-            factor = DenseTensor(rows[index[m]].reshape(shape), check_finite=False)
-            write_tensor(out_dir / fname, factor)
-            names.append(fname)
-        factor_names[family] = names
+        used = rows[: index[:kept].max(initial=-1) + 1]
+        factor_names[family] = [f"{family}-{i + 1:04d}.tz1" for i in range(len(used))]
+        for name, row in zip(factor_names[family], used):
+            write_tensor(out_dir / name, DenseTensor(row.reshape(shape), check_finite=False))
     manifest = {
         "version": MANIFEST_VERSION,
         "algorithm": algorithm,
@@ -246,12 +250,6 @@ def run_decompose(path, groups, algorithm="auto", keep=None, out_dir="tenspec-ou
         "groups": list(a.group_orders),
         "weights": [float(w) for w in weights[:kept]],
         "factors": factor_names,
-        # A record of the constants the run was judged by; verify reads none.
-        "tolerances": {
-            "rank_tol": jacobi.RANK_TOL,
-            "reconstruction_tol": report.tolerance,
-            "singular_tol": oracle.SINGULAR_TOL,
-        },
     }
     if algorithm == "triple":
         manifest["pairMap"] = [
@@ -262,9 +260,14 @@ def run_decompose(path, groups, algorithm="auto", keep=None, out_dir="tenspec-ou
 
 
 def run_verify(tensor_path, manifest_path):
-    """Replay a manifest's factors against the tensor via the oracle, which
-    judges them by its fixed standard (the manifest's ``tolerances`` map is
-    not read)."""
+    """Replay a version-2 manifest's factors against the tensor via the
+    oracle, which judges them by its fixed standard.
+
+    A family's files are its rows, and component m uses file index[m]: a
+    triple's U and Z index is its ``pairMap`` column, every other index is
+    m.  The components must use every file and no other.  ParseError for
+    any other version and for a malformed manifest.
+    """
     tensor = read_tensor(tensor_path)
     manifest_path = Path(manifest_path)
     try:
@@ -272,7 +275,14 @@ def run_verify(tensor_path, manifest_path):
     except (OSError, json.JSONDecodeError) as exc:
         raise ParseError(f"{manifest_path}: {exc}") from exc
     try:
+        version = manifest["version"]
+        if version != MANIFEST_VERSION:
+            raise ParseError(
+                f"{manifest_path}: manifest version {version!r} is not "
+                f"{MANIFEST_VERSION}; re-run decompose to write one"
+            )
         algorithm = manifest["algorithm"]
+        declared = manifest["shapes"]
         groups = manifest["groups"]
         weights = manifest["weights"]
         factor_names = manifest["factors"]
@@ -291,15 +301,13 @@ def run_verify(tensor_path, manifest_path):
         raise ParseError(f"{manifest_path}: factors must map family to file names")
 
     a = GroupedTensor(tensor, groups)
-    declared = manifest.get("shapes")
-    if declared is not None:
-        actual = [list(s) for s in a.group_shapes]
-        if declared != actual:
-            raise ParseError(
-                f"{manifest_path}: declared shapes {declared} do not match "
-                f"tensor groups {actual}"
-            )
     shapes = a.group_shapes
+    actual = [list(s) for s in shapes]
+    if declared != actual:
+        raise ParseError(
+            f"{manifest_path}: declared shapes {declared} do not match "
+            f"tensor groups {actual}"
+        )
     group_count, families = ALGORITHMS[algorithm]
     one_shape = algorithm == "op"  # an operator maps its group onto itself
     if len(shapes) != group_count or (one_shape and shapes[0] != shapes[1]):
@@ -307,15 +315,20 @@ def run_verify(tensor_path, manifest_path):
             f"{manifest_path}: {algorithm} needs {group_count} groups"
             f"{' of one shape' if one_shape else ''}, got {list(shapes)}"
         )
+    count = len(weights)
+    indexes = [np.arange(count)] * len(families)
+    if algorithm == "triple":
+        pair_map = _pair_map(manifest.get("pairMap", []), count, manifest_path)
+        indexes[:2] = pair_map.T
     stacks = {}
-    for family, shape in zip(families, shapes):
+    for family, shape, index in zip(families, shapes, indexes):
         names = factor_names.get(family)
         if not (isinstance(names, list) and all(isinstance(n, str) for n in names)):
             raise ParseError(f"{manifest_path}: no list of {family} factor files")
-        if len(names) != len(weights):
+        if set(index.tolist()) != set(range(len(names))):
             raise ParseError(
-                f"{manifest_path}: {len(weights)} weights but "
-                f"{len(names)} {family} factors"
+                f"{manifest_path}: the {count} components do not use every one "
+                f"of the {len(names)} {family} factor files and no other"
             )
         for name in names:
             if name in ("", ".", "..") or Path(name).name != name or "\0" in name:
@@ -340,22 +353,16 @@ def run_verify(tensor_path, manifest_path):
             weights, stacks["u"], stacks["v"], *shapes, spectrum=weights
         )
     else:
-        pair_map = _compact_pair_map(manifest.get("pairMap", []), stacks, manifest_path)
         result = TripleDecomposition(
             weights, pair_map, stacks["u"], stacks["z"], stacks["w"], shapes
         )
     return verify_decomposition(a, result)
 
 
-def _compact_pair_map(entries, stacks, manifest_path):
-    """Zero-based pair map of a triple manifest's 1-based ``pairMap``.
-
-    The entries must be distinct pairs of integers in [1, M] (the k-th
-    largest weight sigma_p * gamma_s has p, s <= k), and components that
-    share p (s) must hold equal U (Z) factors.  The U and Z stacks are
-    reduced to their distinct rows, which the returned map indexes.
-    """
-    count = len(stacks["w"])
+def _pair_map(entries, count, manifest_path):
+    """Zero-based pair map of a triple manifest's 1-based ``pairMap``: one
+    distinct pair of integers in [1, count] per weight (the k-th largest
+    weight sigma_p * gamma_s has p, s <= k)."""
     if not isinstance(entries, list) or len(entries) != count:
         raise ParseError(
             f"{manifest_path}: pairMap needs one entry per weight ({count})"
@@ -372,20 +379,7 @@ def _compact_pair_map(entries, stacks, manifest_path):
             )
     if len({tuple(entry) for entry in entries}) != count:
         raise ParseError(f"{manifest_path}: pairMap repeats a pair")
-    pairs = np.array(entries, dtype=np.intp).reshape(count, 2)
-    for column, family in ((0, "u"), (1, "z")):
-        _, first, inverse = np.unique(
-            pairs[:, column], return_index=True, return_inverse=True
-        )
-        distinct = stacks[family][first]
-        if not np.array_equal(distinct[inverse], stacks[family]):
-            raise ParseError(
-                f"{manifest_path}: components that share a pairMap index "
-                f"hold different {family} factors"
-            )
-        stacks[family] = distinct
-        pairs[:, column] = inverse
-    return pairs
+    return np.array(entries, dtype=np.intp).reshape(count, 2) - 1
 
 
 def _write_spectrum_csv(path, spectrum):

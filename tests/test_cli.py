@@ -20,6 +20,7 @@ from tenspec import (
     write_tensor,
 )
 from tenspec.cli import (
+    MANIFEST_VERSION,
     ExperimentSpec,
     experiment_spec,
     main,
@@ -290,16 +291,48 @@ def test_decompose_triple_manifest_has_pair_map(tmp_path):
     manifest = read_json(out / "manifest.json")
     assert manifest["algorithm"] == "triple"
     assert manifest["shapes"] == [[3], [2], [2]]
-    pair_map = [tuple(p) for p in manifest["pairMap"]]
-    assert len(pair_map) == len(manifest["weights"])
-    assert min(min(p) for p in pair_map) == 1  # reported 1-based
-    # emitted factor files round-trip bit-exactly against the decomposition
     dec = decompose_triple(GT(t, (1, 1, 1)))
-    families = {"u": dec.factors_u, "z": dec.factors_z, "w": dec.factors_w}
-    for family in ("u", "z", "w"):
-        for m, name in enumerate(manifest["factors"][family]):
-            loaded = read_tensor(out / name)
-            assert loaded.values.tobytes() == families[family][m].values.tobytes()
+    # pairMap is the record's pair map, 1-based: entry m names the U and Z
+    # files of component m.
+    assert manifest["pairMap"] == (dec.pair_map + 1).tolist()
+    # One file per row, r1 U, r2 Z and M W files, each round-tripping the
+    # record's row bit-exactly.
+    assert len(dec.u) * len(dec.z) == dec.count
+    for family, rows in (("u", dec.u), ("z", dec.z), ("w", dec.w)):
+        names = manifest["factors"][family]
+        assert len(names) == len(rows)
+        for name, row in zip(names, rows):
+            assert read_tensor(out / name).values.tobytes() == row.tobytes()
+
+
+def test_decompose_triple_keep_writes_only_the_rows_it_uses(tmp_path):
+    # The leading components use a prefix of the U and of the Z rows, and
+    # exactly those rows are written.
+    from tenspec import GroupedTensor as GT, decompose_triple
+
+    t = random_tensor((6, 4, 3), 70)
+    path = tmp_path / "t3.tz1"
+    write_tensor(path, t)
+    out = tmp_path / "keep5"
+    args = ["decompose", str(path), "--groups", "1,1,1", "--keep", "5", "--out", str(out)]
+    assert main(args) == 0
+    dec = decompose_triple(GT(t, (1, 1, 1)))
+    p, s = dec.pair_map[:5].T
+    counts = {"u": p.max() + 1, "z": s.max() + 1, "w": 5}
+    assert counts["u"] < len(dec.u) and counts["z"] < len(dec.z)
+    manifest = read_json(out / "manifest.json")
+    assert manifest["pairMap"] == (dec.pair_map[:5] + 1).tolist()
+    rows = {"u": dec.u, "z": dec.z, "w": dec.w}
+    expected = {"manifest.json", "spectrum.csv", "report.json"}
+    for family, count in counts.items():
+        names = [f"{family}-{i + 1:04d}.tz1" for i in range(count)]
+        assert manifest["factors"][family] == names
+        expected.update(names)
+        for name, row in zip(names, rows[family]):
+            assert read_tensor(out / name).values.tobytes() == row.tobytes()
+    assert {f.name for f in out.iterdir()} == expected
+    # A truncated triple lacks pairs: it is replayed and fails, not refused.
+    assert main(["verify", str(path), str(out / "manifest.json")]) == 1
 
 
 def test_decompose_op_on_non_self_adjoint_exits_2(tmp_path):
@@ -361,6 +394,24 @@ def test_decompose_keep_out_of_range_exit_2(tmp_path):
         ["decompose", str(path), "--groups", "1,1", "--keep", "99", "--out", str(tmp_path / "o")]
     )
     assert code == 2
+
+
+def test_decompose_negative_keep_refused_before_any_work(tmp_path, monkeypatch, capsys):
+    # A negative count needs no rank to refuse: the tensor is not read and
+    # nothing is decomposed.
+    from tenspec import cli
+
+    calls = []
+    for name in ("read_tensor", "decompose_sa_nnd", "decompose_transform",
+                 "decompose_triple"):
+        monkeypatch.setattr(cli, name, lambda *args, name=name: calls.append(name))
+    path = tmp_path / "k.tz1"
+    write_tensor(path, random_tensor((4, 4), 69))
+    out = tmp_path / "o"
+    assert main(["decompose", str(path), "--groups", "1,1", "--keep", "-1",
+                 "--out", str(out)]) == 2
+    assert "keep -1 is negative" in capsys.readouterr().err
+    assert calls == [] and not out.exists()
 
 
 def test_decompose_bad_groups_exit_2(tmp_path):
@@ -493,23 +544,42 @@ def test_verify_bad_pair_map_exits_2(tmp_path):
     write_tensor(src, random_tensor((3, 3, 2), 68))
     out = tmp_path / "fac3"
     assert main(["decompose", str(src), "--groups", "1,1,1", "--out", str(out)]) == 0
-    data = json.loads((out / "manifest.json").read_text())
-    pairs = data["pairMap"]
+    good = json.loads((out / "manifest.json").read_text())
+    pairs = good["pairMap"]
     count = len(pairs)
     assert count > 2
     bad_maps = {
         "out_of_range": [[99, 99]] + pairs[1:],
         "bare_integers": [1] * count,
         "repeated": [pairs[0]] + pairs[:-1],
-        # Reordered: every pair in range and distinct, but components that
-        # now claim the same p (or s) hold different factors.
-        "reversed": pairs[::-1],
     }
     for name, bad in bad_maps.items():
-        data["pairMap"] = bad
         path = out / f"{name}.json"
-        path.write_text(json.dumps(data))
+        path.write_text(json.dumps({**good, "pairMap": bad}))
         assert main(["verify", str(src), str(path)]) == 2, name
+    # A U file that no pairMap entry names is refused.
+    factors = {**good["factors"], "u": good["factors"]["u"] + good["factors"]["u"][:1]}
+    path = out / "unused.json"
+    path.write_text(json.dumps({**good, "factors": factors}))
+    assert main(["verify", str(src), str(path)]) == 2
+    # Reordered: every pair in range and distinct and every file used, a
+    # well-formed claim that the replay shows to be wrong.
+    path = out / "reversed.json"
+    path.write_text(json.dumps({**good, "pairMap": pairs[::-1]}))
+    assert main(["verify", str(src), str(path)]) == 1
+
+
+def test_verify_refuses_other_manifest_versions(tmp_path, capsys):
+    src, manifest = make_verified_run(tmp_path)
+    good = read_json(manifest)
+    for version in (1, 3, "2", None):
+        old = manifest.parent / "old.json"
+        old.write_text(json.dumps({**good, "version": version}))
+        capsys.readouterr()
+        assert main(["verify", str(src), str(old)]) == 2, version
+        err = capsys.readouterr().err
+        assert f"manifest version {version!r} is not 2" in err
+        assert "re-run decompose" in err
 
 
 @pytest.mark.parametrize(
@@ -535,7 +605,8 @@ def test_verify_groups_must_fit_algorithm(
         factors[family] = [f"{family}.tz1"]
     manifest = tmp_path / "manifest.json"
     manifest.write_text(json.dumps({
-        "version": 1, "algorithm": algorithm, "groups": groups, "weights": [1.0],
+        "version": MANIFEST_VERSION, "algorithm": algorithm,
+        "shapes": [[d] for d in dims], "groups": groups, "weights": [1.0],
         "factors": factors, "pairMap": [[1, 1]],
     }))
     assert main(["verify", str(src), str(manifest)]) == 2
@@ -630,7 +701,7 @@ def test_verify_tolerances_only_tighten(tmp_path):
     src, manifest = make_verified_run(tmp_path)
     data = read_json(manifest)
     data["weights"] = [7.0 * w for w in data["weights"]]
-    data["tolerances"].update(reconstruction_tol=1e300, singular_tol=1e300)
+    data["tolerances"] = {"reconstruction_tol": 1e300, "singular_tol": 1e300}
     loose = manifest.parent / "loose.json"
     loose.write_text(json.dumps(data))
     assert main(["verify", str(src), str(loose)]) == 1
@@ -638,7 +709,7 @@ def test_verify_tolerances_only_tighten(tmp_path):
 
 def test_verify_triple_defaults_to_its_report_tolerance(tmp_path):
     # Weights off by 1e-9 relative miss a triple's 1e-10 tolerance, with or
-    # without a declared tolerances map.
+    # without a loose tolerances map inserted into the manifest.
     run_experiment(experiment_spec("exp3"), tmp_path / "exp3")
     src, out = tmp_path / "exp3" / "input.tz1", tmp_path / "fac"
     assert main(["decompose", str(src), "--groups", "1,1,1", "--out", str(out)]) == 0
@@ -647,7 +718,7 @@ def test_verify_triple_defaults_to_its_report_tolerance(tmp_path):
     scaled = out / "scaled.json"
     scaled.write_text(json.dumps(data))
     assert main(["verify", str(src), str(scaled)]) == 1
-    del data["tolerances"]
+    data["tolerances"] = {"reconstruction_tol": 1e300, "singular_tol": 1e300}
     scaled.write_text(json.dumps(data))
     assert main(["verify", str(src), str(scaled)]) == 1
 

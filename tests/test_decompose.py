@@ -454,6 +454,23 @@ def test_triple_weight_tie_break_order():
     assert pairs == sorted(pairs, key=lambda ps: (-float(dec.weights[pairs.index(ps)]), ps))
 
 
+@pytest.mark.parametrize(
+    "dims, seed",
+    [((6, 5, 4), 71), ((64, 16, 3), 42)],
+    ids=["random", "exp3-degenerate"],
+)
+def test_triple_leading_components_use_row_prefixes(dims, seed):
+    # For every k, the p's (and the s's) of the first k components are
+    # 0 .. P-1 for some P: a manifest truncated to k components needs only
+    # the leading U and Z rows.  exp3's input has I = 64 >= JK = 48.
+    dec = decompose_triple(GroupedTensor(random_tensor(dims, seed), (1, 1, 1)))
+    assert dec.count == len(dec.u) * len(dec.z) > 1
+    for column in dec.pair_map.T:
+        first = np.zeros(dec.count, dtype=bool)
+        first[np.unique(column, return_index=True)[1]] = True
+        assert np.array_equal(np.maximum.accumulate(column) + 1, np.cumsum(first))
+
+
 def test_record_surface():
     # Each result stores a factor family as one array of flattened factors;
     # the per-factor names below are read-only views of its rows, and the
