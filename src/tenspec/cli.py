@@ -50,9 +50,9 @@ from .tz1 import read_tensor, write_tensor
 DEFAULT_SEED = 42
 MANIFEST_VERSION = 2
 # `decompose` refuses an input whose largest eigenproblem is above this
-# order, instead of running for long without a word.  sym_eig took 10.4 s at
-# n = 768 (BENCH_eig.json, block_odd_even, 2-vCPU VM) and its time grows as
-# about n^3, so n = 2048 would take about 3.3 minutes (extrapolated, not
+# order, instead of running for long without a word.  sym_eig took 8.5 s at
+# n = 768 (BENCH_eig.json, odd_offset_view, 2-vCPU VM) and its time grows as
+# about n^3, so n = 2048 would take about 2.7 minutes (extrapolated, not
 # measured): the longest run that still reads as working rather than hung.
 MAX_EIGEN_ORDER = 2048
 

@@ -19,6 +19,17 @@ real division multiplies by a rounded reciprocal), so a zero pivot, the
 bye's included, gets exactly +-i: an exact signed swap.  Every pair is
 rotated; the kernel has no skip test.
 
+Every array a kernel rotates is the leading rows * m floats of a buffer
+with two spare zeros after it, so both parities read it as one contiguous
+(rows x m/2) complex view: the even rounds from the buffer's first float,
+the odd rounds from its second.  The odd view's last column holds no pair:
+it joins each row's last entry to the next row's first (the last row's to
+the first spare zero).  Its rotation is exactly 1 + 0i, set once, and the
+odd rounds compute rotations and zero pivots for their m/2 - 1 real pairs
+only.  So no round works on a view that starts inside a row, which numpy
+copies at every call, and every round writes into buffers made before the
+first sweep.
+
 Which path runs is decided by the input.  A positive definite matrix of
 order up to ``SINGLE_BLOCK_MAX`` takes the one-sided path (implicit
 Cholesky Jacobi: Veselic & Hari 1989; preconditioned by the pivoted
@@ -142,63 +153,97 @@ def _off_diagonal_norm(w):
     return math.sqrt(float((off * off).sum()))
 
 
-def _padded(x, multiple=2):
-    # A contiguous copy of x padded by zero indices (the byes) to a multiple
-    # of `multiple`, so that the odd-even rounds pair every index.
-    n = len(x)
-    m = -(-n // multiple) * multiple
-    padded = np.zeros((m, m))
-    padded[:n, :n] = x
+def _padded(x, rows, cols):
+    # Zeros (rows x cols) with x in the top-left corner (the rest are byes),
+    # laid out as the leading rows * cols floats of a buffer with two spare
+    # zeros after them.  Every array a kernel rotates comes from here, so
+    # that both parities of a round view it as one contiguous complex array
+    # (see _pairs): the odd view ends on the first spare zero, and the second
+    # keeps the buffer a whole number of complex numbers.  They must be
+    # finite, since the turn by 1 multiplies the first by 0.
+    flat = np.zeros(rows * cols + 2)
+    padded = flat[: rows * cols].reshape(rows, cols)
+    padded[: x.shape[0], : x.shape[1]] = x
     return padded
 
 
-def _half_angle(d, apq, factor, z, rotation):
+def _pairs(x, first):
+    # The pairs (first, first + 1), (first + 2, first + 3), ... of every row
+    # of x (from _padded, cols even) as one contiguous (rows x cols/2)
+    # complex128 view of its buffer from offset `first`.  At first = 1 the
+    # last column holds no pair: it joins each row's last entry to the next
+    # row's first (the last row's to the first spare zero), and the kernels
+    # turn it by exactly 1, which moves no value (a zero's sign at most).
+    return x.base[first : first + x.size].view(np.complex128).reshape(len(x), -1)
+
+
+def _turns(m):
+    # For each parity `first`: its count k of real pairs, the buffer z of
+    # their rotations as real pairs, the same as complex numbers, and the
+    # m / 2 numbers that turn its view (_pairs).  Each parity has its own
+    # buffer; the odd one's last number, for the wrapping column, is set to
+    # exactly 1 + 0i here and never written again.
+    for first in (0, 1):
+        k = (m - first) // 2
+        parts = np.zeros((m // 2, 2))
+        parts[k:, 0] = 1.0
+        turns = parts.view(np.complex128)[:, 0]
+        yield first, k, parts[:k], turns[:k], turns
+
+
+def _half_angle(d, apq, factor, z, rotation, scratch):
     # The rotations i e^(i theta) = sqrt(z / |z|) of the pairs with pivots
     # d = app - aqq and apq, given as `factor` * apq.  z, rotation's parts as
     # real pairs, is minus the z of tan(2 theta) = 2 apq / (aqq - app), so its
     # root is +-i e^(i theta) with |theta| <= pi/4; `tiny` keeps |z| nonzero,
-    # and copysign gives d = 0 the angle pi/4.
-    np.subtract(-_TINY, np.abs(d), out=z[:, 0])
-    np.multiply(np.copysign(factor, d), apq, out=z[:, 1])
-    z /= np.abs(rotation)[:, None]
+    # and copysign gives d = 0 the angle pi/4.  `scratch`, one float per
+    # pair, holds |d|, the sign and |z| in turn, so nothing is allocated.
+    np.abs(d, out=scratch)
+    np.subtract(-_TINY, scratch, out=z[:, 0])
+    np.copysign(factor, d, out=scratch)
+    np.multiply(scratch, apq, out=z[:, 1])
+    np.abs(rotation, out=scratch)
+    z /= scratch[:, None]
     np.sqrt(rotation, out=rotation)
 
 
 def _odd_even(w, v):
     # Returns a function that runs one kernel sweep in place: w (m x m, m
-    # even, C-contiguous) <- J^T w J and v <- v J.  Round r rotates the
+    # even) <- J^T w J and v <- v J, both from _padded.  Round r rotates the
     # pairs (f, f + 1), (f + 2, f + 3), ... with f = r % 2.  m is even, so a
-    # round's parity fixes both its pairs and the buffer it reads.
+    # round's parity fixes both its pairs and the buffer it reads.  The
+    # columns of src, dst and v are turned through the contiguous views of
+    # _pairs; an odd round turns the wrapping column by exactly 1, and
+    # computes rotations and zeros pivots for its m/2 - 1 real pairs only.
     m = len(w)
     step = 2 * (m + 1)
-    buffers = (w, np.empty_like(w))
-    parts = np.empty((m // 2, 2))  # z, then the rotation, as real pairs
+    buffers = (w, _padded(w, m, m))
+    diff, scratch = np.empty(m // 2), np.empty(m // 2)
     rounds = []
-    for first in (0, 1):
+    for first, k, z, rotation, turns in _turns(m):
         src, dst = buffers[first], buffers[1 - first]
-        k = (m - first) // 2
-        pairs = slice(first, first + 2 * k)
         # Flat from the first pair's (p, p): offsets 0, 1, m and m + 1 hold
         # (p, p), (p, q), (q, p) and (q, q), and each next pair is `step` on.
         a, b = (x.reshape(-1)[first * (m + 1) :] for x in (src, dst))
         rounds.append((
-            a[::step][:k], a[m + 1 :: step][:k], a[1::step][:k],
-            parts[:k], parts[:k].view(np.complex128)[:, 0], src, dst,
-            src[:, pairs].view(np.complex128), dst[:, pairs].view(np.complex128),
-            b[1::step][:k], b[m::step][:k],
-            v[:, pairs].view(np.complex128),
+            a[::step][:k], a[m + 1 :: step][:k], a[1::step][:k], diff[:k],
+            z, rotation, scratch[:k], turns, src, dst,
+            _pairs(src, first), _pairs(dst, first),
+            b[1::step][:k], b[m::step][:k], _pairs(v, first),
         ))
 
     def sweep():
         for _ in range(m // 2):
-            for app, aqq, apq, z, rotation, src, dst, src_c, dst_c, upper, lower, vc in rounds:
-                _half_angle(app - aqq, apq, 2.0, z, rotation)
-                np.multiply(src_c, rotation, out=src_c)
+            for (app, aqq, apq, diff, z, rotation, tmp, turns, src, dst,
+                 src_c, dst_c, upper, lower, vc) in rounds:
+                np.subtract(app, aqq, out=diff)
+                _half_angle(diff, apq, 2.0, z, rotation, tmp)
+                np.multiply(src_c, turns, out=src_c)
                 np.copyto(dst, src.T)
-                np.multiply(dst_c, rotation, out=dst_c)
+                np.multiply(dst_c, turns, out=dst_c)
                 upper.fill(0.0)
                 lower.fill(0.0)
-                np.multiply(vc, rotation, out=vc)
+                np.multiply(vc, turns, out=vc)
 
     return sweep
 
@@ -214,13 +259,14 @@ def _block_sweep(w, v, width):
     # meets the k - 1 others once and is reversed at each meeting, an odd
     # count, so, like a kernel sweep, a block sweep reverses the whole order.
     m, size = len(w), 2 * width
+    identity = np.eye(size)
 
     def sweep():
         for r in range(m // width):
             for lo in range(r % 2 * width, m - size + 1, size):
                 s = slice(lo, lo + size)
-                sub = w[s, s].copy()
-                rot = np.eye(size)
+                sub = _padded(w[s, s], size, size)
+                rot = _padded(identity, size, size)
                 _odd_even(sub, rot)()
                 cols = w[:, s] @ rot
                 w[:, s] = cols
@@ -232,15 +278,15 @@ def _block_sweep(w, v, width):
 
 
 def _pivoted_cholesky(w):
-    # X (n x m, m = n padded to even by a zero bye column) with X X^T = w:
-    # column k is the Cholesky factor's, pivoted on the largest remaining
-    # diagonal.  None unless every pivot exceeds n * eps times the first,
-    # that is, unless w is safely positive definite.
+    # X (n x m, from _padded, m = n padded to even by a zero bye column) with
+    # X X^T = w: column k is the Cholesky factor's, pivoted on the largest
+    # remaining diagonal.  None unless every pivot exceeds n * eps times the
+    # first, that is, unless w is safely positive definite.
     n = len(w)
-    x = np.zeros((n, n + n % 2))
+    x = _padded(np.empty((n, 0)), n, n + n % 2)
     left = np.diagonal(w).copy()  # the remaining Schur complement's diagonal
     floor = n * _EPS * left.max()
-    pivots = []
+    pivoted = np.zeros(n, dtype=bool)
     for k in range(n):
         p = int(np.argmax(left))
         if not left[p] > floor:
@@ -249,40 +295,43 @@ def _pivoted_cholesky(w):
         col = x[:, k]
         np.subtract(w[:, p], x[:, :k] @ x[p, :k], out=col)
         col /= root
-        pivots.append(p)
-        col[pivots] = 0.0
+        pivoted[p] = True
+        col[pivoted] = 0.0
         col[p] = root
         left -= col * col
-        left[pivots] = -np.inf
+        left[pivoted] = -np.inf
     return x
 
 
 def _one_sided(x):
     # Returns a function that runs one kernel sweep in place on the columns
-    # of x (n x m, m even, C-contiguous): x <- x J, with J the rotations the
+    # of x (n x m, m even, from _padded): x <- x J, with J the rotations the
     # kernel would apply to x^T x, in the same odd-even order, so a sweep
     # leaves the columns reversed.  Each row's pair entries read as complex
     # c = x_p + i x_q, so one square and one column sum give
     # sum(c^2) = |x_p|^2 - |x_q|^2 + 2i x_p.x_q, the d and 2 apq of x^T x.
-    m = x.shape[1]
-    parts = np.empty((m // 2, 2))
+    # Both parities square, sum and turn one contiguous view of x's buffer
+    # (_pairs); an odd round sums its wrapping column too but never reads
+    # that sum, computes the m/2 - 1 rotations of its real pairs, and turns
+    # the wrapping column by exactly 1.
+    n, m = x.shape
+    squares = np.empty((n, m // 2), np.complex128)
     sums = np.empty(m // 2, np.complex128)
+    scratch = np.empty(m // 2)
     rounds = []
-    for first in (0, 1):
-        k = (m - first) // 2
-        pairs = x[:, first : first + 2 * k].view(np.complex128)
+    for first, k, z, rotation, turns in _turns(m):
         rounds.append((
-            pairs, np.empty_like(pairs), sums[:k],
-            parts[:k], parts[:k].view(np.complex128)[:, 0],
+            _pairs(x, first), sums.real[:k], sums.imag[:k],
+            z, rotation, scratch[:k], turns,
         ))
 
     def sweep():
         for _ in range(m // 2):
-            for pairs, squares, s, z, rotation in rounds:
+            for pairs, d, apq, z, rotation, tmp, turns in rounds:
                 np.square(pairs, out=squares)
-                np.sum(squares, axis=0, out=s)
-                _half_angle(s.real, s.imag, 1.0, z, rotation)
-                np.multiply(pairs, rotation, out=pairs)
+                np.add.reduce(squares, axis=0, out=sums)
+                _half_angle(d, apq, 1.0, z, rotation, tmp)
+                np.multiply(pairs, turns, out=pairs)
 
     return sweep
 
@@ -338,8 +387,9 @@ def sym_eig(a):
     if x is None:
         target = CONVERGENCE_TOL * math.sqrt(float((w * w).sum()))
         width = math.ceil(n / (2 * math.ceil(n / (2 * BLOCK_WIDTH)))) if n > SINGLE_BLOCK_MAX else 1
-        w = _padded(w, 2 * width)
-        v = np.eye(n, len(w))
+        m = -(-n // (2 * width)) * 2 * width
+        w = _padded(w, m, m)
+        v = _padded(np.eye(n), n, m)
         sweep = _block_sweep(w, v, width) if width > 1 else _odd_even(w, v)
 
         def measure():

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -237,8 +238,9 @@ def test_sweep_counts_pinned():
 def kernel_sweep(a, n):
     # One kernel sweep of a (order n, padded with the bye at odd n) and of
     # the identity, in the order the sweep leaves.
-    w = jacobi._padded(a)
-    v = np.eye(len(w))
+    m = n + n % 2
+    w = jacobi._padded(a, m, m)
+    v = jacobi._padded(np.eye(m), m, m)
     jacobi._odd_even(w, v)()
     return w, v
 
@@ -279,10 +281,110 @@ def test_sweep_meets_every_pair_and_reverses_the_order(n):
 def block_sweep(a, width):
     # One block sweep of a, padded with byes to a multiple of 2 * width, and
     # of the identity, in the order the sweep leaves.
-    w = jacobi._padded(a, 2 * width)
-    v = np.eye(len(w))
+    m = -(-len(a) // (2 * width)) * 2 * width
+    w = jacobi._padded(a, m, m)
+    v = jacobi._padded(np.eye(m), m, m)
     jacobi._block_sweep(w, v, width)()
     return w, v
+
+
+def reference_turn(d, apq, factor):
+    # One pair's rotation from its pivots, through the kernels' own formula.
+    parts = np.empty((1, 2))
+    rotation = parts.view(np.complex128)[:, 0]
+    jacobi._half_angle(np.array([d]), np.array([apq]), factor, parts, rotation, np.empty(1))
+    return rotation[0]
+
+
+def pair_column(x, p):
+    # Columns p and p + 1 of x as complex numbers x_p + i x_q.
+    c = np.empty(len(x), np.complex128)
+    c.real, c.imag = x[:, p], x[:, p + 1]
+    return c
+
+
+def turn_columns(x, p, rotation):
+    c = pair_column(x, p) * rotation
+    x[:, p], x[:, p + 1] = c.real, c.imag
+
+
+def reference_one_sided(x):
+    # One sweep of the one-sided kernel written pair by pair: each pair's d
+    # and 2 apq are the row-by-row sum of the squares of x_p + i x_q.
+    x = x.copy()
+    m = x.shape[1]
+    for r in range(m):
+        for p in range(r % 2, m - 1, 2):
+            c = pair_column(x, p)
+            s = 0j
+            for square in c * c:
+                s = s + square
+            turn_columns(x, p, reference_turn(s.real, s.imag, 1.0))
+    return x
+
+
+def reference_odd_even(w, v):
+    # One sweep of the two-sided kernel written pair by pair: each round's
+    # rotations come from its pivots, then turn the pair columns, the pair
+    # rows (as columns of the transpose) and v's pair columns, and the
+    # pivots are set to zero.
+    w, v = w.copy(), v.copy()
+    m = len(w)
+    for r in range(m):
+        pairs = range(r % 2, m - 1, 2)
+        turns = [reference_turn(w[p, p] - w[p + 1, p + 1], w[p, p + 1], 2.0) for p in pairs]
+        for p, rotation in zip(pairs, turns):
+            turn_columns(w, p, rotation)
+        w = w.T.copy()
+        for p, rotation in zip(pairs, turns):
+            turn_columns(w, p, rotation)
+            w[p, p + 1] = w[p + 1, p] = 0.0
+            turn_columns(v, p, rotation)
+    return w, v
+
+
+@pytest.mark.parametrize("n", [8, 9, 33])
+def test_sweeps_match_pair_by_pair_reference(n):
+    # Both kernels rotate each parity's pairs through one contiguous complex
+    # view of the array's buffer; the odd view's last column joins each
+    # row's last entry to the next row's first, and must be turned by
+    # exactly 1.  Against a sweep written pair by pair, every entry agrees
+    # bit for bit, except that at odd n the turn by 1 may make a -0.0 of the
+    # bye (index 0 once the sweep has reversed the order) into +0.0.
+    m = n + n % 2
+    rng = np.random.Generator(np.random.PCG64(n))
+    x = jacobi._padded(rng.standard_normal((n, n)), n, m)
+    expected = reference_one_sided(x)
+    jacobi._one_sided(x)()
+    w = jacobi._padded(random_symmetric(n, n), m, m)
+    v = jacobi._padded(np.eye(m), m, m)
+    expected_w, expected_v = reference_odd_even(w, v)
+    jacobi._odd_even(w, v)()
+    for got, want in ((x, expected), (w, expected_w), (v, expected_v)):
+        assert np.array_equal(got, want)
+    real = slice(m - n, None)
+    assert x[:, real].tobytes() == expected[:, real].tobytes()
+    assert w[real, real].tobytes() == expected_w[real, real].tobytes()
+    assert v[:, real].tobytes() == expected_v[:, real].tobytes()
+
+
+def test_warm_one_sided_sweep_allocates_at_most_one_copy():
+    # Every round works in buffers made before the first sweep, so a warm
+    # sweep allocates only numpy's one temporary copy of the array for the
+    # in-place broadcast multiply.  A pair view that starts one float into
+    # each row is copied at every call: with such odd rounds the peak is
+    # about three times the array.
+    a = graded_definite(96, 7, decades=4)
+    x = jacobi._pivoted_cholesky(a)
+    sweep = jacobi._one_sided(x)
+    sweep()
+    tracemalloc.start()
+    try:
+        sweep()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * x.nbytes
 
 
 @pytest.mark.parametrize("n, width", [(8, 2), (9, 2), (11, 3)])
