@@ -62,13 +62,13 @@ def commands():
 
 
 def write_inputs(root):
-    from tenspec import GroupedTensor, gram_operator, random_tensor, write_tensor
+    from tenspec import DenseTensor, GroupedTensor, gram_operator, random_tensor, write_tensor
 
     source = GroupedTensor(random_tensor((6, 4, 6, 4), 1), (2, 2))
     write_tensor(root / "op.tz1", gram_operator(source, side="right").tensor)
     write_tensor(root / "transform.tz1", random_tensor((24, 6, 5), 2))
     write_tensor(root / "triple.tz1", random_tensor((12, 5, 4), 3))
-    write_tensor(root / "tiny.tz1", random_tensor((12, 5, 4), 3) * 1e-170)
+    write_tensor(root / "tiny.tz1", DenseTensor(random_tensor((12, 5, 4), 3).data * 1e-170))
     write_tensor(root / "asym.tz1", random_tensor((3, 3), 64))
 
 

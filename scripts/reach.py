@@ -2,17 +2,21 @@
 
     python3 scripts/reach.py [--src DIR]
 
-Imports tenspec from `DIR` and, with a `sys.setprofile` hook recording
-every Python function called, runs in one process: every command of
-`scripts/cli_digest.py` except `exp1`, on its inputs, through
-`tenspec.cli.main`; then every benchmark workload of
-`perfbench/workloads.py` on its `tiny` inputs, controls included.  One
-JSON line goes to stdout per function defined (with `def` or `lambda`, so
-property getters written as lambdas count) in `DIR/tenspec` that none of
-them called: its module, qualified name and first line.  `exp1` is left
-out because it takes about 12 s, and the only function it reaches that the
-rest do not is the eigensolver's block sweep (`jacobi._block_sweep`, for
-orders above `jacobi.SINGLE_BLOCK_MAX`), which is therefore always listed.
+Imports tenspec from `DIR`, writes the inputs of `scripts/cli_digest.py`
+and then, with a `sys.setprofile` hook recording every Python function
+called, runs in one process: every command of `scripts/cli_digest.py`
+except `exp1`, on those inputs, through `tenspec.cli.main`; then every
+benchmark workload of `perfbench/workloads.py` on its `tiny` inputs,
+controls included.  Writing the inputs is not profiled, so a function that
+only the probe's own input builder calls is listed.  One JSON line goes to
+stdout per function defined (with `def` or `lambda`, so property getters
+written as lambdas count) in `DIR/tenspec` that none of them called: its
+module, qualified name and first line.  `exp1` is left out because it takes
+about 10 s.  The functions it reaches that the rest do not are the
+eigensolver's two-sided sweeps: the block sweep for orders above
+`jacobi.SINGLE_BLOCK_MAX` (`jacobi._block_sweep` and its local `sweep`)
+and the local `sweep` of `jacobi._odd_even`, which the block sweep runs on
+each pair of blocks.  These three are therefore always listed.
 The exit code is 1 if a workload input or control fails, since then the run
 may have missed code it should reach.
 """
@@ -97,9 +101,9 @@ def main(argv=None):
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
+        cli_digest.write_inputs(root)
         sys.setprofile(record)
         try:
-            cli_digest.write_inputs(root)
             os.chdir(root)
             run_commands(cli, cli_digest)
             reasons = run_workloads(workloads, root / "workloads")

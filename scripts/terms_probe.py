@@ -24,9 +24,7 @@ Each timing is the median of `--repeats` calls after one untimed call.
 replay is timed in every tree, the trees taking turns at each block size,
 and the other measurements use the first tree.  A tree's replay block is
 set through `oracle.REPLAY_BUDGET` (elements of a block's outer-product
-rows, so block x 1024 here) or, in trees that predate it,
-`oracle.REPLAY_BLOCK` (components).  BLAS threads are what the
-environment sets.
+rows, so block x 1024 here).  BLAS threads are what the environment sets.
 """
 
 import argparse
@@ -67,16 +65,14 @@ def time_replay(ts, dec, block, repeats):
     # Median replay time with the tree's block set to `block` components
     # (None: the tree's default), and the replay's largest absolute error.
     oracle = ts.oracle
-    budget = hasattr(oracle, "REPLAY_BUDGET")
-    name = "REPLAY_BUDGET" if budget else "REPLAY_BLOCK"
-    saved = getattr(oracle, name)
+    saved = oracle.REPLAY_BUDGET
     if block is not None:
-        setattr(oracle, name, block * DIMS[1] * DIMS[2] if budget else block)
+        oracle.REPLAY_BUDGET = block * DIMS[1] * DIMS[2]
     try:
         seconds = median_time(lambda: oracle.replay_reconstruction(dec), repeats)
         return seconds, oracle.replay_reconstruction(dec).data
     finally:
-        setattr(oracle, name, saved)
+        oracle.REPLAY_BUDGET = saved
 
 
 def main(argv=None):

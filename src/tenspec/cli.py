@@ -1,11 +1,13 @@
 """Command-line front end.
 
-Three subcommands: ``experiment`` reruns one of the canned seeded random
-experiments, ``decompose`` factors a TZ1 tensor file and writes the factors
-plus a manifest, ``verify`` replays a manifest through the oracle.  Outputs
-are CSV (spectra), JSON (reports, manifests) and TZ1 (tensors); identical
-command lines produce byte-identical files, so wall time goes to stderr
-only.
+Three subcommands: ``experiment`` reruns one of the paper's three seeded
+runs in ``EXPERIMENTS``, ``decompose`` factors a TZ1 tensor file and writes
+the factors plus a manifest, ``verify`` replays a manifest through the
+oracle.  Outputs are CSV (spectra), JSON (reports, manifests) and TZ1
+(tensors).  report.json is a ``RunReport`` without its wall time, and
+``verify`` prints an ``OracleReport``: each JSON record is its class's
+fields in order.  Identical command lines produce byte-identical files, so
+wall time goes to stderr only.
 """
 
 import argparse
@@ -14,7 +16,7 @@ import math
 import sys
 import time
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Optional
 
@@ -67,52 +69,15 @@ ALGORITHMS = {
 }
 
 
-@dataclass(frozen=True)
-class ExperimentSpec:
-    """One runnable experiment: a seeded random source and an algorithm.
-
-    ``groups`` partitions the source tensor's modes.  An ``op`` experiment
-    decomposes the right Gram of the grouped source, so its operator is
-    self-adjoint and non-negative definite; any other decomposes the source
-    itself.  The report passes at ``oracle.RECONSTRUCTION_TOL``, and the
-    solver's cuts are ``jacobi.RANK_TOL``, ``SYMMETRY_TOL``,
-    ``CONVERGENCE_TOL`` and ``MAX_SWEEPS``.
-    """
-
-    name: str
-    source_dims: tuple
-    groups: tuple
-    algorithm: str
-    seed: int = DEFAULT_SEED
-
-
+# The paper's three runs: name -> (source dims, mode groups, algorithm).
+# The source is random_tensor(dims, seed).  An ``op`` run decomposes the
+# right Gram of the grouped source, so its operator is self-adjoint and
+# non-negative definite; the others decompose the source itself.
 EXPERIMENTS = {
-    "exp1": dict(
-        source_dims=(16, 16, 3, 16, 16, 3),
-        groups=(3, 3),
-        algorithm="op",
-    ),
-    "exp2": dict(
-        source_dims=(64, 8, 4),
-        groups=(1, 2),
-        algorithm="transform",
-    ),
-    "exp3": dict(
-        source_dims=(64, 16, 3),
-        groups=(1, 1, 1),
-        algorithm="triple",
-    ),
+    "exp1": ((16, 16, 3, 16, 16, 3), (3, 3), "op"),
+    "exp2": ((64, 8, 4), (1, 2), "transform"),
+    "exp3": ((64, 16, 3), (1, 1, 1), "triple"),
 }
-
-
-def experiment_spec(name, seed=DEFAULT_SEED):
-    """Spec for one of the canned experiments with the given seed (an
-    integer, ValueError otherwise)."""
-    if name not in EXPERIMENTS:
-        raise ValueError(f"unknown experiment {name!r}")
-    return ExperimentSpec(
-        name=name, seed=_integer(seed, ValueError, "seed"), **EXPERIMENTS[name]
-    )
 
 
 @dataclass(frozen=True)
@@ -182,17 +147,23 @@ def _run(a, algorithm, out_dir, name="decompose", seed=None, keep=None):
     )
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_spectrum_csv(out_dir / "spectrum.csv", report.spectrum)
-    _write_json(out_dir / "report.json", _report_dict(report))
+    _write_json(out_dir / "report.json", _as_json(report, omit="wall_time_ms"))
     return dec, report
 
 
-def run_experiment(spec, out_dir):
-    """Run one experiment and write input.tz1, spectrum.csv, report.json."""
-    a = GroupedTensor(random_tensor(spec.source_dims, spec.seed), spec.groups)
-    if spec.algorithm == "op":
+def run_experiment(name, out_dir, seed=DEFAULT_SEED):
+    """Run the experiment ``name`` of ``EXPERIMENTS`` with ``seed``; write
+    input.tz1, spectrum.csv and report.json.  ValueError, before any work,
+    for an unknown name or a seed that is not an integer."""
+    if name not in EXPERIMENTS:
+        raise ValueError(f"unknown experiment {name!r}")
+    seed = _integer(seed, ValueError, "seed")
+    dims, groups, algorithm = EXPERIMENTS[name]
+    a = GroupedTensor(random_tensor(dims, seed), groups)
+    if algorithm == "op":
         a = gram_operator(a, side="right")
     out_dir = Path(out_dir)
-    _, report = _run(a, spec.algorithm, out_dir, spec.name, spec.seed)
+    _, report = _run(a, algorithm, out_dir, name, seed)
     write_tensor(out_dir / "input.tz1", a.tensor)
     return report
 
@@ -389,20 +360,15 @@ def _write_spectrum_csv(path, spectrum):
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _report_dict(report):
-    return {
-        "name": report.name,
-        "algorithm": report.algorithm,
-        "seed": report.seed,
-        "dims": list(report.dims),
-        "groups": list(report.groups),
-        "rank": report.rank,
-        "spectrum": [float(w) for w in report.spectrum],
-        "reconstruction_relative_error": report.reconstruction_relative_error,
-        "tolerance": report.tolerance,
-        "passed": report.passed,
-        "oracle": None,
-    }
+def _as_json(record, omit=None):
+    # A frozen record's fields but `omit`, in declaration order, as JSON
+    # values: each array a list of floats.
+    value = {}
+    for field in fields(record):
+        if field.name != omit:
+            x = getattr(record, field.name)
+            value[field.name] = [float(w) for w in x] if isinstance(x, np.ndarray) else x
+    return value
 
 
 def _write_json(path, value):
@@ -410,10 +376,9 @@ def _write_json(path, value):
 
 
 def _cmd_experiment(args):
-    spec = experiment_spec(args.name, seed=args.seed)
-    report = run_experiment(spec, args.out)
+    report = run_experiment(args.name, args.out, args.seed)
     print(
-        f"[tenspec] {spec.name}: rank {report.rank}, reconstruction error "
+        f"[tenspec] {report.name}: rank {report.rank}, reconstruction error "
         f"{report.reconstruction_relative_error:.3e} (tolerance {report.tolerance:.1e}), "
         f"wall time {report.wall_time_ms} ms",
         file=sys.stderr,
@@ -450,18 +415,7 @@ def _cmd_decompose(args):
 
 def _cmd_verify(args):
     report = run_verify(args.file, args.manifest)
-    print(
-        json.dumps(
-            {
-                "singulars_reference": [float(s) for s in report.singulars_reference],
-                "max_singular_deviation": report.max_singular_deviation,
-                "max_reconstruction_error": report.max_reconstruction_error,
-                "max_orthonormality_error": report.max_orthonormality_error,
-                "passed": report.passed,
-            },
-            indent=2,
-        )
-    )
+    print(json.dumps(_as_json(report), indent=2))
     return 0 if report.passed else 1
 
 

@@ -64,11 +64,6 @@ class DenseTensor:
             )
         return DenseTensor(self.data - other.data, check_finite=False)
 
-    def __mul__(self, scalar):
-        return DenseTensor(self.data * float(scalar), check_finite=False)
-
-    __rmul__ = __mul__
-
 
 def _integer(value, error, what):
     # `value` as an int; `error` unless it is an integer other than a bool.

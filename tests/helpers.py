@@ -9,7 +9,7 @@ from tenspec import DenseTensor, norm, random_tensor
 
 def unit(dims, seed):
     t = random_tensor(dims, seed)
-    return t * (1.0 / norm(t))
+    return DenseTensor(t.data * (1.0 / norm(t)))
 
 
 def rel_err(reference, candidate):

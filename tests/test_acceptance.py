@@ -24,7 +24,7 @@ from tenspec import (
     unfold,
     verify_decomposition,
 )
-from tenspec.cli import experiment_spec, main, run_experiment
+from tenspec.cli import main, run_experiment
 
 from helpers import couplings, ortho_err, rel_err, stage_identity_errors
 
@@ -52,7 +52,7 @@ def _report(name, ok, detail=""):
 
 def test_experiment_1(tmp_path):
     started = time.perf_counter()
-    report = run_experiment(experiment_spec("exp1"), tmp_path / "exp1")
+    report = run_experiment("exp1", tmp_path / "exp1")
     elapsed = time.perf_counter() - started
     err = report.reconstruction_relative_error
     lam = report.spectrum
@@ -71,7 +71,7 @@ def test_experiment_1(tmp_path):
 
 def test_experiment_2(tmp_path):
     started = time.perf_counter()
-    report = run_experiment(experiment_spec("exp2"), tmp_path / "exp2")
+    report = run_experiment("exp2", tmp_path / "exp2")
     elapsed = time.perf_counter() - started
     err = report.reconstruction_relative_error
 
@@ -99,7 +99,7 @@ def test_experiment_2(tmp_path):
 
 def test_experiment_3(tmp_path):
     started = time.perf_counter()
-    report = run_experiment(experiment_spec("exp3"), tmp_path / "exp3")
+    report = run_experiment("exp3", tmp_path / "exp3")
     elapsed = time.perf_counter() - started
     err = report.reconstruction_relative_error
 

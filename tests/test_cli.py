@@ -20,9 +20,8 @@ from tenspec import (
     write_tensor,
 )
 from tenspec.cli import (
+    EXPERIMENTS,
     MANIFEST_VERSION,
-    ExperimentSpec,
-    experiment_spec,
     main,
     run_decompose,
     run_experiment,
@@ -45,13 +44,16 @@ def test_experiment_exp2_via_main(tmp_path):
     code = main(["experiment", "exp2", "--seed", "7", "--out", str(out)])
     assert code == 0
     report = read_json(out / "report.json")
+    # A RunReport's fields in declaration order, but its wall time.
+    assert list(report) == [
+        "name", "algorithm", "seed", "dims", "groups", "rank", "spectrum",
+        "reconstruction_relative_error", "tolerance", "passed",
+    ]
     assert report["name"] == "exp2"
     assert report["seed"] == 7
     assert report["rank"] == 32
     assert report["passed"] is True
     assert report["reconstruction_relative_error"] < 1e-8
-    assert report["oracle"] is None
-    assert "wall_time_ms" not in report
 
     lines = (out / "spectrum.csv").read_text().strip().splitlines()
     assert lines[0] == "index,weight"
@@ -122,12 +124,11 @@ def test_experiment_rejects_unknown_name(tmp_path):
     assert exc.value.code == 2
 
 
-def test_experiment_spec_registry():
-    spec = experiment_spec("exp1")
-    assert spec.source_dims == (16, 16, 3, 16, 16, 3)
-    assert spec.groups == (3, 3)
-    with pytest.raises(ValueError):
-        experiment_spec("nope")
+def test_experiment_spec_registry(tmp_path):
+    assert EXPERIMENTS["exp1"] == ((16, 16, 3, 16, 16, 3), (3, 3), "op")
+    with pytest.raises(ValueError, match="unknown experiment"):
+        run_experiment("nope", tmp_path / "nope")
+    assert not (tmp_path / "nope").exists()
 
 
 def test_no_tolerance_knob_on_the_report_and_verify_path(tmp_path):
@@ -137,8 +138,7 @@ def test_no_tolerance_knob_on_the_report_and_verify_path(tmp_path):
     from tenspec import cli
 
     callables = [getattr(tenspec, name) for name in tenspec.__all__]
-    callables += [cli.ExperimentSpec, cli.experiment_spec, cli.run_experiment,
-                  cli.run_decompose, cli.run_verify]
+    callables += [cli.run_experiment, cli.run_decompose, cli.run_verify]
     for func in callables:
         for param in inspect.signature(func).parameters:
             assert param != "tolerance" and not param.endswith("_tol"), (func, param)
@@ -164,10 +164,10 @@ def _decompose_file(keep, tmp_path):
         (lambda v, _: contract(random_tensor((3, 3), 1), random_tensor((3,), 2), (v,), (0,)),
          InvalidAxis),
         (lambda v, _: unfold(random_tensor((2, 3, 4), 1), v), InvalidSplit),
-        (lambda v, _: experiment_spec("exp2", seed=v), ValueError),
+        (lambda v, tmp: run_experiment("exp2", tmp / "exp2", seed=v), ValueError),
         (_decompose_file, InvalidKeep),
     ],
-    ids=["reconstruct", "random_tensor", "contract", "unfold", "experiment_spec",
+    ids=["reconstruct", "random_tensor", "contract", "unfold", "run_experiment",
          "run_decompose"],
 )
 @pytest.mark.parametrize("value", [0.9, 1.5, 2.7, True, "1"])
@@ -243,8 +243,8 @@ def test_decompose_functions_looked_up_at_call_time(
         return original(a)
 
     monkeypatch.setattr(cli, function, recording)
-    spec = ExperimentSpec(name="probe", source_dims=dims, groups=groups, algorithm=algorithm)
-    report = run_experiment(spec, tmp_path / "exp")
+    monkeypatch.setitem(cli.EXPERIMENTS, "probe", (dims, groups, algorithm))
+    report = run_experiment("probe", tmp_path / "exp")
     assert report.algorithm == algorithm and report.passed
     for choice in (algorithm, "auto"):
         args = ["decompose", str(tmp_path / "exp" / "input.tz1"), "--groups",
@@ -513,7 +513,7 @@ def test_verify_rescaled_factors_fail(tmp_path):
         for family, scale in scales.items():
             for name in factors[family]:
                 f = path.parent / name
-                write_tensor(f, read_tensor(f) * scale)
+                write_tensor(f, DenseTensor(read_tensor(f).data * scale))
         assert main(["verify", str(tensor_path), str(path)]) == 1, scales
         report = run_verify(tensor_path, path)
         assert report.max_reconstruction_error <= 1e-10
@@ -710,7 +710,7 @@ def test_verify_tolerances_only_tighten(tmp_path):
 def test_verify_triple_defaults_to_its_report_tolerance(tmp_path):
     # Weights off by 1e-9 relative miss a triple's 1e-10 tolerance, with or
     # without a loose tolerances map inserted into the manifest.
-    run_experiment(experiment_spec("exp3"), tmp_path / "exp3")
+    run_experiment("exp3", tmp_path / "exp3")
     src, out = tmp_path / "exp3" / "input.tz1", tmp_path / "fac"
     assert main(["decompose", str(src), "--groups", "1,1,1", "--out", str(out)]) == 0
     data = read_json(out / "manifest.json")
@@ -727,7 +727,7 @@ def test_nonzero_tensor_with_no_terms_fails(tmp_path):
     # Every entry is nonzero but the Gram underflows to 0, so the
     # decomposition has no terms: that is not an exact reconstruction.
     src, out = tmp_path / "tiny.tz1", tmp_path / "fac"
-    write_tensor(src, random_tensor((12, 5, 4), 3) * 1e-170)
+    write_tensor(src, DenseTensor(random_tensor((12, 5, 4), 3).data * 1e-170))
     assert main(["decompose", str(src), "--groups", "1,1,1", "--out", str(out)]) == 1
     assert read_json(out / "manifest.json")["weights"] == []
     assert main(["verify", str(src), str(out / "manifest.json")]) == 1
@@ -739,7 +739,7 @@ def test_decompose_overflowing_gram_ends_without_traceback(tmp_path, capsys, gro
     # The input is finite, its Gram is not: the Gram is refused before the
     # eigensolve, and numpy warns of no overflow on the way.
     src = tmp_path / "huge.tz1"
-    write_tensor(src, random_tensor((12, 5, 4), 3) * 1e160)
+    write_tensor(src, DenseTensor(random_tensor((12, 5, 4), 3).data * 1e160))
     capsys.readouterr()
     code = main(["decompose", str(src), "--groups", groups, "--out", str(tmp_path / "f")])
     assert code == 2
@@ -763,7 +763,7 @@ def test_verify_triple_joint_w(tmp_path):
     data = read_json(manifest)
     for name in data["factors"]["w"]:
         f = manifest.parent / name
-        write_tensor(f, read_tensor(f) * 3.0)
+        write_tensor(f, DenseTensor(read_tensor(f).data * 3.0))
     data["weights"] = [w / 3.0 for w in data["weights"]]
     manifest.write_text(json.dumps(data))
     assert main(["verify", str(src), str(manifest)]) == 1

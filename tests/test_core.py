@@ -252,5 +252,5 @@ def test_tensor_arithmetic_shape_checks():
     y = seeded((4,), 2)
     with pytest.raises(ShapeMismatch):
         x - y
-    z = 2.0 * x - x * 0.5
+    z = DenseTensor(2.0 * x.data) - DenseTensor(x.data * 0.5)
     assert np.allclose(z.data, 1.5 * x.data)

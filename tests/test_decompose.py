@@ -129,7 +129,7 @@ def test_gram_bad_side():
 def test_gram_operator_refuses_an_overflowing_gram(side):
     # The input is finite, its Gram is not: refused as _matrix_svd refuses
     # it, with no overflow warning from numpy on the way.
-    a = GroupedTensor(random_tensor((12, 5, 4), 3) * 1e160, (1, 2))
+    a = GroupedTensor(DenseTensor(random_tensor((12, 5, 4), 3).data * 1e160), (1, 2))
     with pytest.raises(TenspecError, match="Gram of the unfolding is not representable"):
         gram_operator(a, side=side)
 
@@ -734,7 +734,7 @@ def test_residual_curve_underflowing_norm():
     # A nonzero input whose squares underflow: its scaled norm is exact and
     # nonzero, so a decomposition with no terms scores exactly 1, and the
     # curve of another tensor's decomposition is finite (about 1e169).
-    tiny = random_tensor((12, 5, 4), 3) * 1e-170
+    tiny = DenseTensor(random_tensor((12, 5, 4), 3).data * 1e-170)
     assert float(np.vdot(tiny.data, tiny.data)) == 0.0
     assert norm(tiny) == math.ldexp(norm(DenseTensor(np.ldexp(tiny.data, 560))), -560)
     a = GroupedTensor(tiny, (1, 1, 1))
@@ -757,7 +757,7 @@ def test_residual_curve_with_underflowing_squares():
     a = GroupedTensor(random_tensor((12, 20), 3), (1, 1))
     dec = decompose_transform(a)
     for factor in (1e-170, 2.0**-565):
-        tiny = GroupedTensor(a.tensor * factor, (1, 1))
+        tiny = GroupedTensor(DenseTensor(a.tensor.data * factor), (1, 1))
         scaled = dataclasses.replace(dec, singulars=dec.singulars * factor)
         assert float(np.vdot(tiny.tensor.data, tiny.tensor.data)) == 0.0
         curve = residual_curve(tiny, scaled)

@@ -12,8 +12,10 @@ def test_reach_lists_exactly_the_unreached_functions():
     # Every function and lambda is reached by a CLI command or a benchmark
     # workload except these: `contract` (with its axis check), which only the
     # benchmark's tracer names; the eigensolver's non-convergence error; and
-    # its two-sided sweeps, which the probe's inputs do not need.  A function
-    # only the tests call would be listed here too.
+    # its two-sided sweeps (the block sweep, its local sweep and the local
+    # sweep of `_odd_even`), which of the commands only the probe's skipped
+    # `exp1` reaches.  A function only the tests call, or only the probe's
+    # input builder, would be listed here too.
     proc = subprocess.run(
         [sys.executable, "scripts/reach.py", "--src", "src"],
         cwd=ROOT, capture_output=True, text=True, timeout=600,
