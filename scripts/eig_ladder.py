@@ -2,18 +2,19 @@
 
     python3 scripts/eig_ladder.py [--src DIR] [--sizes 16,32,...] [--repeats 5]
 
-Each order n gets one seeded random symmetric matrix (uniform entries in
-[-1, 1), symmetrized; indefinite, so `sym_eig` sweeps it two-sided) and one
-seeded Gaussian Gram G G^T (G n x n with standard normal entries; positive
-definite, so up to `SINGLE_BLOCK_MAX` it takes the one-sided path), each
-solved `--repeats` times after one untimed warm-up solve.  One JSON line
-per order goes to stdout: for the symmetric matrix at the top level and for
-the Gram under "gram", the median and all times, the sweep count,
-max|V^T V - I| and the largest eigenvalue error against
-`numpy.linalg.eigvalsh`, relative to max|lambda|.  `--src` selects the
-source tree to import, so two checkouts can be compared with one script;
-sweeps are read from `EigenResult.sweeps`.  BLAS threads are what the
-environment sets.
+Each order n gets one seeded semidefinite Gram B B^T of rank n // 3 (B with
+uniform entries in [-1, 1); its pivoted Cholesky factor stops after n // 3
+columns, and `sym_eig` sweeps those) and one seeded Gaussian Gram G G^T (G
+n x n with standard normal entries; positive definite, so it sweeps all n
+columns, in block pairs above `SINGLE_BLOCK_MAX`), each solved `--repeats`
+times after one untimed warm-up solve.  One JSON line per order goes to
+stdout: for the semidefinite Gram at the top level and for the Gaussian
+Gram under "gram", the median and all times, the sweep count,
+max|V^T V - I| over the returned vectors and the largest eigenvalue error
+against `numpy.linalg.eigvalsh`, relative to max|lambda|.  `--src` selects
+the source tree to import, so two checkouts can be compared with one
+script; sweeps are read from `EigenResult.sweeps`.  BLAS threads are what
+the environment sets.
 """
 
 import argparse
@@ -27,10 +28,9 @@ import numpy as np
 LADDER = (16, 32, 48, 64, 96, 128, 256, 400, 768)
 
 
-def random_symmetric(n, seed):
-    rng = np.random.Generator(np.random.PCG64(seed))
-    m = rng.random((n, n)) * 2.0 - 1.0
-    return 0.5 * (m + m.T)
+def semidefinite_gram(n, seed):
+    b = np.random.Generator(np.random.PCG64(seed)).random((n, n // 3)) * 2.0 - 1.0
+    return b @ b.T
 
 
 def gaussian_gram(n, seed):
@@ -51,7 +51,7 @@ def measure(sym_eig, a, repeats):
         "median_s": round(statistics.median(times), 5),
         "times_s": [round(t, 5) for t in times],
         "sweeps": res.sweeps,
-        "ortho_err": float(np.abs(v.T @ v - np.eye(len(a))).max()),
+        "ortho_err": float(np.abs(v.T @ v - np.eye(v.shape[1])).max(initial=0.0)),
         "eig_rel_err": float(
             np.abs(res.eigenvalues - reference).max() / np.abs(reference).max()
         ),
@@ -68,7 +68,7 @@ def main(argv=None):
     from tenspec import jacobi
 
     for n in (int(size) for size in args.sizes.split(",")):
-        row = {"n": n, **measure(jacobi.sym_eig, random_symmetric(n, n), args.repeats)}
+        row = {"n": n, **measure(jacobi.sym_eig, semidefinite_gram(n, n), args.repeats)}
         row["gram"] = measure(jacobi.sym_eig, gaussian_gram(n, n), args.repeats)
         print(json.dumps(row), flush=True)
 

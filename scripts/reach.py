@@ -12,11 +12,10 @@ only the probe's own input builder calls is listed.  One JSON line goes to
 stdout per function defined (with `def` or `lambda`, so property getters
 written as lambdas count) in `DIR/tenspec` that none of them called: its
 module, qualified name and first line.  `exp1` is left out because it takes
-about 10 s.  The functions it reaches that the rest do not are the
-eigensolver's two-sided sweeps: the block sweep for orders above
-`jacobi.SINGLE_BLOCK_MAX` (`jacobi._block_sweep` and its local `sweep`)
-and the local `sweep` of `jacobi._odd_even`, which the block sweep runs on
-each pair of blocks.  These three are therefore always listed.
+about 6 s.  The functions it reaches that the rest do not are the
+eigensolver's block one-sided sweep for factors of more than
+`jacobi.SINGLE_BLOCK_MAX` columns: `jacobi._block_one_sided` and its local
+`sweep`.  These two are therefore always listed.
 The exit code is 1 if a workload input or control fails, since then the run
 may have missed code it should reach.
 """

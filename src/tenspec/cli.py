@@ -6,7 +6,9 @@ the factors plus a manifest, ``verify`` replays a manifest through the
 oracle.  Outputs are CSV (spectra), JSON (reports, manifests) and TZ1
 (tensors).  report.json is a ``RunReport`` without its wall time, and
 ``verify`` prints an ``OracleReport``: each JSON record is its class's
-fields in order.  Identical command lines produce byte-identical files, so
+fields in order.  With one numpy and BLAS build and one BLAS kernel,
+identical command lines produce byte-identical files at any BLAS thread
+count (another kernel moves the written values in their last digits), so
 wall time goes to stderr only.
 """
 
@@ -34,6 +36,7 @@ from .decompose import (
     decompose_transform,
     decompose_triple,
     gram_operator,
+    grouping,
     reconstruct,
 )
 from .errors import (
@@ -47,15 +50,15 @@ from .errors import (
     TooLarge,
 )
 from .oracle import verify_decomposition
-from .tz1 import read_tensor, write_tensor
+from .tz1 import read_header, read_payload, read_tensor, write_tensor
 
 DEFAULT_SEED = 42
 MANIFEST_VERSION = 2
 # `decompose` refuses an input whose largest eigenproblem is above this
-# order, instead of running for long without a word.  sym_eig took 8.5 s at
-# n = 768 (BENCH_eig.json, odd_offset_view, 2-vCPU VM) and its time grows as
-# about n^3, so n = 2048 would take about 2.7 minutes (extrapolated, not
-# measured): the longest run that still reads as working rather than hung.
+# order, instead of running for long without a word.  sym_eig took 7.3 s on
+# a Gaussian Gram at n = 768, 17.6 s at 1024 and 63 s at 2048
+# (BENCH_eig.json, one_kernel, 2-vCPU VM): a minute is the longest run that
+# still reads as working rather than hung.
 MAX_EIGEN_ORDER = 2048
 
 
@@ -168,19 +171,26 @@ def run_experiment(name, out_dir, seed=DEFAULT_SEED):
     return report
 
 
-def _eigen_order(a):
-    """Order of the largest eigenproblem that decomposing ``a`` solves.
+def _refuse_large(path, shapes):
+    """TooLarge when decomposing a tensor of these group shapes would solve
+    an eigenproblem above ``MAX_EIGEN_ORDER``.
 
     Each Gram is taken on the smaller side of its unfolding; a triple's
     second stage is the (J x K*r1) coupling matrix, with r1 at most
     min(I, JK).
     """
-    sizes = [math.prod(shape) for shape in a.group_shapes]
+    sizes = [math.prod(shape) for shape in shapes]
     if len(sizes) == 2:
-        return min(sizes)
-    i, j, k = sizes
-    r1 = min(i, j * k)
-    return max(r1, min(j, k * r1))
+        order = min(sizes)
+    else:
+        i, j, k = sizes
+        r1 = min(i, j * k)
+        order = max(r1, min(j, k * r1))
+    if order > MAX_EIGEN_ORDER:
+        raise TooLarge(
+            f"{path}: needs an eigenproblem of order {order}, above the "
+            f"limit {MAX_EIGEN_ORDER}"
+        )
 
 
 def run_decompose(path, groups, algorithm="auto", keep=None, out_dir="tenspec-out"):
@@ -190,18 +200,17 @@ def run_decompose(path, groups, algorithm="auto", keep=None, out_dir="tenspec-ou
     components use, always its first rows (weights are non-increasing in p
     and in s, ties in (p, s) order); a triple's ``pairMap`` entry m names
     the U and Z files of component m.  Raises InvalidKeep for a negative
-    ``keep`` before the tensor is read, and TooLarge, before any solve,
-    when ``_eigen_order`` of the input exceeds ``MAX_EIGEN_ORDER``.
+    ``keep`` before the tensor is read, and TooLarge from the file's header,
+    before any payload byte is read, for more than ``tz1.MAX_ELEMENTS``
+    values or an eigenproblem above ``MAX_EIGEN_ORDER`` (``_refuse_large``).
     """
     if keep is not None and _integer(keep, InvalidKeep, "keep") < 0:
         raise InvalidKeep(f"keep {keep} is negative")
-    a = GroupedTensor(read_tensor(path), groups)
-    order = _eigen_order(a)
-    if order > MAX_EIGEN_ORDER:
-        raise TooLarge(
-            f"{path}: needs an eigenproblem of order {order}, above the "
-            f"limit {MAX_EIGEN_ORDER}"
-        )
+    with open(path, "rb") as fh:
+        dims = read_header(fh, path)
+        group_orders, shapes = grouping(dims, groups)
+        _refuse_large(path, shapes)
+        a = GroupedTensor(read_payload(fh, path, dims), group_orders)
     out_dir = Path(out_dir)
     dec, report = _run(a, algorithm, out_dir, keep=keep)
     algorithm = report.algorithm
@@ -237,7 +246,8 @@ def run_verify(tensor_path, manifest_path):
     A family's files are its rows, and component m uses file index[m]: a
     triple's U and Z index is its ``pairMap`` column, every other index is
     m.  The components must use every file and no other.  ParseError for
-    any other version and for a malformed manifest.
+    any other version and for a malformed manifest; TooLarge, before any
+    factor file is opened, for shapes ``decompose`` would refuse.
     """
     tensor = read_tensor(tensor_path)
     manifest_path = Path(manifest_path)
@@ -286,6 +296,7 @@ def run_verify(tensor_path, manifest_path):
             f"{manifest_path}: {algorithm} needs {group_count} groups"
             f"{' of one shape' if one_shape else ''}, got {list(shapes)}"
         )
+    _refuse_large(manifest_path, shapes)
     count = len(weights)
     indexes = [np.arange(count)] * len(families)
     if algorithm == "triple":

@@ -20,6 +20,7 @@ point accuracy; truncating to the leading components gives the best-aligned
 partial sums since distinct terms are mutually orthogonal.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -31,7 +32,6 @@ from .core import DenseTensor, _integer, norm, unfold
 from .errors import (
     GroupingMismatch,
     InvalidKeep,
-    NotNND,
     NotSelfAdjoint,
     NotSymmetric,
     TenspecError,
@@ -46,40 +46,33 @@ from .errors import (
 TERM_BLOCK = 128
 
 
+def grouping(dims, group_orders):
+    """The group orders as ints and the shapes of the 2 or 3 contiguous mode
+    groups they cut ``dims`` into; GroupingMismatch unless every group has a
+    mode and together they partition the modes."""
+    group_orders = tuple(_integer(g, GroupingMismatch, "group order") for g in group_orders)
+    if len(group_orders) not in (2, 3):
+        raise GroupingMismatch(f"need 2 or 3 groups, got {len(group_orders)}")
+    if any(g < 1 for g in group_orders):
+        raise GroupingMismatch(f"every group needs a mode, got {group_orders}")
+    if sum(group_orders) != len(dims):
+        raise GroupingMismatch(f"groups {group_orders} do not partition order {len(dims)}")
+    ends = itertools.accumulate(group_orders)
+    return group_orders, tuple(dims[end - g : end] for g, end in zip(group_orders, ends))
+
+
 class GroupedTensor:
     """A tensor whose modes are partitioned into 2 or 3 contiguous groups."""
 
-    __slots__ = ("tensor", "group_orders")
+    __slots__ = ("tensor", "group_orders", "group_shapes")
 
     def __init__(self, tensor, group_orders):
-        group_orders = tuple(
-            _integer(g, GroupingMismatch, "group order") for g in group_orders
-        )
-        if len(group_orders) not in (2, 3):
-            raise GroupingMismatch(
-                f"need 2 or 3 groups, got {len(group_orders)}"
-            )
-        if any(g < 1 for g in group_orders):
-            raise GroupingMismatch(f"every group needs a mode, got {group_orders}")
-        if sum(group_orders) != tensor.order:
-            raise GroupingMismatch(
-                f"groups {group_orders} do not partition order {tensor.order}"
-            )
+        self.group_orders, self.group_shapes = grouping(tensor.dims, group_orders)
         self.tensor = tensor
-        self.group_orders = group_orders
 
     @property
     def group_count(self):
         return len(self.group_orders)
-
-    @property
-    def group_shapes(self):
-        shapes = []
-        start = 0
-        for g in self.group_orders:
-            shapes.append(self.tensor.dims[start : start + g])
-            start += g
-        return tuple(shapes)
 
 
 def _views(rows, shape):
@@ -276,8 +269,8 @@ def decompose_sa_nnd(a):
     symmetric matrix is diagonalized, and eigenvector columns above the rank
     threshold ``jacobi.RANK_TOL`` are mapped back to eigentensors over I.
     Unequal group shapes, or an asymmetry beyond ``jacobi.SYMMETRY_TOL``
-    found by the eigensolver's own check, raise NotSelfAdjoint; an
-    eigenvalue below ``-jacobi.RANK_TOL * lambda_1`` raises NotNND.
+    found by the eigensolver's own check, raise NotSelfAdjoint; an operator
+    the eigensolver finds indefinite raises its NotNND (``jacobi.sym_eig``).
     """
     _require_groups(a, 2, "decompose_sa_nnd")
     shape_i, shape_j = a.group_shapes
@@ -290,12 +283,6 @@ def decompose_sa_nnd(a):
             raise
         raise NotSelfAdjoint(_asymmetric(exc.asymmetry)) from exc
     lam = eig.eigenvalues
-    floor = -jacobi.RANK_TOL * max(float(lam[0]), 0.0)
-    if float(lam[-1]) < floor:
-        raise NotNND(
-            f"eigenvalue {lam[-1]:.6e} below {floor:.3e}; operator is not "
-            "non-negative definite"
-        )
     r = eig.rank
     return OperatorDecomposition(
         eigenvalues=lam[:r].copy(),

@@ -42,7 +42,7 @@ class NotSelfAdjoint(TenspecError):
 
 
 class NotNND(TenspecError):
-    """An operator has a significant negative eigenvalue."""
+    """A matrix or operator is not non-negative definite."""
 
 
 class NoConvergence(TenspecError):
@@ -54,7 +54,7 @@ class NoConvergence(TenspecError):
 
 
 class TooLarge(TenspecError):
-    """An input would need an eigenproblem above the supported order."""
+    """An input has more values, or needs a larger eigenproblem, than supported."""
 
 
 class ParseError(TenspecError):

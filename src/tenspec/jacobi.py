@@ -1,65 +1,66 @@
-"""Symmetric eigendecomposition by Jacobi rotations, one- or two-sided.
+"""Symmetric eigendecomposition of non-negative definite matrices by one-sided Jacobi.
 
 Self-contained on purpose: rotation parameters, sweep control, ordering,
 the Cholesky factorization and sign fixing are all implemented here, and no
 library eigensolver or factorization is called; numpy supplies elementwise
 arithmetic and BLAS matrix products only.
 
-The kernel is a parallel-order Jacobi sweep in odd-even order (Brent & Luk
-1985; convergence: Luk & Park 1989).  An odd order is padded by one zero
-index (the bye), and rounds alternate between the pairs (0, 1), (2, 3), ...
-and (1, 2), (3, 4), ....  Each rotation adds a quarter turn to the Jacobi
-angle, so its two indices trade places: a sweep's m rounds form the odd-even
-transposition network, which meets every pair once and leaves the order
-reversed, and nothing is gathered.  Viewing each row as complex128 numbers
-x_p + i*x_q, a round's column rotations are one multiply by
-i e^(i theta) = sqrt(z / |z|), z = -(|d| + tiny) + 2i apq sign(d),
-d = app - aqq, with z's parts divided by |z| as reals (numpy's complex /
-real division multiplies by a rounded reciprocal), so a zero pivot, the
-bye's included, gets exactly +-i: an exact signed swap.  Every pair is
-rotated; the kernel has no skip test.
+Every matrix tenspec diagonalizes is non-negative definite by construction
+(an SA-NND operator, or the Gram of an unfolding), so one kernel serves:
+implicit Cholesky Jacobi (Veselic & Hari 1989; preconditioned by the
+pivoted factor: Drmac & Veselic 2008; more accurate than two-sided Jacobi
+on such matrices: Demmel & Veselic 1992).  The library's own pivoted
+Cholesky loop gives X (n x k) with X X^T = a - S, stopping at the first
+pivot not above n * eps times the first: k = n for a safely positive
+definite matrix, and S is the Schur complement left at a stop.  While
+||S||_F is above ``RANK_TOL`` times a's largest diagonal entry (a
+semidefinite S spread over many small entries can be), the loop goes on
+past the floor on S's largest diagonal entry; a matrix whose ||S||_F stays
+above that bound with no positive diagonal entry in S, or one below minus
+the bound, is refused as indefinite (NotNND).  By Weyl, lambda_min(a) >=
+-||S||_F, so an accepted matrix has no eigenvalue below -``RANK_TOL`` *
+lambda_1.  The kernel rotates X's columns, with no transpose, no pivot
+zeroing and no accumulated eigenvector matrix: the normalized columns are
+the eigenvectors, their Rayleigh quotients the eigenvalues, and the n - k
+eigenvalues past the stop are 0.  Sweeps stop when no two columns have a
+cosine above ``CONVERGENCE_TOL``, measured from one product X^T X before
+every sweep, whose off-diagonal mass is reported.
 
-Every array a kernel rotates is the leading rows * m floats of a buffer
+The kernel is a parallel-order Jacobi sweep in odd-even order (Brent & Luk
+1985; convergence: Luk & Park 1989).  An odd column count is padded by one
+zero column (the bye), and rounds alternate between the pairs (0, 1),
+(2, 3), ... and (1, 2), (3, 4), ....  Each rotation adds a quarter turn to
+the Jacobi angle, so its two columns trade places: a sweep's m rounds form
+the odd-even transposition network, which meets every pair once and leaves
+the order reversed, and nothing is gathered.  Viewing each row as complex128
+numbers c = x_p + i*x_q, one square and one column sum give
+sum(c^2) = d + 2i apq of X^T X, and a round's rotations are one multiply by
+i e^(i theta) = sqrt(z / |z|), z = -(|d| + tiny) + 2i apq sign(d), with z's
+parts divided by |z| as reals (numpy's complex / real division multiplies by
+a rounded reciprocal), so a zero pivot, the bye's included, gets exactly
++-i: an exact signed swap.  Every pair is rotated; the kernel has no skip
+test.
+
+Every array the kernel rotates is the leading rows * m floats of a buffer
 with two spare zeros after it, so both parities read it as one contiguous
 (rows x m/2) complex view: the even rounds from the buffer's first float,
 the odd rounds from its second.  The odd view's last column holds no pair:
 it joins each row's last entry to the next row's first (the last row's to
 the first spare zero).  Its rotation is exactly 1 + 0i, set once, and the
-odd rounds compute rotations and zero pivots for their m/2 - 1 real pairs
-only.  So no round works on a view that starts inside a row, which numpy
-copies at every call, and every round writes into buffers made before the
-first sweep.
+odd rounds compute rotations for their m/2 - 1 real pairs only.  So no
+round works on a view that starts inside a row, which numpy copies at every
+call, and every round writes into buffers made before the first sweep.
 
-Which path runs is decided by the input.  A positive definite matrix of
-order up to ``SINGLE_BLOCK_MAX`` takes the one-sided path (implicit
-Cholesky Jacobi: Veselic & Hari 1989; preconditioned by the pivoted
-factor: Drmac & Veselic 2008; more accurate than two-sided Jacobi on such
-matrices: Demmel & Veselic 1992).  The library's own pivoted Cholesky loop
-gives X with X X^T = a, refused unless every pivot exceeds n * eps times
-the first, and the kernel rotates X's columns: for each pair, one square
-and one column sum of the complex view give d + 2i apq of X^T X, and the
-same multiply as above rotates the pair.  There is no transpose, no pivot
-zeroing and no accumulated eigenvector matrix: the normalized columns are
-the eigenvectors, and their Rayleigh quotients the eigenvalues.  Sweeps
-stop when no two columns have a cosine above ``CONVERGENCE_TOL``, measured
-from one product X^T X before every sweep, whose off-diagonal mass is
-reported.
-
-Every other matrix (indefinite, semidefinite or larger) takes the
-two-sided path.  The kernel multiplies the pair columns, copies the
-transpose into the other of two ping-pong buffers, where the same multiply
-rotates the rows, and zeros the pivots; sweeps stop when the off-diagonal
-mass falls below ``CONVERGENCE_TOL * ||a||_F``.  Up to ``SINGLE_BLOCK_MAX``
-the kernel sweeps the whole matrix.  Larger matrices are padded with byes
-and cut into an even count of equal index blocks about ``BLOCK_WIDTH`` wide,
-met in the same odd-even order (block Jacobi; Bischof 1989, Golub & Van
-Loan section 8.5): a round's block pairs are adjacent slices of the
-diagonal, each pair's principal submatrix gets one kernel sweep, and the
-accumulated rotation reaches the whole matrix and the eigenvectors as
-matrix products.  That sweep reverses the pair, so its blocks trade places,
-and a block sweep leaves the whole order reversed just as a kernel sweep
-does.  On every path the reversal left by an odd sweep count is undone
-once, at the end.
+A factor of more than ``SINGLE_BLOCK_MAX`` columns is padded with byes and
+cut into an even count of equal column blocks about ``BLOCK_WIDTH`` wide,
+met in the same odd-even order (block Jacobi: Bischof 1989; block one-sided
+Jacobi: Hari, Singer & Singer 2010).  For a pair's columns X_s, Y^T is the
+pivoted Cholesky factor of X_s^T X_s, stopped at its floor, so Y has at
+most 2 * ``BLOCK_WIDTH`` rows whatever n is; the kernel sweeps Y's columns
+once, carrying the rotation J, and X_s <- X_s J is one matrix product.
+That sweep reverses the pair, so its blocks trade places, and a block sweep
+leaves the whole order reversed just as a kernel sweep does.  On either
+path the reversal left by an odd sweep count is undone once, at the end.
 """
 
 import math
@@ -67,34 +68,28 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoConvergence, NotSorted, NotSymmetric
+from .errors import NoConvergence, NotNND, NotSorted, NotSymmetric
 
 SYMMETRY_TOL = 1e-10
-# Two-sided sweeps stop once the off-diagonal Frobenius mass is below this
-# share of ||a||_F, one-sided sweeps once no two columns of the factor have
-# a cosine above it.  What is left over becomes the error of every
-# eigenvector, and of each factor mapped through 1/sigma from them, so the
-# target sits near round-off: at 1e-12 the last sweep often landed between
-# 1e-13 and 1e-12, costing up to a digit of orthogonality and
-# reconstruction.  Convergence is quadratic, so 1e-14 costs one sweep at
-# most (12 -> 13 block sweeps at n = 768).
+# Sweeps stop once no two columns of the factor have a cosine above this.
+# What is left over becomes the error of every eigenvector, and of each
+# factor mapped through 1/sigma from them, so the target sits near
+# round-off: at 1e-12 the last sweep often landed between 1e-13 and 1e-12,
+# costing up to a digit of orthogonality and reconstruction.  Convergence is
+# quadratic, so 1e-14 costs one sweep at most.
 CONVERGENCE_TOL = 1e-14
 MAX_SWEEPS = 50
 RANK_TOL = 1e-10
 
-# Up to this order the kernel sweeps the whole matrix; above it, pairs of
-# equal blocks of about BLOCK_WIDTH indices are.  On the ladder's matrices
-# (one solve each, 2-vCPU VM, OpenBLAS) the whole matrix against block pairs
-# took 0.12 against 0.16 s at n = 128, 0.34 against 0.35 s at n = 192 and
-# 0.90 against 0.78 s at n = 256, where the pairs left orthogonality at
-# 2.0e-14 against 1.1e-14.  So the cut stays at 256: below it the pairs
-# are no faster, and at 256 they save an eighth of the time for a third of
-# a digit.  BLOCK_WIDTH was tuned at n = 768 (BENCH_eig.json,
-# block_width_probe) and is kept.  The one-sided path stops at the same
-# order: unblocked, it took 0.66 against 0.98 s on a Gaussian Gram at
-# n = 300, 3.74 against 3.93 s at n = 512, and 14.7 against 10.9 s on
-# exp1's operator at n = 768 (one solve each, same VM).
-SINGLE_BLOCK_MAX = 256
+# Up to this many columns the kernel sweeps the whole factor; above it,
+# pairs of equal blocks of about BLOCK_WIDTH columns are.  On Gaussian Grams
+# the whole factor against block pairs took 0.39 against 1.01 s at n = 300,
+# 1.13 against 1.23 s at 400, 1.58 against 1.60 s at 448, 2.49 against
+# 1.84 s at 480 and 8.80 against 6.16 s at 768 (medians of three solves
+# alternating, 2-vCPU VM; BENCH_eig.json, one_kernel).  On exp1's operator
+# (n = 768) block widths of 32, 48, 64 and 96 took 6.6, 5.5, 5.4 and 5.4 s
+# (two solves each), so the width stays at 48.
+SINGLE_BLOCK_MAX = 448
 BLOCK_WIDTH = 48
 _TINY = np.finfo(np.float64).tiny
 _EPS = np.finfo(np.float64).eps
@@ -102,15 +97,16 @@ _EPS = np.finfo(np.float64).eps
 
 @dataclass(frozen=True)
 class EigenResult:
-    """Full spectrum of a symmetric matrix, sorted non-increasing.
+    """Full spectrum of a non-negative definite matrix, sorted non-increasing.
 
-    ``vectors[:, p]`` is the orthonormal eigenvector paired with
-    ``eigenvalues[p]``; ``rank`` counts eigenvalues above the relative rank
-    threshold (the spectrum itself is never truncated here).  ``sweeps``
-    counts the Jacobi sweeps taken and ``off_norm`` is the off-diagonal
-    Frobenius mass they left, on the scale of the input: that of X^T X, for
-    the Cholesky factor X, on the one-sided path, and that of the rotated
-    matrix on the two-sided one (see ``sym_eig``).
+    ``eigenvalues`` holds all n; ``vectors[:, p]`` is the orthonormal
+    eigenvector paired with ``eigenvalues[p]`` for the k columns of the
+    pivoted Cholesky factor (k = n for a positive definite matrix), and the
+    n - k eigenvalues past them are exactly 0.0, with no vector.  ``rank``
+    counts eigenvalues above the relative rank threshold (the spectrum itself
+    is never truncated here).  ``sweeps`` counts the Jacobi sweeps taken and
+    ``off_norm`` is the off-diagonal Frobenius mass of X^T X they left, for
+    the factor X, on the scale of the input (see ``sym_eig``).
     """
 
     eigenvalues: np.ndarray
@@ -144,19 +140,10 @@ def check_symmetric(a):
     return a
 
 
-def _off_diagonal_norm(w):
-    # Summed from the off-diagonal entries themselves; subtracting the
-    # diagonal mass from the total would cancel catastrophically once the
-    # matrix is nearly diagonal.
-    off = w.copy()
-    np.fill_diagonal(off, 0.0)
-    return math.sqrt(float((off * off).sum()))
-
-
 def _padded(x, rows, cols):
     # Zeros (rows x cols) with x in the top-left corner (the rest are byes),
     # laid out as the leading rows * cols floats of a buffer with two spare
-    # zeros after them.  Every array a kernel rotates comes from here, so
+    # zeros after them.  Every array the kernel rotates comes from here, so
     # that both parities of a round view it as one contiguous complex array
     # (see _pairs): the odd view ends on the first spare zero, and the second
     # keeps the buffer a whole number of complex numbers.  They must be
@@ -172,9 +159,9 @@ def _pairs(x, first):
     # of x (from _padded, cols even) as one contiguous (rows x cols/2)
     # complex128 view of its buffer from offset `first`.  At first = 1 the
     # last column holds no pair: it joins each row's last entry to the next
-    # row's first (the last row's to the first spare zero), and the kernels
-    # turn it by exactly 1, which moves no value (a zero's sign at most).
-    return x.base[first : first + x.size].view(np.complex128).reshape(len(x), -1)
+    # row's first (the last row's to the first spare zero), and the kernel
+    # turns it by exactly 1, which moves no value (a zero's sign at most).
+    return x.base[first : first + x.size].view(np.complex128).reshape(x.shape[0], x.shape[1] // 2)
 
 
 def _turns(m):
@@ -191,97 +178,30 @@ def _turns(m):
         yield first, k, parts[:k], turns[:k], turns
 
 
-def _half_angle(d, apq, factor, z, rotation, scratch):
+def _half_angle(d, apq, z, rotation, scratch):
     # The rotations i e^(i theta) = sqrt(z / |z|) of the pairs with pivots
-    # d = app - aqq and apq, given as `factor` * apq.  z, rotation's parts as
-    # real pairs, is minus the z of tan(2 theta) = 2 apq / (aqq - app), so its
-    # root is +-i e^(i theta) with |theta| <= pi/4; `tiny` keeps |z| nonzero,
-    # and copysign gives d = 0 the angle pi/4.  `scratch`, one float per
-    # pair, holds |d|, the sign and |z| in turn, so nothing is allocated.
+    # d = app - aqq and 2 apq.  z, rotation's parts as real pairs, is minus
+    # the z of tan(2 theta) = 2 apq / (aqq - app), so its root is
+    # +-i e^(i theta) with |theta| <= pi/4; `tiny` keeps |z| nonzero, and
+    # copysign gives d = 0 the angle pi/4.  `scratch`, one float per pair,
+    # holds |d|, the sign and |z| in turn, so nothing is allocated.
     np.abs(d, out=scratch)
     np.subtract(-_TINY, scratch, out=z[:, 0])
-    np.copysign(factor, d, out=scratch)
+    np.copysign(1.0, d, out=scratch)
     np.multiply(scratch, apq, out=z[:, 1])
     np.abs(rotation, out=scratch)
     z /= scratch[:, None]
     np.sqrt(rotation, out=rotation)
 
 
-def _odd_even(w, v):
-    # Returns a function that runs one kernel sweep in place: w (m x m, m
-    # even) <- J^T w J and v <- v J, both from _padded.  Round r rotates the
-    # pairs (f, f + 1), (f + 2, f + 3), ... with f = r % 2.  m is even, so a
-    # round's parity fixes both its pairs and the buffer it reads.  The
-    # columns of src, dst and v are turned through the contiguous views of
-    # _pairs; an odd round turns the wrapping column by exactly 1, and
-    # computes rotations and zeros pivots for its m/2 - 1 real pairs only.
-    m = len(w)
-    step = 2 * (m + 1)
-    buffers = (w, _padded(w, m, m))
-    diff, scratch = np.empty(m // 2), np.empty(m // 2)
-    rounds = []
-    for first, k, z, rotation, turns in _turns(m):
-        src, dst = buffers[first], buffers[1 - first]
-        # Flat from the first pair's (p, p): offsets 0, 1, m and m + 1 hold
-        # (p, p), (p, q), (q, p) and (q, q), and each next pair is `step` on.
-        a, b = (x.reshape(-1)[first * (m + 1) :] for x in (src, dst))
-        rounds.append((
-            a[::step][:k], a[m + 1 :: step][:k], a[1::step][:k], diff[:k],
-            z, rotation, scratch[:k], turns, src, dst,
-            _pairs(src, first), _pairs(dst, first),
-            b[1::step][:k], b[m::step][:k], _pairs(v, first),
-        ))
-
-    def sweep():
-        for _ in range(m // 2):
-            for (app, aqq, apq, diff, z, rotation, tmp, turns, src, dst,
-                 src_c, dst_c, upper, lower, vc) in rounds:
-                np.subtract(app, aqq, out=diff)
-                _half_angle(diff, apq, 2.0, z, rotation, tmp)
-                np.multiply(src_c, turns, out=src_c)
-                np.copyto(dst, src.T)
-                np.multiply(dst_c, turns, out=dst_c)
-                upper.fill(0.0)
-                lower.fill(0.0)
-                np.multiply(vc, turns, out=vc)
-
-    return sweep
-
-
-def _block_sweep(w, v, width):
-    # Returns a function that runs one block sweep in place, in the kernel's
-    # odd-even order over blocks of `width` indices (len(w) a multiple of
-    # 2 * width).  Round r meets the block pairs [lo, lo + 2 * width), lo
-    # stepping by 2 * width from (r % 2) * width.  A pair's principal
-    # submatrix gets one kernel sweep accumulating Q, which reverses it;
-    # then w <- Q^T w Q on those rows and columns (one product, whose
-    # transpose gives the rows) and v <- v Q.  Of the k blocks (k even), each
-    # meets the k - 1 others once and is reversed at each meeting, an odd
-    # count, so, like a kernel sweep, a block sweep reverses the whole order.
-    m, size = len(w), 2 * width
-    identity = np.eye(size)
-
-    def sweep():
-        for r in range(m // width):
-            for lo in range(r % 2 * width, m - size + 1, size):
-                s = slice(lo, lo + size)
-                sub = _padded(w[s, s], size, size)
-                rot = _padded(identity, size, size)
-                _odd_even(sub, rot)()
-                cols = w[:, s] @ rot
-                w[:, s] = cols
-                w[s, :] = cols.T
-                w[s, s] = sub
-                v[:, s] = v[:, s] @ rot
-
-    return sweep
-
-
 def _pivoted_cholesky(w):
-    # X (n x m, from _padded, m = n padded to even by a zero bye column) with
-    # X X^T = w: column k is the Cholesky factor's, pivoted on the largest
-    # remaining diagonal.  None unless every pivot exceeds n * eps times the
-    # first, that is, unless w is safely positive definite.
+    # X (n x m, from _padded, m = k padded to even by a zero bye column) with
+    # X X^T = w - S: column j is the Cholesky factor's, pivoted on the largest
+    # remaining diagonal.  It stops at the first pivot not above n * eps
+    # times the first, leaving the Schur complement S, whose diagonal is then
+    # below that floor, unless ||S||_F is above RANK_TOL times max diag(w):
+    # then it goes on past the floor (_past_floor), or raises NotNND.  k = n
+    # when w is safely positive definite.
     n = len(w)
     x = _padded(np.empty((n, 0)), n, n + n % 2)
     left = np.diagonal(w).copy()  # the remaining Schur complement's diagonal
@@ -290,7 +210,8 @@ def _pivoted_cholesky(w):
     for k in range(n):
         p = int(np.argmax(left))
         if not left[p] > floor:
-            return None
+            k = _past_floor(w, x, k, pivoted)
+            return _padded(x[:, :k], n, k + k % 2)
         root = math.sqrt(left[p])
         col = x[:, k]
         np.subtract(w[:, p], x[:, :k] @ x[p, :k], out=col)
@@ -303,11 +224,43 @@ def _pivoted_cholesky(w):
     return x
 
 
-def _one_sided(x):
+def _past_floor(w, x, k, pivoted):
+    # Goes on in place with the factor x that _pivoted_cholesky stopped at
+    # its floor after k columns, on the explicit Schur complement S of the
+    # rows not `pivoted`, while ||S||_F is above limit = RANK_TOL * max
+    # diag(w): S of a semidefinite w can hold that much below the floor when
+    # it is spread over many entries (||S||_F reaches up to n times its
+    # largest one).  Each step pivots on S's largest diagonal entry and
+    # subtracts the new column's outer product; returns the new k.  NotNND
+    # is raised while ||S||_F is above the limit but no diagonal entry of S
+    # is positive or one is below -limit: w is not non-negative definite.
+    top = float(np.diagonal(w).max())
+    limit = RANK_TOL * top
+    rest = np.flatnonzero(~pivoted)
+    s = w[np.ix_(rest, rest)] - x[rest, :k] @ x[rest, :k].T
+    while (schur := math.sqrt(float(np.vdot(s, s)))) > limit:
+        d = np.diagonal(s)
+        p = int(np.argmax(d))
+        if not d[p] > 0.0 or d.min() < -limit:
+            raise NotNND(
+                f"pivoted Cholesky left a Schur complement of norm "
+                f"{schur / top if top > 0.0 else math.inf:.3e} times the largest "
+                f"diagonal entry, above {RANK_TOL:.1e}; the matrix is not "
+                "non-negative definite"
+            )
+        x[rest, k] = s[p] / math.sqrt(d[p])
+        s -= np.outer(x[rest, k], x[rest, k])
+        keep = np.arange(len(rest)) != p
+        s, rest, k = s[np.ix_(keep, keep)], rest[keep], k + 1
+    return k
+
+
+def _one_sided(x, carry=None):
     # Returns a function that runs one kernel sweep in place on the columns
-    # of x (n x m, m even, from _padded): x <- x J, with J the rotations the
-    # kernel would apply to x^T x, in the same odd-even order, so a sweep
-    # leaves the columns reversed.  Each row's pair entries read as complex
+    # of x (n x m, m even, from _padded): x <- x J, with J the rotations that
+    # make x^T x diagonal, in odd-even order, so a sweep leaves the columns
+    # reversed; `carry` (from _padded, m columns), if given, gets the same
+    # turns, carry <- carry J.  Each row's pair entries read as complex
     # c = x_p + i x_q, so one square and one column sum give
     # sum(c^2) = |x_p|^2 - |x_q|^2 + 2i x_p.x_q, the d and 2 apq of x^T x.
     # Both parities square, sum and turn one contiguous view of x's buffer
@@ -321,24 +274,53 @@ def _one_sided(x):
     rounds = []
     for first, k, z, rotation, turns in _turns(m):
         rounds.append((
-            _pairs(x, first), sums.real[:k], sums.imag[:k],
-            z, rotation, scratch[:k], turns,
+            _pairs(x, first), sums.real[:k], sums.imag[:k], z, rotation,
+            scratch[:k], turns, None if carry is None else _pairs(carry, first),
         ))
 
     def sweep():
         for _ in range(m // 2):
-            for pairs, d, apq, z, rotation, tmp, turns in rounds:
+            for pairs, d, apq, z, rotation, tmp, turns, carried in rounds:
                 np.square(pairs, out=squares)
                 np.add.reduce(squares, axis=0, out=sums)
-                _half_angle(d, apq, 1.0, z, rotation, tmp)
+                _half_angle(d, apq, z, rotation, tmp)
                 np.multiply(pairs, turns, out=pairs)
+                if carried is not None:
+                    np.multiply(carried, turns, out=carried)
+
+    return sweep
+
+
+def _block_one_sided(x, width):
+    # Returns a function that runs one block sweep in place on the columns
+    # of x (n x m, from _padded, m a multiple of 2 * width), in the kernel's
+    # odd-even order over blocks of `width` columns: round r meets the block
+    # pairs [lo, lo + 2 * width), lo stepping by 2 * width from
+    # (r % 2) * width.  For a pair's columns X_s, the kernel sweeps Y once,
+    # Y^T the pivoted Cholesky factor of X_s^T X_s (a zero bye only stops it
+    # sooner), carrying J, and X_s <- X_s J.  That sweep reverses the pair.
+    # Of the m / width blocks (an even count), each meets the others once
+    # and is reversed at each meeting, an odd count, so, like a kernel
+    # sweep, a block sweep reverses the whole order.
+    m, size = x.shape[1], 2 * width
+    identity = np.eye(size)
+
+    def sweep():
+        for r in range(m // width):
+            for lo in range(r % 2 * width, m - size + 1, size):
+                s = slice(lo, lo + size)
+                factor = _pivoted_cholesky(x[:, s].T @ x[:, s])
+                y = _padded(factor.T, factor.shape[1], size)
+                rotation = _padded(identity, size, size)
+                _one_sided(y, rotation)()
+                x[:, s] = x[:, s] @ rotation
 
     return sweep
 
 
 def _cosines(x):
     # The off-diagonal Frobenius mass of g = x^T x and the largest cosine
-    # |g_pq| / sqrt(g_pp g_qq) between two columns of x.  The bye, a zero
+    # |g_pq| / sqrt(g_pp g_qq) between two columns of x.  A bye, a zero
     # column, has a zero row and column in g, which any finite scale keeps
     # at zero.  g is reused in place, so no other m x m array is made.
     g = x.T @ x
@@ -348,28 +330,28 @@ def _cosines(x):
     np.abs(g, out=g)
     g *= scale
     g *= scale[:, None]
-    return off, float(g.max())
+    return off, float(g.max(initial=0.0))
 
 
 def sym_eig(a):
-    """Eigendecomposition of a ``check_symmetric`` matrix via (block) Jacobi.
+    """Eigendecomposition of a non-negative definite ``check_symmetric``
+    matrix by one-sided Jacobi on its pivoted Cholesky factor.
 
-    A matrix of order at most ``SINGLE_BLOCK_MAX`` whose pivoted Cholesky
-    factor X (X X^T = a, up to the power-of-two scaling) exists, with every
-    pivot above n * eps times the first, is solved by one-sided Jacobi on
-    X's columns: sweeps stop once no two columns have a cosine above
-    ``CONVERGENCE_TOL``, and the eigenvectors are the normalized columns,
-    the eigenvalues their Rayleigh quotients.  Any other matrix
-    (indefinite, semidefinite, or larger) is swept two-sided until its
-    off-diagonal Frobenius mass drops below ``CONVERGENCE_TOL * ||a||_F``;
-    above ``SINGLE_BLOCK_MAX`` in odd-even order over pairs of equal blocks
-    of about ``BLOCK_WIDTH`` indices, padded with zero byes.  ``sweeps``
-    counts the sweeps of the path taken; ``off_norm`` is the off-diagonal
-    Frobenius mass of X^T X on the one-sided path and of the swept matrix
-    on the two-sided one.  The test is made before every sweep; after
-    ``MAX_SWEEPS`` sweeps NoConvergence is raised, carrying that mass as
-    its residual.  Eigenvalues are returned non-increasing with sign-fixed
-    orthonormal eigenvector columns.
+    The factor X (n x k, X X^T = a - S up to the power-of-two scaling) stops
+    at the first pivot not above n * eps times the first once the Schur
+    complement S it leaves has ||S||_F at most ``RANK_TOL`` times the largest
+    diagonal entry of a, pivoting past that floor until it has; NotNND is
+    raised when no positive pivot is left or one of S's diagonal entries is
+    below minus that bound (by Weyl, no accepted matrix has an eigenvalue
+    below -``RANK_TOL`` * lambda_1).  X's columns are swept until no two
+    have a cosine above ``CONVERGENCE_TOL``, tested before every sweep;
+    above ``SINGLE_BLOCK_MAX`` columns in odd-even order over pairs of equal
+    blocks of about ``BLOCK_WIDTH`` columns, padded with zero byes.  The eigenvectors are the normalized columns and the eigenvalues
+    their Rayleigh quotients (rounding below 0 read as 0), followed by n - k
+    zeros: ``vectors`` is n x k.  ``off_norm`` is the off-diagonal Frobenius
+    mass of X^T X; after ``MAX_SWEEPS`` sweeps NoConvergence is raised,
+    carrying that mass as its residual.  Eigenvalues are returned
+    non-increasing with sign-fixed orthonormal eigenvector columns.
     """
     a = check_symmetric(a)
     n = a.shape[0]
@@ -383,29 +365,17 @@ def sym_eig(a):
     exponent = math.frexp(float(np.abs(a).max()))[1]
     half = np.ldexp(a, -exponent - 1)
     w = half + half.T
-    x = _pivoted_cholesky(w) if n <= SINGLE_BLOCK_MAX else None
-    if x is None:
-        target = CONVERGENCE_TOL * math.sqrt(float((w * w).sum()))
-        width = math.ceil(n / (2 * math.ceil(n / (2 * BLOCK_WIDTH)))) if n > SINGLE_BLOCK_MAX else 1
-        m = -(-n // (2 * width)) * 2 * width
-        w = _padded(w, m, m)
-        v = _padded(np.eye(n), n, m)
-        sweep = _block_sweep(w, v, width) if width > 1 else _odd_even(w, v)
-
-        def measure():
-            off = _off_diagonal_norm(w)
-            return off, off <= target
+    x = _pivoted_cholesky(w)
+    k = int(np.count_nonzero(x.any(axis=0)))  # every column but a bye
+    if k > SINGLE_BLOCK_MAX:
+        width = math.ceil(k / (2 * math.ceil(k / (2 * BLOCK_WIDTH))))
+        x = _padded(x[:, :k], n, -(-k // (2 * width)) * 2 * width)
+        sweep = _block_one_sided(x, width)
     else:
-        v = x
         sweep = _one_sided(x)
-
-        def measure():
-            off, cosine = _cosines(x)
-            return off, cosine <= CONVERGENCE_TOL
-
-    off, converged = measure()
+    off, cosine = _cosines(x)
     sweeps = 0
-    while not converged:
+    while cosine > CONVERGENCE_TOL:
         if sweeps >= MAX_SWEEPS:
             off = math.ldexp(off, exponent)
             raise NoConvergence(
@@ -415,21 +385,16 @@ def sym_eig(a):
             )
         sweep()
         sweeps += 1
-        off, converged = measure()
+        off, cosine = _cosines(x)
     # Undone, the reversal left by an odd sweep count puts the byes back
-    # past index n, unread.
-    undo = slice(None, None, -1 if sweeps % 2 else 1)
-    v = v[:, undo][:, :n]
-    if x is None:
-        eigenvalues = np.diagonal(w)[undo][:n]
-    else:
-        # Rayleigh quotients u^T w u, not squared column norms: an exact
-        # input stays exact (squared norms give 1 + eps for the identity).
-        v = v / np.sqrt((v * v).sum(axis=0))
-        eigenvalues = (v * (w @ v)).sum(axis=0)
-    eigenvalues = np.ldexp(eigenvalues, exponent)
+    # past index k, unread.
+    v = x[:, :: -1 if sweeps % 2 else 1][:, :k]
+    # Rayleigh quotients u^T w u, not squared column norms: an exact input
+    # stays exact (squared norms give 1 + eps for the identity).
+    v = v / np.sqrt((v * v).sum(axis=0))
+    eigenvalues = np.ldexp(np.maximum((v * (w @ v)).sum(axis=0), 0.0), exponent)
     order = np.argsort(-eigenvalues, kind="stable")
-    eigenvalues = eigenvalues[order]
+    eigenvalues = np.append(eigenvalues[order], np.zeros(n - k))
     vectors = np.ascontiguousarray(v[:, order])
     _fix_signs(vectors)
     return EigenResult(

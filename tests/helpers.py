@@ -1,6 +1,8 @@
 """Test helpers shared by several test modules."""
 
 import math
+import os
+import struct
 
 import numpy as np
 
@@ -10,6 +12,13 @@ from tenspec import DenseTensor, norm, random_tensor
 def unit(dims, seed):
     t = random_tensor(dims, seed)
     return DenseTensor(t.data * (1.0 / norm(t)))
+
+
+def sparse_tz1(path, dims):
+    # A TZ1 header declaring `dims`, and a file as long as their payload:
+    # the payload is a hole, which takes no disk and must never be read.
+    path.write_bytes(b"TENZ" + struct.pack(f"<II{len(dims)}Q", 1, len(dims), *dims))
+    os.truncate(path, 12 + 8 * len(dims) + 8 * math.prod(dims))
 
 
 def rel_err(reference, candidate):

@@ -29,7 +29,7 @@ from tenspec.cli import (
 )
 from tenspec.errors import InvalidAxis, InvalidKeep, InvalidSplit
 
-from helpers import unit
+from helpers import sparse_tz1, unit
 
 
 def read_json(path):
@@ -458,6 +458,40 @@ def test_decompose_refuses_large_eigenproblem(tmp_path, monkeypatch, capsys, dim
     monkeypatch.setattr(cli, "MAX_EIGEN_ORDER", order)
     assert main(args) == 0
     assert max(solved) == order
+
+
+@pytest.mark.parametrize(
+    "dims, message",
+    [((2, 2**25), "67108864 elements, above the limit 33554432"),
+     ((3000, 3000), "order 3000, above the limit 2048")],
+)
+def test_decompose_refuses_oversized_input_from_its_header(tmp_path, monkeypatch, capsys,
+                                                           dims, message):
+    # More values than tz1.MAX_ELEMENTS, or fewer but an eigenproblem above
+    # MAX_EIGEN_ORDER: either is refused from the header, and no payload is
+    # read.
+    from tenspec import cli
+
+    monkeypatch.setattr(cli, "read_payload", lambda *args: pytest.fail("payload read"))
+    path = tmp_path / "big.tz1"
+    sparse_tz1(path, dims)
+    assert main(["decompose", str(path), "--groups", "1,1", "--out", str(tmp_path / "o")]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_verify_refuses_oversized_shapes_before_reading_factors(tmp_path, monkeypatch, capsys):
+    # The manifest's shapes get decompose's eigenproblem limit before any
+    # factor file is opened: only the tensor is read.
+    from tenspec import cli
+
+    src, manifest = make_verified_run(tmp_path)
+    read = []
+    monkeypatch.setattr(cli, "read_tensor", lambda path: read.append(path) or read_tensor(path))
+    monkeypatch.setattr(cli, "MAX_EIGEN_ORDER", 3)
+    assert main(["verify", str(src), str(manifest)]) == 2
+    assert "order 4, above the limit 3" in capsys.readouterr().err
+    assert read == [str(src)]
 
 
 # ----------------------------------------------------------------- verify

@@ -293,6 +293,23 @@ def test_transform_rank_one():
     assert rel_err(a.tensor, reconstruct(dec)) <= 1e-10
 
 
+def test_transform_keeps_a_weight_spread_below_the_pivot_floor():
+    # A = e1 e1^T + sqrt(c) e2 1^T (1000 x 1000, c = 0.9 n eps) has the Gram
+    # e1 e1^T + c 1 1^T, whose Schur complement at the pivot floor is spread
+    # over all its entries: the solve must not refuse it, and the second
+    # weight, sqrt((n - 1) c), is kept.
+    n = 1000
+    c = 0.9 * n * np.finfo(np.float64).eps
+    data = np.zeros((n, n))
+    data[0, 0] = 1.0
+    data[1] = math.sqrt(c)
+    a = GroupedTensor(DenseTensor(data), (1, 1))
+    dec = decompose_transform(a)
+    assert len(dec.singulars) == 2
+    assert dec.singulars[1] == pytest.approx(math.sqrt((n - 1) * c), rel=1e-6)
+    assert rel_err(a.tensor, reconstruct(dec)) <= 1e-12
+
+
 def test_transform_zero_tensor():
     a = GroupedTensor(DenseTensor(np.zeros((3, 2, 2))), (1, 2))
     dec = decompose_transform(a)

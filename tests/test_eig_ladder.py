@@ -11,7 +11,7 @@ ROOT = Path(__file__).resolve().parents[1]
 def test_eig_ladder_smoke():
     # Two small orders, one timed solve each: one JSON line per order with
     # the fields the BENCH_eig.json records are built from, for the
-    # symmetric matrix and, under "gram", for the Gaussian Gram.
+    # semidefinite Gram and, under "gram", for the Gaussian Gram.
     proc = subprocess.run(
         [sys.executable, "scripts/eig_ladder.py", "--src", "src", "--sizes", "16,32",
          "--repeats", "1"],

@@ -16,13 +16,15 @@ from tenspec import (
     sym_eig,
     unfold,
 )
-from tenspec.errors import NoConvergence, NotSorted, NotSymmetric
+from tenspec.errors import NoConvergence, NotNND, NotSorted, NotSymmetric
 
 
-def random_symmetric(n, seed):
+def random_gram(n, seed, rank=None):
+    # B B^T for B (n x rank, n x n by default) with uniform entries in
+    # [-1, 1): positive definite at full rank, semidefinite below it.
     rng = np.random.Generator(np.random.PCG64(seed))
-    m = rng.random((n, n)) * 2.0 - 1.0
-    return 0.5 * (m + m.T)
+    b = rng.random((n, n if rank is None else rank)) * 2.0 - 1.0
+    return b @ b.T
 
 
 def gram_schmidt(m):
@@ -89,7 +91,7 @@ def test_extreme_magnitudes(scale):
 
 
 def test_no_convergence_reports_residual(monkeypatch):
-    a = random_symmetric(6, 99)
+    a = random_gram(6, 99)
     monkeypatch.setattr(jacobi, "MAX_SWEEPS", 0)
     with pytest.raises(NoConvergence) as exc:
         sym_eig(a)
@@ -98,9 +100,12 @@ def test_no_convergence_reports_residual(monkeypatch):
 
 
 def test_zero_matrix():
+    # No pivot passes the floor: the factor has no column, so no vector.
     res = sym_eig(np.zeros((4, 4)))
     assert np.array_equal(res.eigenvalues, np.zeros(4))
     assert res.rank == 0
+    assert res.vectors.shape == (4, 0)
+    assert (res.sweeps, res.off_norm) == (0, 0.0)
 
 
 def test_empty_matrix():
@@ -111,7 +116,7 @@ def test_empty_matrix():
 
 
 def test_sign_convention():
-    res = sym_eig(random_symmetric(12, 5))
+    res = sym_eig(random_gram(12, 5))
     for p in range(12):
         col = res.vectors[:, p]
         assert col[int(np.argmax(np.abs(col)))] > 0.0
@@ -160,32 +165,46 @@ def test_degenerate_spectrum_projector():
 
 
 def assert_eigen_invariants(a, res):
+    # The k vectors (k <= n, one per column of the factor) are orthonormal
+    # and pair with the leading eigenvalues; the n - k past them are zero.
     lam, v = res.eigenvalues, res.vectors
-    n = a.shape[0]
-    assert np.all(lam[:-1] >= lam[1:])
-    assert np.abs(v.T @ v - np.eye(n)).max() <= 1e-10
+    k = v.shape[1]
+    assert np.all(lam[:-1] >= lam[1:]) and not lam[k:].any()
+    assert np.abs(v.T @ v - np.eye(k)).max(initial=0.0) <= 1e-10
     scale = max(1.0, abs(float(lam[0])))
-    resid = a @ v - v * lam
-    assert np.sqrt((resid * resid).sum(axis=0)).max() <= 1e-8 * scale
-    recon = (v * lam) @ v.T
+    resid = a @ v - v * lam[:k]
+    assert np.sqrt((resid * resid).sum(axis=0)).max(initial=0.0) <= 1e-8 * scale
+    recon = (v * lam[:k]) @ v.T
     assert np.linalg.norm(recon - a) <= 1e-8 * np.linalg.norm(a)
 
 
 def test_invariants_on_seeded_matrices():
+    # Every other order gets a semidefinite Gram, of rank n // 3.
     rng = np.random.Generator(np.random.PCG64(7))
     sizes = rng.integers(2, 201, size=100)
     for i, n in enumerate(sizes):
-        a = random_symmetric(int(n), 1000 + i)
-        assert_eigen_invariants(a, sym_eig(a))
+        rank = int(n) // 3 if i % 2 else None
+        a = random_gram(int(n), 1000 + i, rank)
+        res = sym_eig(a)
+        assert res.vectors.shape[1] == (n if rank is None else rank), (n, rank)
+        assert_eigen_invariants(a, res)
+
+
+@pytest.fixture
+def block_path(monkeypatch):
+    # Above SINGLE_BLOCK_MAX columns the solver sweeps in block pairs.  The
+    # cut is a speed setting, read at each call: lowered to 256 here, it
+    # sends orders that solve in about a second down the block path.
+    monkeypatch.setattr(jacobi, "SINGLE_BLOCK_MAX", 256)
 
 
 @pytest.mark.parametrize("n", [257, 300, 333])
-def test_invariants_on_block_path(n):
-    # Above SINGLE_BLOCK_MAX the solver sweeps in block pairs; the seeded
-    # cases above never get there.  Each order needs byes (1, 4 and 3) to
-    # fill its blocks, and 257 is the first order past the cut.
+def test_invariants_on_block_path(n, block_path):
+    # The seeded cases above never take the block path.  Each order needs
+    # byes (1, 4 and 3) to fill its blocks, and 257 is the first order past
+    # the lowered cut.
     assert n > jacobi.SINGLE_BLOCK_MAX
-    a = random_symmetric(n, 4242)
+    a = random_gram(n, 4242)
     res = sym_eig(a)
     assert_eigen_invariants(a, res)
     for p in range(n):
@@ -193,8 +212,18 @@ def test_invariants_on_block_path(n):
         assert col[int(np.argmax(np.abs(col)))] > 0.0
 
 
-def test_no_convergence_on_block_path(monkeypatch):
-    a = random_symmetric(300, 4243)
+def test_semidefinite_on_block_path(block_path):
+    # A Gram of rank 280 at n = 300: its factor's 280 columns, above the
+    # lowered cut, are swept in block pairs, and the 20 eigenvalues past them
+    # are zero.
+    a = random_gram(300, 4244, rank=280)
+    res = sym_eig(a)
+    assert res.vectors.shape == (300, 280) and res.rank == 280
+    assert_eigen_invariants(a, res)
+
+
+def test_no_convergence_on_block_path(monkeypatch, block_path):
+    a = random_gram(300, 4243)
     monkeypatch.setattr(jacobi, "MAX_SWEEPS", 0)
     with pytest.raises(NoConvergence) as exc:
         sym_eig(a)
@@ -214,85 +243,86 @@ def operator_matrix(group, seed):
 
 
 def sweep_cases():
-    # The `operator` inputs of seed 1 (n = 48, 72, 96), two odd orders, and
-    # two block-path orders padded with byes (257 by one, 300 by four).  The
-    # operators are positive definite and take the one-sided path (two-sided,
-    # they took 8, 9 and 10 sweeps); the random matrices are indefinite, and
-    # each count is the one the two-sided odd-even kernel takes.  The
-    # round-robin kernel before it took the same except at n = 45 (7).
+    # The `operator` inputs of seed 1 (n = 48, 72, 96), a Gram of odd order,
+    # a semidefinite Gram of odd order and odd rank, and two Grams past 256
+    # (257 and 300), which the block path pads with byes (by one and four).
+    # The last two pin the sweep counts of both paths: unblocked, then in
+    # block pairs.
     seeds = [int(s) for s in np.random.default_rng(1).integers(0, 2**31, size=3)]
     groups = ((8, 2, 3), (8, 3, 3), (8, 4, 3))
-    cases = [(operator_matrix(g, s), count) for g, s, count in zip(groups, seeds, (7, 7, 8))]
-    cases += [(random_symmetric(45, 11), 8), (random_symmetric(97, 14), 8)]
-    cases += [(random_symmetric(257, 16), 9), (random_symmetric(300, 4242), 9)]
+    cases = [(operator_matrix(g, s), (count,)) for g, s, count in zip(groups, seeds, (7, 7, 8))]
+    cases += [(random_gram(45, 11), (6,)), (random_gram(97, 14, rank=33), (7,))]
+    cases += [(random_gram(257, 16), (9, 8)), (random_gram(300, 4242), (9, 8))]
     return cases
 
 
-def test_sweep_counts_pinned():
-    for a, count in sweep_cases():
-        res = sym_eig(a)
-        assert res.sweeps == count, len(a)
-        assert 0.0 < res.off_norm <= jacobi.CONVERGENCE_TOL * np.linalg.norm(a)
+def test_sweep_counts_pinned(monkeypatch):
+    cuts = (jacobi.SINGLE_BLOCK_MAX, 256)
+    for a, counts in sweep_cases():
+        for count, cut in zip(counts, cuts):
+            monkeypatch.setattr(jacobi, "SINGLE_BLOCK_MAX", cut)
+            res = sym_eig(a)
+            assert res.sweeps == count, (len(a), cut)
+            assert 0.0 < res.off_norm <= jacobi.CONVERGENCE_TOL * np.linalg.norm(a)
 
 
-def kernel_sweep(a, n):
-    # One kernel sweep of a (order n, padded with the bye at odd n) and of
-    # the identity, in the order the sweep leaves.
-    m = n + n % 2
-    w = jacobi._padded(a, m, m)
-    v = jacobi._padded(np.eye(m), m, m)
-    jacobi._odd_even(w, v)()
-    return w, v
+def kernel_sweep(x, m, width=None):
+    # One sweep of x's columns, padded with byes to m, in the order the
+    # sweep leaves: a kernel sweep carrying the identity (returned too), or
+    # with `width` a block sweep.
+    x = jacobi._padded(x, len(x), m)
+    if width is not None:
+        jacobi._block_one_sided(x, width)()
+        return x, None
+    carry = jacobi._padded(np.eye(m), m, m)
+    jacobi._one_sided(x, carry)()
+    return x, carry
+
+
+def assert_meets_every_pair_and_reverses_the_order(n, m, width=None):
+    # Orthogonal columns of distinct norms: every rotation is an exact
+    # signed swap, so one sweep moves column i to m - 1 - i, byes included.
+    # Columns p and q made to overlap alone are rotated apart when they
+    # meet, and every other pair still swaps exactly, so the largest cosine
+    # left is round-off (it starts near 0.05): each pair is met.
+    lam = np.arange(1.0, n + 1.0)
+    x, carry = kernel_sweep(np.diag(lam), m, width)
+    full = np.zeros((n, m))
+    full[:, :n] = np.diag(lam)
+    assert np.array_equal(np.abs(x), full[:, ::-1])
+    assert carry is None or np.array_equal(np.abs(carry), np.eye(m)[:, ::-1])
+    for p, q in itertools.combinations(range(n), 2):
+        a = np.diag(lam)
+        a[p, q] = 0.5
+        x, _ = kernel_sweep(a, m, width)
+        assert jacobi._cosines(x)[1] <= jacobi._EPS, (p, q)
 
 
 @pytest.mark.parametrize("n", [8, 9])
 def test_sweep_leaves_diagonal_matrix_bit_exact(n):
-    # Every pivot is zero, the bye's included at odd n, so every rotation
-    # must be exactly +-i, a signed swap: with its reversed order undone,
-    # one kernel sweep leaves the matrix as it was and turns the identity
-    # into diag(+-1).
-    d = np.diag(np.linspace(0.9, -0.7, n) ** 3)
-    w, v = kernel_sweep(d, n)
-    w, v = w[::-1, ::-1][:n, :n], v[:, ::-1][:n, :n]
-    assert w.tobytes() == d.tobytes()
-    assert np.abs(v).tobytes() == np.eye(n).tobytes()
-    assert np.array_equal(v, np.diag(np.diagonal(v)))
+    # Orthogonal columns give zero pivots, the bye's included at odd n, so
+    # every rotation must be exactly +-i, a signed swap: with its reversed
+    # order undone, one kernel sweep leaves the columns as they were up to
+    # sign and turns the identity it carries into diag(+-1).
+    d = np.diag(np.linspace(0.9, 0.1, n) ** 3)
+    x, carry = kernel_sweep(d, n + n % 2)
+    x, carry = x[:, ::-1][:, :n], carry[:, ::-1][:n, :n]
+    assert np.abs(x).tobytes() == d.tobytes()
+    assert np.abs(carry).tobytes() == np.eye(n).tobytes()
+    assert np.array_equal(carry, np.diag(np.diagonal(carry)))
 
 
 @pytest.mark.parametrize("n", [8, 9])
 def test_sweep_meets_every_pair_and_reverses_the_order(n):
-    # Uncoupled, every rotation is an exact signed swap, so one sweep moves
-    # index i to m - 1 - i, the bye included: each pair has crossed, and the
-    # m(m - 1)/2 rotations of a sweep leave no room for a second meeting.
-    m = n + n % 2
-    lam = np.arange(1.0, n + 1.0)
-    w, v = kernel_sweep(np.diag(lam), n)
-    assert np.array_equal(w, np.diag(np.append(lam, np.zeros(m - n))[::-1]))
-    assert np.array_equal(np.abs(v), np.eye(m)[:, ::-1])
-    # Coupling p and q alone: the pivot is zeroed when they meet, and every
-    # other rotation swaps exactly, so nothing off the diagonal is left.
-    for p, q in itertools.combinations(range(n), 2):
-        a = np.diag(lam)
-        a[p, q] = a[q, p] = 0.5
-        w, _ = kernel_sweep(a, n)
-        assert np.count_nonzero(w - np.diag(np.diagonal(w))) == 0, (p, q)
+    # The m(m - 1)/2 rotations of a sweep leave no room for a second meeting.
+    assert_meets_every_pair_and_reverses_the_order(n, n + n % 2)
 
 
-def block_sweep(a, width):
-    # One block sweep of a, padded with byes to a multiple of 2 * width, and
-    # of the identity, in the order the sweep leaves.
-    m = -(-len(a) // (2 * width)) * 2 * width
-    w = jacobi._padded(a, m, m)
-    v = jacobi._padded(np.eye(m), m, m)
-    jacobi._block_sweep(w, v, width)()
-    return w, v
-
-
-def reference_turn(d, apq, factor):
-    # One pair's rotation from its pivots, through the kernels' own formula.
+def reference_turn(d, apq):
+    # One pair's rotation from its pivots, through the kernel's own formula.
     parts = np.empty((1, 2))
     rotation = parts.view(np.complex128)[:, 0]
-    jacobi._half_angle(np.array([d]), np.array([apq]), factor, parts, rotation, np.empty(1))
+    jacobi._half_angle(np.array([d]), np.array([apq]), parts, rotation, np.empty(1))
     return rotation[0]
 
 
@@ -319,33 +349,13 @@ def reference_one_sided(x):
             s = 0j
             for square in c * c:
                 s = s + square
-            turn_columns(x, p, reference_turn(s.real, s.imag, 1.0))
+            turn_columns(x, p, reference_turn(s.real, s.imag))
     return x
-
-
-def reference_odd_even(w, v):
-    # One sweep of the two-sided kernel written pair by pair: each round's
-    # rotations come from its pivots, then turn the pair columns, the pair
-    # rows (as columns of the transpose) and v's pair columns, and the
-    # pivots are set to zero.
-    w, v = w.copy(), v.copy()
-    m = len(w)
-    for r in range(m):
-        pairs = range(r % 2, m - 1, 2)
-        turns = [reference_turn(w[p, p] - w[p + 1, p + 1], w[p, p + 1], 2.0) for p in pairs]
-        for p, rotation in zip(pairs, turns):
-            turn_columns(w, p, rotation)
-        w = w.T.copy()
-        for p, rotation in zip(pairs, turns):
-            turn_columns(w, p, rotation)
-            w[p, p + 1] = w[p + 1, p] = 0.0
-            turn_columns(v, p, rotation)
-    return w, v
 
 
 @pytest.mark.parametrize("n", [8, 9, 33])
 def test_sweeps_match_pair_by_pair_reference(n):
-    # Both kernels rotate each parity's pairs through one contiguous complex
+    # The kernel rotates each parity's pairs through one contiguous complex
     # view of the array's buffer; the odd view's last column joins each
     # row's last entry to the next row's first, and must be turned by
     # exactly 1.  Against a sweep written pair by pair, every entry agrees
@@ -356,16 +366,25 @@ def test_sweeps_match_pair_by_pair_reference(n):
     x = jacobi._padded(rng.standard_normal((n, n)), n, m)
     expected = reference_one_sided(x)
     jacobi._one_sided(x)()
-    w = jacobi._padded(random_symmetric(n, n), m, m)
-    v = jacobi._padded(np.eye(m), m, m)
-    expected_w, expected_v = reference_odd_even(w, v)
-    jacobi._odd_even(w, v)()
-    for got, want in ((x, expected), (w, expected_w), (v, expected_v)):
-        assert np.array_equal(got, want)
+    assert np.array_equal(x, expected)
     real = slice(m - n, None)
     assert x[:, real].tobytes() == expected[:, real].tobytes()
-    assert w[real, real].tobytes() == expected_w[real, real].tobytes()
-    assert v[:, real].tobytes() == expected_v[:, real].tobytes()
+
+
+@pytest.mark.parametrize("n", [8, 33])
+def test_carry_gets_the_sweeps_rotation(n):
+    # The carried array turns by the same rotations: after one sweep x is
+    # x0 times the carry, to round-off, and x itself has the bits of a sweep
+    # that carries nothing.
+    m = n + n % 2
+    x0 = jacobi._padded(np.random.Generator(np.random.PCG64(n)).standard_normal((n, n)), n, m)
+    x = jacobi._padded(x0, n, m)
+    carry = jacobi._padded(np.eye(m), m, m)
+    jacobi._one_sided(x, carry)()
+    assert np.abs(x - x0 @ carry).max() <= 1e-14 * np.abs(x0).max()
+    alone = jacobi._padded(x0, n, m)
+    jacobi._one_sided(alone)()
+    assert alone.tobytes() == x.tobytes()
 
 
 def test_warm_one_sided_sweep_allocates_at_most_one_copy():
@@ -389,26 +408,15 @@ def test_warm_one_sided_sweep_allocates_at_most_one_copy():
 
 @pytest.mark.parametrize("n, width", [(8, 2), (9, 2), (11, 3)])
 def test_block_sweep_meets_every_pair_and_reverses_the_order(n, width):
-    # As for the kernel: uncoupled, one block sweep moves index i to
-    # m - 1 - i, byes included, and p and q coupled alone are always met,
-    # whether in one block or two.
-    lam = np.arange(1.0, n + 1.0)
-    w, v = block_sweep(np.diag(lam), width)
-    m = len(w)
-    assert np.array_equal(w, np.diag(np.append(lam, np.zeros(m - n))[::-1]))
-    assert np.array_equal(np.abs(v), np.eye(m)[:, ::-1])
-    for p, q in itertools.combinations(range(n), 2):
-        a = np.diag(lam)
-        a[p, q] = a[q, p] = 0.5
-        w, _ = block_sweep(a, width)
-        assert np.count_nonzero(w - np.diag(np.diagonal(w))) == 0, (p, q)
+    # As for the kernel, whether p and q lie in one block or two.
+    assert_meets_every_pair_and_reverses_the_order(n, -(-n // (2 * width)) * 2 * width, width)
 
 
-@pytest.mark.parametrize("n, seed, parity", [(9, 0, 1), (9, 1, 0), (10, 2, 1), (10, 0, 0)])
+@pytest.mark.parametrize("n, seed, parity", [(9, 1, 1), (9, 0, 0), (10, 0, 1), (10, 7, 0)])
 def test_solves_after_odd_and_even_sweep_counts(n, seed, parity):
-    # A kernel sweep reverses the index order, so sym_eig undoes it after an
-    # odd count; at odd n the bye must then be back past the last index.
-    a = random_symmetric(n, seed)
+    # A kernel sweep reverses the column order, so sym_eig undoes it after
+    # an odd count; at odd n the bye must then be back past the last column.
+    a = random_gram(n, seed)
     res = sym_eig(a)
     assert res.sweeps % 2 == parity
     assert_eigen_invariants(a, res)
@@ -417,15 +425,16 @@ def test_solves_after_odd_and_even_sweep_counts(n, seed, parity):
 
 
 def test_block_diagonal_solved_bit_exactly():
-    # Three 2 x 2 blocks and three 1 x 1 ones, order 9, indices scrambled
-    # (each block's kept in order, so its p and q are those of the block
-    # alone).  Pivots outside the blocks stay exactly zero, so each block is
-    # rotated as if alone, once, and the spectrum and vectors are the
-    # blocks' own bit for bit.  Each 2 x 2 block has max entry 1, like the
-    # whole matrix, so all solves scale alike.
-    corners = ((0.3, -0.6), (0.8, 0.1), (-0.2, 0.45))
-    blocks = [np.array([[x, 1.0], [1.0, y]]) for x, y in corners]
-    singles = [0.7, -0.35, 0.05]
+    # Three positive definite 2 x 2 blocks and three 1 x 1 ones, order 9,
+    # indices scrambled (each block's kept in order, so its p and q are
+    # those of the block alone).  Factor columns of different blocks stay
+    # exactly orthogonal, so each block's pair is rotated as if alone, once,
+    # and the spectrum and vectors are the blocks' own bit for bit.  Each
+    # 2 x 2 block has max entry 1, like the whole matrix, so all solves scale
+    # alike.
+    corners = ((1.0, 0.6, 0.5), (0.8, 0.3, 1.0), (1.0, -0.45, 0.25))
+    blocks = [np.array([[x, b], [b, y]]) for x, b, y in corners]
+    singles = [0.7, 0.35, 0.05]
     order = np.random.Generator(np.random.PCG64(9)).permutation(9)
     a = np.zeros((9, 9))
     spots = [np.sort(order[k : k + 2]) for k in (0, 2, 4)]
@@ -434,29 +443,31 @@ def test_block_diagonal_solved_bit_exactly():
     for k, value in zip(order[6:], singles):
         a[k, k] = value
     res = sym_eig(a)
-    assert (res.sweeps, res.off_norm) == (1, 0.0)
     expected = {float(x): np.eye(9)[:, k] for k, x in zip(order[6:], singles)}
+    offs = []
     for spot, block in zip(spots, blocks):
         alone = sym_eig(block)
+        offs.append(alone.off_norm)
         for lam, vec in zip(alone.eigenvalues, alone.vectors.T):
             full = np.zeros(9)
             full[spot] = vec
             expected[float(lam)] = full
+    assert res.sweeps == 1
+    assert res.off_norm == pytest.approx(math.hypot(*offs), rel=1e-12)
     lams = sorted(expected, reverse=True)
     assert res.eigenvalues.tolist() == lams
     assert res.vectors.tobytes() == np.stack([expected[x] for x in lams], axis=1).tobytes()
 
 
 def test_orthonormality_at_n96():
-    # A seeded n = 96 Gaussian Gram is positive definite, so it takes the
-    # one-sided path: its eigenvectors are orthonormal to 1.3e-15.  The
-    # two-sided half-angle kernel left 8.4e-15 on it, and cosine-sine
-    # rotations with a skip mask 2.7e-14.  The indefinite matrix keeps the
-    # two-sided kernel to the same bound (5.8e-15).
+    # A seeded n = 96 Gaussian Gram is positive definite: its eigenvectors
+    # are orthonormal to 1.3e-15.  The two-sided half-angle kernel left
+    # 8.4e-15 on it, and cosine-sine rotations with a skip mask 2.7e-14.  A
+    # Gram of rank 32 keeps its 32 vectors to the same bound.
     g = np.random.Generator(np.random.PCG64(96)).standard_normal((96, 96))
-    for a in (g @ g.T, random_symmetric(96, 96)):
+    for a in (g @ g.T, g[:, :32] @ g[:, :32].T):
         v = sym_eig(a).vectors
-        assert np.abs(v.T @ v - np.eye(96)).max() <= 1.2e-14
+        assert np.abs(v.T @ v - np.eye(v.shape[1])).max() <= 1.2e-14
 
 
 def graded_definite(n, seed, decades=12):
@@ -493,7 +504,7 @@ def test_no_convergence_on_definite_path(monkeypatch):
     # The residual on the one-sided path is the off-diagonal mass of
     # X^T X, which a sweep must shrink.
     a = graded_definite(20, 5)
-    assert jacobi._pivoted_cholesky(a) is not None
+    assert jacobi._pivoted_cholesky(a).shape == (20, 20)
     monkeypatch.setattr(jacobi, "MAX_SWEEPS", 0)
     with pytest.raises(NoConvergence) as exc:
         sym_eig(a)
@@ -506,42 +517,89 @@ def test_no_convergence_on_definite_path(monkeypatch):
 
 
 def test_pivoted_cholesky_factors_definite_matrices_only():
+    # Only a definite matrix gets its whole factor; on a semidefinite one
+    # the loop stops at its pivot floor with the columns it built (padded by
+    # a bye to an even count), and the Schur complement left holds the rest;
+    # an indefinite one whose Schur complement is too large is refused.
     a = graded_definite(9, 3, decades=6)
     x = jacobi._pivoted_cholesky(a)
     assert x.shape == (9, 10) and not x[:, 9].any()
     assert np.abs(x @ x.T - a).max() <= 1e-15
-    # Semidefinite (a Gram of rank 2) and indefinite: no factor.
-    g = np.random.Generator(np.random.PCG64(4)).standard_normal((6, 2))
-    assert jacobi._pivoted_cholesky(g @ g.T) is None
-    assert jacobi._pivoted_cholesky(np.diag([1.0, 0.5, -1e-3])) is None
+    g = np.random.Generator(np.random.PCG64(4)).standard_normal((6, 3))
+    x = jacobi._pivoted_cholesky(g @ g.T)
+    assert x.shape == (6, 4) and not x[:, 3].any()
+    assert np.abs(x @ x.T - g @ g.T).max() <= 1e-14 * np.abs(g @ g.T).max()
+    x = jacobi._pivoted_cholesky(np.diag([1.0, 0.25, -1e-12]))
+    assert x.shape == (3, 2)
+    assert np.array_equal(np.diag([1.0, 0.25, -1e-12]) - x @ x.T, np.diag([0.0, 0.0, -1e-12]))
+    with pytest.raises(NotNND):
+        jacobi._pivoted_cholesky(np.diag([1.0, 0.25, -1e-3]))
+
+
+def test_semidefinite_schur_complement_spread_below_the_floor_is_factored():
+    # e1 e1^T + c 1 1^T with c = 0.9 n eps: every pivot after the first is
+    # below the floor n eps, yet the Schur complement left there, about
+    # c 1 1^T, has norm (n - 1) c = 2.0e-10 > RANK_TOL.  The factor goes on
+    # past the floor for it, so the matrix is accepted with rank 2 and its
+    # second eigenvalue (n - 1) c.
+    n = 1000
+    c = 0.9 * n * np.finfo(np.float64).eps
+    a = np.full((n, n), c)
+    a[0, 0] += 1.0
+    res = sym_eig(a)
+    assert res.rank == 2 and res.vectors.shape == (n, 2)
+    assert res.eigenvalues[1] == pytest.approx((n - 1) * c, rel=1e-6)
+    assert_eigen_invariants(a, res)
 
 
 @pytest.mark.parametrize("n", [24, 25])
-def test_rank_deficient_and_indefinite_take_the_two_sided_path(n, monkeypatch):
-    # Neither has a Cholesky factor, so neither may reach the one-sided
-    # kernel; each still gets a full orthonormal basis.
-    def refuse(x):
-        raise AssertionError("one-sided kernel reached")
-
-    monkeypatch.setattr(jacobi, "_one_sided", refuse)
+def test_semidefinite_gram_gives_one_vector_per_factor_column(n):
+    # A Gram of rank n // 3 stops the factor after n // 3 columns: the
+    # kernel sweeps those, so there are n // 3 vectors, and the eigenvalues
+    # past them are exactly zero.
     g = np.random.Generator(np.random.PCG64(n)).standard_normal((n, n // 3))
-    for a in (g @ g.T, random_symmetric(n, n)):
-        res = sym_eig(a)
-        assert res.vectors.shape == (n, n)
-        assert_eigen_invariants(a, res)
-    assert sym_eig(g @ g.T).rank == n // 3
+    a = g @ g.T
+    res = sym_eig(a)
+    assert res.vectors.shape == (n, n // 3) and res.rank == n // 3
+    assert not res.eigenvalues[n // 3 :].any()
+    assert_eigen_invariants(a, res)
+
+
+@pytest.mark.parametrize(
+    "a, eigenvalues",
+    [(np.diag([1.0, -1e-12]), [1.0, 0.0]), (np.diag([2.0, 0.0, 1.0]), [2.0, 1.0, 0.0])],
+)
+def test_nnd_within_the_schur_bound_is_accepted(a, eigenvalues):
+    # ||S||_F = 1e-12 and 0, at most RANK_TOL * max diag = 1e-10 and 2e-10:
+    # accepted, with one vector per pivot and 0 for the eigenvalue past them.
+    res = sym_eig(a)
+    assert res.eigenvalues.tolist() == eigenvalues
+    assert res.vectors.shape == (len(a), len(a) - 1)
+
+
+@pytest.mark.parametrize(
+    "a",
+    [np.diag([1.0, -1e-9]), np.diag([3.0, -1.0, 2.0]), np.array([[1.0, 2.0], [2.0, 1.0]]),
+     -np.eye(3)],
+)
+def test_indefinite_is_refused(a):
+    # ||S||_F above RANK_TOL * max diag(a), with no positive pivot left in S:
+    # 1e-9 against 1e-10, 1 against 3e-10, 3 against 1e-10, and anything
+    # against a negative diagonal.
+    with pytest.raises(NotNND, match="Schur complement of norm"):
+        sym_eig(a)
 
 
 def test_trace_preserved():
     for seed in range(10):
-        a = random_symmetric(30, seed)
+        a = random_gram(30, seed)
         res = sym_eig(a)
         tr = float(np.trace(a))
         assert res.eigenvalues.sum() == pytest.approx(tr, abs=1e-9 * max(1.0, abs(tr)))
 
 
 def test_scaling_invariance():
-    a = random_symmetric(20, 321)
+    a = random_gram(20, 321)
     base = sym_eig(a)
     scaled = sym_eig(4.0 * a)
     top = np.abs(base.eigenvalues).max()

@@ -12,10 +12,10 @@ def test_reach_lists_exactly_the_unreached_functions():
     # Every function and lambda is reached by a CLI command or a benchmark
     # workload except these: `contract` (with its axis check), which only the
     # benchmark's tracer names; the eigensolver's non-convergence error; and
-    # its two-sided sweeps (the block sweep, its local sweep and the local
-    # sweep of `_odd_even`), which of the commands only the probe's skipped
-    # `exp1` reaches.  A function only the tests call, or only the probe's
-    # input builder, would be listed here too.
+    # its block one-sided sweep (the function and its local sweep), which of
+    # the commands only the probe's skipped `exp1` reaches.  A function only
+    # the tests call, or only the probe's input builder, would be listed
+    # here too.
     proc = subprocess.run(
         [sys.executable, "scripts/reach.py", "--src", "src"],
         cwd=ROOT, capture_output=True, text=True, timeout=600,
@@ -27,7 +27,6 @@ def test_reach_lists_exactly_the_unreached_functions():
         ("core", "contract"),
         ("core", "_check_axes"),
         ("errors", "NoConvergence.__init__"),
-        ("jacobi", "_block_sweep"),
-        ("jacobi", "_block_sweep.<locals>.sweep"),
-        ("jacobi", "_odd_even.<locals>.sweep"),
+        ("jacobi", "_block_one_sided"),
+        ("jacobi", "_block_one_sided.<locals>.sweep"),
     }

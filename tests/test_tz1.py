@@ -12,8 +12,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import tenspec
-from tenspec import DenseTensor, random_tensor, read_tensor, write_tensor
-from tenspec.errors import ParseError
+from tenspec import DenseTensor, random_tensor, read_tensor, tz1, write_tensor
+from tenspec.errors import ParseError, TooLarge
+
+from helpers import sparse_tz1
 
 SRC = str(Path(tenspec.__file__).resolve().parents[1])
 
@@ -152,6 +154,30 @@ def test_huge_declared_sizes_are_refused_without_allocating(tmp_path):
         finally:
             tracemalloc.stop()
         assert peak < 2**20, (message, peak)
+
+
+def test_payload_above_the_cap_is_refused_from_its_header(tmp_path):
+    # Sparse files (the payload is a hole) as long as their headers declare:
+    # one value past tz1.MAX_ELEMENTS is refused with TooLarge before any
+    # value is read or allocated, and the cap itself passes the header.
+    path = tmp_path / "big.tz1"
+    for count in (tz1.MAX_ELEMENTS + 1, tz1.MAX_ELEMENTS):
+        sparse_tz1(path, (count,))
+        tracemalloc.start()
+        try:
+            if count > tz1.MAX_ELEMENTS:
+                with pytest.raises(TooLarge, match="elements, above the limit"):
+                    read_tensor(path)
+            with open(path, "rb") as fh:
+                if count > tz1.MAX_ELEMENTS:
+                    with pytest.raises(TooLarge, match="elements, above the limit"):
+                        tz1.read_header(fh, path)
+                else:
+                    assert tz1.read_header(fh, path) == (count,)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, (count, peak)
 
 
 @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
