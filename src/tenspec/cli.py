@@ -50,7 +50,7 @@ from .errors import (
     TooLarge,
 )
 from .oracle import verify_decomposition
-from .tz1 import read_header, read_payload, read_tensor, write_tensor
+from .tz1 import open_regular, read_header, read_payload, read_tensor, write_tensor
 
 DEFAULT_SEED = 42
 MANIFEST_VERSION = 2
@@ -206,7 +206,7 @@ def run_decompose(path, groups, algorithm="auto", keep=None, out_dir="tenspec-ou
     """
     if keep is not None and _integer(keep, InvalidKeep, "keep") < 0:
         raise InvalidKeep(f"keep {keep} is negative")
-    with open(path, "rb") as fh:
+    with open_regular(path) as fh:
         dims = read_header(fh, path)
         group_orders, shapes = grouping(dims, groups)
         _refuse_large(path, shapes)
@@ -252,7 +252,8 @@ def run_verify(tensor_path, manifest_path):
     tensor = read_tensor(tensor_path)
     manifest_path = Path(manifest_path)
     try:
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+        with open_regular(manifest_path) as fh:
+            manifest = json.loads(fh.read().decode("utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
         raise ParseError(f"{manifest_path}: {exc}") from exc
     try:

@@ -11,17 +11,16 @@ implicit Cholesky Jacobi (Veselic & Hari 1989; preconditioned by the
 pivoted factor: Drmac & Veselic 2008; more accurate than two-sided Jacobi
 on such matrices: Demmel & Veselic 1992).  The library's own pivoted
 Cholesky loop gives X (n x k) with X X^T = a - S, stopping at the first
-pivot not above n * eps times the first: k = n for a safely positive
-definite matrix, and S is the Schur complement left at a stop.  While
-||S||_F is above ``RANK_TOL`` times a's largest diagonal entry (a
-semidefinite S spread over many small entries can be), the loop goes on
-past the floor on S's largest diagonal entry; a matrix whose ||S||_F stays
-above that bound with no positive diagonal entry in S, or one below minus
-the bound, is refused as indefinite (NotNND).  By Weyl, lambda_min(a) >=
--||S||_F, so an accepted matrix has no eigenvalue below -``RANK_TOL`` *
-lambda_1.  The kernel rotates X's columns, with no transpose, no pivot
-zeroing and no accumulated eigenvector matrix: the normalized columns are
-the eigenvectors, their Rayleigh quotients the eigenvalues, and the n - k
+pivot not above min(n * eps, ``RANK_TOL`` / n) times a's largest diagonal
+entry: k = n for a safely positive definite matrix, and S is the Schur
+complement left at a stop.  A non-negative definite S there has ||S||_F at
+most n times its largest diagonal entry (Higham 1990), so at most
+``RANK_TOL`` times a's; a matrix whose S is above that bound is refused as
+indefinite (NotNND).  By Weyl, lambda_min(a) >= -||S||_F, so an accepted
+matrix has no eigenvalue below -``RANK_TOL`` * lambda_1.  The kernel
+rotates X's columns, with no transpose, no pivot zeroing and no
+accumulated eigenvector matrix: the normalized columns are the
+eigenvectors, their Rayleigh quotients the eigenvalues, and the n - k
 eigenvalues past the stop are 0.  Sweeps stop when no two columns have a
 cosine above ``CONVERGENCE_TOL``, measured from one product X^T X before
 every sweep, whose off-diagonal mass is reported.
@@ -197,21 +196,21 @@ def _half_angle(d, apq, z, rotation, scratch):
 def _pivoted_cholesky(w):
     # X (n x m, from _padded, m = k padded to even by a zero bye column) with
     # X X^T = w - S: column j is the Cholesky factor's, pivoted on the largest
-    # remaining diagonal.  It stops at the first pivot not above n * eps
-    # times the first, leaving the Schur complement S, whose diagonal is then
-    # below that floor, unless ||S||_F is above RANK_TOL times max diag(w):
-    # then it goes on past the floor (_past_floor), or raises NotNND.  k = n
-    # when w is safely positive definite.
+    # remaining diagonal.  It stops at the first pivot not above min(n eps,
+    # RANK_TOL / n) max diag(w) (n eps up to n = 671), where a non-negative
+    # definite Schur complement S has ||S||_F <= n max diag(S) <= RANK_TOL
+    # max diag(w) (Higham 1990); S is formed there once, and NotNND raised if
+    # ||S||_F is above that.  k = n when w is safely positive definite.
     n = len(w)
     x = _padded(np.empty((n, 0)), n, n + n % 2)
     left = np.diagonal(w).copy()  # the remaining Schur complement's diagonal
-    floor = n * _EPS * left.max()
+    top = float(left.max())
+    floor = min(n * _EPS, RANK_TOL / n) * top
     pivoted = np.zeros(n, dtype=bool)
     for k in range(n):
         p = int(np.argmax(left))
         if not left[p] > floor:
-            k = _past_floor(w, x, k, pivoted)
-            return _padded(x[:, :k], n, k + k % 2)
+            break
         root = math.sqrt(left[p])
         col = x[:, k]
         np.subtract(w[:, p], x[:, :k] @ x[p, :k], out=col)
@@ -221,38 +220,18 @@ def _pivoted_cholesky(w):
         col[p] = root
         left -= col * col
         left[pivoted] = -np.inf
-    return x
-
-
-def _past_floor(w, x, k, pivoted):
-    # Goes on in place with the factor x that _pivoted_cholesky stopped at
-    # its floor after k columns, on the explicit Schur complement S of the
-    # rows not `pivoted`, while ||S||_F is above limit = RANK_TOL * max
-    # diag(w): S of a semidefinite w can hold that much below the floor when
-    # it is spread over many entries (||S||_F reaches up to n times its
-    # largest one).  Each step pivots on S's largest diagonal entry and
-    # subtracts the new column's outer product; returns the new k.  NotNND
-    # is raised while ||S||_F is above the limit but no diagonal entry of S
-    # is positive or one is below -limit: w is not non-negative definite.
-    top = float(np.diagonal(w).max())
-    limit = RANK_TOL * top
+    else:
+        return x
     rest = np.flatnonzero(~pivoted)
     s = w[np.ix_(rest, rest)] - x[rest, :k] @ x[rest, :k].T
-    while (schur := math.sqrt(float(np.vdot(s, s)))) > limit:
-        d = np.diagonal(s)
-        p = int(np.argmax(d))
-        if not d[p] > 0.0 or d.min() < -limit:
-            raise NotNND(
-                f"pivoted Cholesky left a Schur complement of norm "
-                f"{schur / top if top > 0.0 else math.inf:.3e} times the largest "
-                f"diagonal entry, above {RANK_TOL:.1e}; the matrix is not "
-                "non-negative definite"
-            )
-        x[rest, k] = s[p] / math.sqrt(d[p])
-        s -= np.outer(x[rest, k], x[rest, k])
-        keep = np.arange(len(rest)) != p
-        s, rest, k = s[np.ix_(keep, keep)], rest[keep], k + 1
-    return k
+    if (schur := math.sqrt(float(np.vdot(s, s)))) > RANK_TOL * top:
+        raise NotNND(
+            f"pivoted Cholesky left a Schur complement of norm "
+            f"{schur / top if top > 0.0 else math.inf:.3e} times the largest "
+            f"diagonal entry, above {RANK_TOL:.1e}; the matrix is not "
+            "non-negative definite"
+        )
+    return _padded(x[:, :k], n, k + k % 2)
 
 
 def _one_sided(x, carry=None):
@@ -337,21 +316,22 @@ def sym_eig(a):
     """Eigendecomposition of a non-negative definite ``check_symmetric``
     matrix by one-sided Jacobi on its pivoted Cholesky factor.
 
-    The factor X (n x k, X X^T = a - S up to the power-of-two scaling) stops
-    at the first pivot not above n * eps times the first once the Schur
-    complement S it leaves has ||S||_F at most ``RANK_TOL`` times the largest
-    diagonal entry of a, pivoting past that floor until it has; NotNND is
-    raised when no positive pivot is left or one of S's diagonal entries is
-    below minus that bound (by Weyl, no accepted matrix has an eigenvalue
-    below -``RANK_TOL`` * lambda_1).  X's columns are swept until no two
-    have a cosine above ``CONVERGENCE_TOL``, tested before every sweep;
-    above ``SINGLE_BLOCK_MAX`` columns in odd-even order over pairs of equal
-    blocks of about ``BLOCK_WIDTH`` columns, padded with zero byes.  The eigenvectors are the normalized columns and the eigenvalues
-    their Rayleigh quotients (rounding below 0 read as 0), followed by n - k
-    zeros: ``vectors`` is n x k.  ``off_norm`` is the off-diagonal Frobenius
-    mass of X^T X; after ``MAX_SWEEPS`` sweeps NoConvergence is raised,
-    carrying that mass as its residual.  Eigenvalues are returned
-    non-increasing with sign-fixed orthonormal eigenvector columns.
+    The factor X (n x k, X X^T = a - S up to the power-of-two scaling)
+    stops at the first pivot not above min(n * eps, ``RANK_TOL`` / n) times
+    the largest diagonal entry of a, and NotNND is raised when the Schur
+    complement S it leaves has ||S||_F above ``RANK_TOL`` times that entry,
+    which no non-negative definite S below the floor has (by Weyl, no
+    accepted matrix has an eigenvalue below -``RANK_TOL`` * lambda_1).  X's
+    columns are swept until no two have a cosine above ``CONVERGENCE_TOL``,
+    tested before every sweep; above ``SINGLE_BLOCK_MAX`` columns in
+    odd-even order over pairs of equal blocks of about ``BLOCK_WIDTH``
+    columns, padded with zero byes.  The eigenvectors are the normalized
+    columns and the eigenvalues their Rayleigh quotients (rounding below 0
+    read as 0), followed by n - k zeros: ``vectors`` is n x k.  ``off_norm``
+    is the off-diagonal Frobenius mass of X^T X; after ``MAX_SWEEPS`` sweeps
+    NoConvergence is raised, carrying that mass as its residual.
+    Eigenvalues are returned non-increasing with sign-fixed orthonormal
+    eigenvector columns.
     """
     a = check_symmetric(a)
     n = a.shape[0]

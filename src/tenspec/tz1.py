@@ -34,9 +34,26 @@ def write_tensor(path, tensor):
         fh.write(np.ascontiguousarray(tensor.data, dtype="<f8").tobytes())
 
 
+def open_regular(path):
+    """``path`` open for binary reading, or ParseError, before any read, if
+    it is not a regular file: a pipe's size is unknown, and its reads may
+    never end.  The open does not block (a FIFO with no writer blocks a
+    plain one forever); the file is made blocking once it has passed."""
+    fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        if not stat.S_ISREG(os.fstat(fd).st_mode):
+            raise ParseError(f"{path}: not a regular file")
+        os.set_blocking(fd, True)
+        return open(fd, "rb")
+    except BaseException:
+        os.close(fd)
+        raise
+
+
 def read_header(fh, path):
-    """The dims of the TZ1 file ``path`` open as ``fh``, from its header and
-    extent list, with ``fh`` left at the payload, of which nothing is read.
+    """The dims of the TZ1 file ``path`` open as ``fh`` (``open_regular``),
+    from its header and extent list, with ``fh`` left at the payload, of
+    which nothing is read.
 
     ParseError for a bad header or a file size other than the one they
     imply; TooLarge for more than ``MAX_ELEMENTS`` values.
@@ -51,10 +68,7 @@ def read_header(fh, path):
         raise ParseError(f"{path}: unsupported version {version}")
     if order < 1:
         raise ParseError(f"{path}: order must be >= 1")
-    info = os.fstat(fh.fileno())
-    if not stat.S_ISREG(info.st_mode):
-        raise ParseError(f"{path}: not a regular file, so its size is unknown")
-    size = info.st_size
+    size = os.fstat(fh.fileno()).st_size
     offset = _HEADER.size + 8 * order
     if size < offset:
         raise ParseError(f"{path}: truncated extent list")
@@ -98,7 +112,7 @@ def read_tensor(path):
     and extent list are checked before any payload is read, and the payload
     size is checked against the file's size and the cap before it is read,
     so a hostile header costs no large read or allocation.  Hence the file
-    must be a regular one: a pipe, whose size is unknown, is refused.
+    must be a regular one (``open_regular``).
     """
-    with open(path, "rb") as fh:
+    with open_regular(path) as fh:
         return read_payload(fh, path, read_header(fh, path))

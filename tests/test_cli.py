@@ -3,11 +3,16 @@
 import dataclasses
 import inspect
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import tenspec
 from tenspec import (
     DenseTensor,
     GroupedTensor,
@@ -30,6 +35,8 @@ from tenspec.cli import (
 from tenspec.errors import InvalidAxis, InvalidKeep, InvalidSplit
 
 from helpers import sparse_tz1, unit
+
+SRC = str(Path(tenspec.__file__).resolve().parents[1])
 
 
 def read_json(path):
@@ -729,6 +736,34 @@ def test_verify_refuses_factor_files_outside_the_manifest_directory(tmp_path):
         bad = manifest.parent / f"outside-{k}.json"
         bad.write_text(json.dumps({**good, "factors": factors}))
         assert main(["verify", str(src), str(bad)]) == 2, name
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+@pytest.mark.parametrize("fifo", ["decompose input", "tensor", "manifest", "factor"])
+def test_fifo_inputs_exit_2_without_hanging(tmp_path, fifo):
+    # Opening a FIFO that nothing writes to blocks forever, so each input is
+    # refused as not a regular file before it is read.  main runs in a child
+    # under a timeout, so a hang fails the test instead of stalling the suite.
+    src, manifest = make_verified_run(tmp_path)
+    path = tmp_path / "fifo.tz1"
+    argv = {
+        "decompose input": ["decompose", path, "--groups", "1,1", "--out", tmp_path / "o"],
+        "tensor": ["verify", path, manifest],
+        "manifest": ["verify", src, path],
+        "factor": ["verify", src, manifest],
+    }[fifo]
+    if fifo == "factor":
+        path = manifest.parent / read_json(manifest)["factors"]["v"][0]
+        path.unlink()
+    os.mkfifo(path)
+    code = f"import sys; sys.path.insert(0, {SRC!r}); from tenspec import cli; sys.exit(cli.main())"
+    done = subprocess.run(
+        [sys.executable, "-c", code, *map(str, argv)],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
+    )
+    assert done.returncode == 2, done.stderr
+    assert "not a regular file" in done.stderr
 
 
 def test_verify_tolerances_only_tighten(tmp_path):

@@ -538,10 +538,10 @@ def test_pivoted_cholesky_factors_definite_matrices_only():
 
 def test_semidefinite_schur_complement_spread_below_the_floor_is_factored():
     # e1 e1^T + c 1 1^T with c = 0.9 n eps: every pivot after the first is
-    # below the floor n eps, yet the Schur complement left there, about
-    # c 1 1^T, has norm (n - 1) c = 2.0e-10 > RANK_TOL.  The factor goes on
-    # past the floor for it, so the matrix is accepted with rank 2 and its
-    # second eigenvalue (n - 1) c.
+    # below n eps, yet a Schur complement left there, about c 1 1^T, would
+    # have norm (n - 1) c = 2.0e-10 > RANK_TOL.  Above n = 671 the floor is
+    # RANK_TOL / n = 1e-13 < c, so the loop takes the second pivot, and the
+    # matrix is accepted with rank 2 and its second eigenvalue (n - 1) c.
     n = 1000
     c = 0.9 * n * np.finfo(np.float64).eps
     a = np.full((n, n), c)
@@ -550,6 +550,52 @@ def test_semidefinite_schur_complement_spread_below_the_floor_is_factored():
     assert res.rank == 2 and res.vectors.shape == (n, 2)
     assert res.eigenvalues[1] == pytest.approx((n - 1) * c, rel=1e-6)
     assert_eigen_invariants(a, res)
+
+
+@pytest.mark.parametrize("factor, k", [(0.9, 1), (1.1, 2)])
+def test_floor_above_671_is_rank_tol_over_n(factor, k):
+    # e1 e1^T + c 1 1^T at n = 1000, c = factor * RANK_TOL / n, on either
+    # side of the floor RANK_TOL / n: below it, the loop stops after one
+    # pivot and the Schur complement, of norm (n - 1) c = 9.0e-11, is
+    # accepted with 0 for every eigenvalue past it; above it, the loop
+    # takes a second pivot, for the eigenvalue (n - 1) c = 1.1e-10.
+    n = 1000
+    c = factor * jacobi.RANK_TOL / n
+    a = np.full((n, n), c)
+    a[0, 0] += 1.0
+    res = sym_eig(a)
+    assert res.vectors.shape == (n, k) and res.rank == k
+    assert not res.eigenvalues[k:].any()
+    if k == 2:
+        assert res.eigenvalues[1] == pytest.approx((n - 1) * c, rel=1e-6)
+    assert_eigen_invariants(a, res)
+
+
+def test_graded_pivots_straddling_n_eps_stop_at_the_first_below_it():
+    # Up to n = 671 the floor is n eps times the largest diagonal entry.  A
+    # graded D C D (C well conditioned, D from 1 to 1e-9) has pivots from
+    # about 1 to 1e-18; a test-local right-looking pivoted Cholesky counts
+    # those above the floor, none within 1% of it, and the factor has as
+    # many columns.
+    n = 500
+    rng = np.random.Generator(np.random.PCG64(11))
+    b = rng.standard_normal((n, n))
+    d = rng.permutation(np.logspace(0, -9, n))
+    a = d[:, None] * (b @ b.T / n + np.eye(n)) * d
+    floor = n * np.finfo(np.float64).eps * np.diagonal(a).max()
+    s, pivots = a.copy(), []
+    for _ in range(n):
+        p = int(np.argmax(np.diagonal(s)))
+        pivots.append(s[p, p])
+        if not s[p, p] > floor:
+            break
+        s -= np.outer(s[:, p], s[p]) / s[p, p]
+        s[p], s[:, p] = 0.0, 0.0
+    ratios = np.array(pivots) / floor
+    k = int(np.count_nonzero(ratios > 1.0))
+    assert 0 < k < n and np.abs(np.log(ratios)).min() > 0.01
+    res = sym_eig(a)
+    assert res.vectors.shape == (n, k) and not res.eigenvalues[k:].any()
 
 
 @pytest.mark.parametrize("n", [24, 25])
@@ -580,12 +626,14 @@ def test_nnd_within_the_schur_bound_is_accepted(a, eigenvalues):
 @pytest.mark.parametrize(
     "a",
     [np.diag([1.0, -1e-9]), np.diag([3.0, -1.0, 2.0]), np.array([[1.0, 2.0], [2.0, 1.0]]),
-     -np.eye(3)],
+     -np.eye(3), np.diag(np.r_[1.0, -2e-9, np.zeros(998)]),
+     np.diag(np.eye(1000)[0]) + 1e-12 * (1.0 - np.eye(1000))],
 )
 def test_indefinite_is_refused(a):
-    # ||S||_F above RANK_TOL * max diag(a), with no positive pivot left in S:
-    # 1e-9 against 1e-10, 1 against 3e-10, 3 against 1e-10, and anything
-    # against a negative diagonal.
+    # ||S||_F above RANK_TOL * max diag(a) where the loop stops: 1e-9
+    # against 1e-10, 1 against 3e-10, 3 against 1e-10, anything against a
+    # negative diagonal, and at n = 1000, where the floor is RANK_TOL / n,
+    # 2e-9 and 9.985e-10 (the indefinite 1e-12 (1 1^T - I) left after e1).
     with pytest.raises(NotNND, match="Schur complement of norm"):
         sym_eig(a)
 

@@ -112,9 +112,10 @@ def test_rejects_non_finite_values(tmp_path):
 
 @pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="needs /dev/zero and rlimits")
 def test_endless_file_is_refused_by_its_header():
-    # /dev/zero never ends, so reading it whole would never return; its
-    # header alone must refuse it.  The child's address space is capped so
-    # that a reader that does read it whole fails fast.
+    # /dev/zero never ends, so reading it whole would never return; it is
+    # refused as not a regular file before its header is read.  The child's
+    # address space is capped so that a reader that does read it whole fails
+    # fast.
     code = (
         "import resource\n"
         "resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))\n"
@@ -131,7 +132,7 @@ def test_endless_file_is_refused_by_its_header():
         [sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env
     )
     assert done.returncode == 0, done.stderr
-    assert "bad magic" in done.stdout
+    assert "not a regular file" in done.stdout
 
 
 def test_huge_declared_sizes_are_refused_without_allocating(tmp_path):
