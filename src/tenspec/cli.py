@@ -7,9 +7,14 @@ oracle.  Outputs are CSV (spectra), JSON (reports, manifests) and TZ1
 (tensors).  report.json is a ``RunReport`` without its wall time, and
 ``verify`` prints an ``OracleReport``: each JSON record is its class's
 fields in order.  With one numpy and BLAS build and one BLAS kernel,
-identical command lines produce byte-identical files at any BLAS thread
-count (another kernel moves the written values in their last digits), so
-wall time goes to stderr only.
+identical command lines produce byte-identical files (another kernel moves
+the written values in their last digits), so wall time goes to stderr only.
+tenspec's own sums run in one order at any BLAS thread count, but OpenBLAS
+matrix products with a side above 256 may round differently at another
+count (257 x 257 and 300 x 300 products did at 1 and 2 threads; 448, 512
+and 768 did not).  So at 1 and 2 threads every command of
+``scripts/cli_digest.py``, exp1's order-768 operator included, writes the
+same bytes, and a transform of a 300 x 400 tensor does not.
 """
 
 import argparse
@@ -369,7 +374,7 @@ def _write_spectrum_csv(path, spectrum):
     lines = ["index,weight"]
     for i, w in enumerate(spectrum, start=1):
         lines.append(f"{i},{float(w)!r}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 def _as_json(record, omit=None):
@@ -384,7 +389,14 @@ def _as_json(record, omit=None):
 
 
 def _write_json(path, value):
-    Path(path).write_text(json.dumps(value, indent=2) + "\n", encoding="utf-8")
+    _write_text(path, json.dumps(value, indent=2) + "\n")
+
+
+def _write_text(path, text):
+    # Through open_regular, like every file tenspec writes, so an existing
+    # FIFO or device at `path` is refused (exit 2), not waited on.
+    with open_regular(path, "wb") as fh:
+        fh.write(text.encode("utf-8"))
 
 
 def _cmd_experiment(args):

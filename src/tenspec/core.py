@@ -100,13 +100,15 @@ def norm(x):
     both routes give the same bits.
     """
     values = x.values
+    # einsum, not np.dot: BLAS ddot splits a sum of more than 10,000 values
+    # across threads, so its bits depend on the BLAS thread count.
     with np.errstate(over="ignore"):
-        total = float(np.dot(values, values))
+        total = float(np.einsum("i,i->", values, values))
     if _SAFE_SUM <= total < math.inf:
         return math.sqrt(total)
     exponent = math.frexp(float(np.abs(values).max()))[1]
     scaled = np.ldexp(values, -exponent)
-    return math.ldexp(math.sqrt(float(np.dot(scaled, scaled))), exponent)
+    return math.ldexp(math.sqrt(float(np.einsum("i,i->", scaled, scaled))), exponent)
 
 
 def relative_error(reference, candidate):

@@ -458,7 +458,7 @@ def residual_curve(a, decomposition):
     first, index, _ = families[0]
     resid = _sum_terms(weights, families, count)
     np.subtract(np.ldexp(reference.data, -exponent).reshape(resid.shape), resid, out=resid)
-    resid2 = float(np.vdot(resid, resid))
+    resid2 = float(np.einsum("ij,ij->", resid, resid))  # as in core.norm
     first_gram = first @ first.T
     # drop[m] = ||A - S_m||^2 - ||A - S_(m+1)||^2; `proj` is F_1 (A - S_hi)
     # for the block [lo, hi) being visited.

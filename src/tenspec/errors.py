@@ -58,4 +58,5 @@ class TooLarge(TenspecError):
 
 
 class ParseError(TenspecError):
-    """A tensor or manifest file is malformed."""
+    """A tensor or manifest file is malformed, or a path to read or write
+    is not a regular file."""

@@ -33,12 +33,14 @@ the Jacobi angle, so its two columns trade places: a sweep's m rounds form
 the odd-even transposition network, which meets every pair once and leaves
 the order reversed, and nothing is gathered.  Viewing each row as complex128
 numbers c = x_p + i*x_q, one square and one column sum give
-sum(c^2) = d + 2i apq of X^T X, and a round's rotations are one multiply by
-i e^(i theta) = sqrt(z / |z|), z = -(|d| + tiny) + 2i apq sign(d), with z's
-parts divided by |z| as reals (numpy's complex / real division multiplies by
-a rounded reciprocal), so a zero pivot, the bye's included, gets exactly
-+-i: an exact signed swap.  Every pair is rotated; the kernel has no skip
-test.
+sum(c^2) = d + 2i apq of X^T X; the column sum is one BLAS matrix-vector
+product, a row of ones times the squares' real view, which sums each column
+in one order whatever the BLAS thread count.  A round's rotations are one
+multiply by i e^(i theta) = sqrt(z / |z|), z = -(|d| + tiny) + 2i apq sign(d),
+with z's parts divided by |z| as reals (numpy's complex / real division
+multiplies by a rounded reciprocal), so a zero pivot, the bye's included,
+gets exactly +-i: an exact signed swap.  Every pair is rotated; the kernel
+has no skip test.
 
 Every array the kernel rotates is the leading rows * m floats of a buffer
 with two spare zeros after it, so both parities read it as one contiguous
@@ -48,7 +50,8 @@ it joins each row's last entry to the next row's first (the last row's to
 the first spare zero).  Its rotation is exactly 1 + 0i, set once, and the
 odd rounds compute rotations for their m/2 - 1 real pairs only.  So no
 round works on a view that starts inside a row, which numpy copies at every
-call, and every round writes into buffers made before the first sweep.
+call, and every round writes into buffers, through views, made once per
+solve, before the first sweep.
 
 A factor of more than ``SINGLE_BLOCK_MAX`` columns is padded with byes and
 cut into an even count of equal column blocks about ``BLOCK_WIDTH`` wide,
@@ -82,12 +85,13 @@ RANK_TOL = 1e-10
 
 # Up to this many columns the kernel sweeps the whole factor; above it,
 # pairs of equal blocks of about BLOCK_WIDTH columns are.  On Gaussian Grams
-# the whole factor against block pairs took 0.39 against 1.01 s at n = 300,
-# 1.13 against 1.23 s at 400, 1.58 against 1.60 s at 448, 2.49 against
-# 1.84 s at 480 and 8.80 against 6.16 s at 768 (medians of three solves
-# alternating, 2-vCPU VM; BENCH_eig.json, one_kernel).  On exp1's operator
-# (n = 768) block widths of 32, 48, 64 and 96 took 6.6, 5.5, 5.4 and 5.4 s
-# (two solves each), so the width stays at 48.
+# the whole factor against block pairs took 1.07 against 1.28 s at n = 400,
+# 1.43 against 1.37 s at 448, 1.99 against 1.57 s at 480 and 2.43 against
+# 2.12 s at 512 (medians of three solves alternating, 2-vCPU VM;
+# BENCH_eig.json, blas_column_sum), so the cut stays where the two paths
+# are within 5% of each other.  On exp1's operator (n = 768) block widths
+# of 32, 48, 64 and 96 took 6.6, 5.5, 5.4 and 5.4 s (two solves each), so
+# the width stays at 48.
 SINGLE_BLOCK_MAX = 448
 BLOCK_WIDTH = 48
 _TINY = np.finfo(np.float64).tiny
@@ -177,20 +181,29 @@ def _turns(m):
         yield first, k, parts[:k], turns[:k], turns
 
 
-def _half_angle(d, apq, z, rotation, scratch):
-    # The rotations i e^(i theta) = sqrt(z / |z|) of the pairs with pivots
-    # d = app - aqq and 2 apq.  z, rotation's parts as real pairs, is minus
-    # the z of tan(2 theta) = 2 apq / (aqq - app), so its root is
-    # +-i e^(i theta) with |theta| <= pi/4; `tiny` keeps |z| nonzero, and
-    # copysign gives d = 0 the angle pi/4.  `scratch`, one float per pair,
-    # holds |d|, the sign and |z| in turn, so nothing is allocated.
-    np.abs(d, out=scratch)
-    np.subtract(-_TINY, scratch, out=z[:, 0])
-    np.copysign(1.0, d, out=scratch)
-    np.multiply(scratch, apq, out=z[:, 1])
-    np.abs(rotation, out=scratch)
-    z /= scratch[:, None]
-    np.sqrt(rotation, out=rotation)
+def _half_angle(d, apq, parts, rotation):
+    # Returns a function that sets the rotations i e^(i theta) = sqrt(z / |z|)
+    # of the pairs with pivots d = app - aqq and 2 apq, in place, from the
+    # values those arrays hold when it is called.  z, rotation's parts as
+    # real pairs, is minus the z of tan(2 theta) = 2 apq / (aqq - app), so
+    # its root is +-i e^(i theta) with |theta| <= pi/4; `tiny` keeps |z|
+    # nonzero, and copysign gives d = 0 the angle pi/4.  Its views and
+    # `scratch`, one float per pair, which holds |d|, the sign and |z| in
+    # turn, are made here once, so a call allocates nothing.
+    re, im = parts[:, 0], parts[:, 1]
+    scratch = np.empty(len(d))
+    column = scratch[:, None]
+
+    def turn():
+        np.abs(d, out=scratch)
+        np.subtract(-_TINY, scratch, out=re)
+        np.copysign(1.0, d, out=scratch)
+        np.multiply(scratch, apq, out=im)
+        np.abs(rotation, out=scratch)
+        np.divide(parts, column, out=parts)
+        np.sqrt(rotation, out=rotation)
+
+    return turn
 
 
 def _pivoted_cholesky(w):
@@ -224,7 +237,8 @@ def _pivoted_cholesky(w):
         return x
     rest = np.flatnonzero(~pivoted)
     s = w[np.ix_(rest, rest)] - x[rest, :k] @ x[rest, :k].T
-    if (schur := math.sqrt(float(np.vdot(s, s)))) > RANK_TOL * top:
+    schur = math.sqrt(float(np.einsum("ij,ij->", s, s)))  # as in core.norm
+    if schur > RANK_TOL * top:
         raise NotNND(
             f"pivoted Cholesky left a Schur complement of norm "
             f"{schur / top if top > 0.0 else math.inf:.3e} times the largest "
@@ -242,27 +256,31 @@ def _one_sided(x, carry=None):
     # turns, carry <- carry J.  Each row's pair entries read as complex
     # c = x_p + i x_q, so one square and one column sum give
     # sum(c^2) = |x_p|^2 - |x_q|^2 + 2i x_p.x_q, the d and 2 apq of x^T x.
-    # Both parities square, sum and turn one contiguous view of x's buffer
-    # (_pairs); an odd round sums its wrapping column too but never reads
-    # that sum, computes the m/2 - 1 rotations of its real pairs, and turns
-    # the wrapping column by exactly 1.
+    # The column sum is one BLAS product of a row of ones with the squares'
+    # real view (gemv: each sum in one fixed order, the same at any BLAS
+    # thread count).  Both parities square, sum and turn one contiguous view
+    # of x's buffer (_pairs); an odd round sums its wrapping column too but
+    # never reads that sum, computes the m/2 - 1 rotations of its real
+    # pairs, and turns the wrapping column by exactly 1.  Every view a round
+    # reads is made here, once per solve.
     n, m = x.shape
     squares = np.empty((n, m // 2), np.complex128)
     sums = np.empty(m // 2, np.complex128)
-    scratch = np.empty(m // 2)
+    real_squares, real_sums = squares.view(np.float64), sums.view(np.float64)
+    ones = np.ones(n)
     rounds = []
     for first, k, z, rotation, turns in _turns(m):
         rounds.append((
-            _pairs(x, first), sums.real[:k], sums.imag[:k], z, rotation,
-            scratch[:k], turns, None if carry is None else _pairs(carry, first),
+            _pairs(x, first), _half_angle(sums.real[:k], sums.imag[:k], z, rotation),
+            turns, None if carry is None else _pairs(carry, first),
         ))
 
     def sweep():
         for _ in range(m // 2):
-            for pairs, d, apq, z, rotation, tmp, turns, carried in rounds:
+            for pairs, half_angle, turns, carried in rounds:
                 np.square(pairs, out=squares)
-                np.add.reduce(squares, axis=0, out=sums)
-                _half_angle(d, apq, z, rotation, tmp)
+                np.matmul(ones, real_squares, out=real_sums)
+                half_angle()
                 np.multiply(pairs, turns, out=pairs)
                 if carried is not None:
                     np.multiply(carried, turns, out=carried)
@@ -305,7 +323,7 @@ def _cosines(x):
     g = x.T @ x
     scale = 1.0 / np.sqrt(np.maximum(np.diagonal(g), _TINY))
     np.fill_diagonal(g, 0.0)
-    off = math.sqrt(float(np.vdot(g, g)))
+    off = math.sqrt(float(np.einsum("ij,ij->", g, g)))  # as in core.norm
     np.abs(g, out=g)
     g *= scale
     g *= scale[:, None]

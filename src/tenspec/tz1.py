@@ -5,6 +5,7 @@ u32 order d, then d u64 extents, then element_count f64 values in row-major
 order.  Round-trips are bit-exact.
 """
 
+import errno
 import os
 import stat
 import struct
@@ -27,24 +28,40 @@ _HEADER = struct.Struct("<4sII")
 
 
 def write_tensor(path, tensor):
-    """Write a DenseTensor to ``path`` in TZ1 format."""
-    with open(path, "wb") as fh:
+    """Write a DenseTensor to ``path`` in TZ1 format (``open_regular``)."""
+    with open_regular(path, "wb") as fh:
         fh.write(_HEADER.pack(MAGIC, VERSION, tensor.order))
         fh.write(struct.pack(f"<{tensor.order}Q", *tensor.dims))
         fh.write(np.ascontiguousarray(tensor.data, dtype="<f8").tobytes())
 
 
-def open_regular(path):
-    """``path`` open for binary reading, or ParseError, before any read, if
-    it is not a regular file: a pipe's size is unknown, and its reads may
-    never end.  The open does not block (a FIFO with no writer blocks a
-    plain one forever); the file is made blocking once it has passed."""
-    fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
+def open_regular(path, mode="rb"):
+    """``path`` open for binary reading (``"rb"``) or writing (``"wb"``:
+    created if missing, emptied once it has passed), or ParseError, before
+    any byte is read or written, if it is not a regular file: a pipe's size
+    is unknown, its reads may never end and its writes wait for a reader.
+    The open does not block (a plain one of a FIFO blocks until its other
+    end is opened, forever if nothing opens it; a non-blocking write open
+    with no reader fails with ENXIO); the file is made blocking once it
+    has passed."""
+    flags = os.O_RDONLY if mode == "rb" else os.O_WRONLY | os.O_CREAT
     try:
-        if not stat.S_ISREG(os.fstat(fd).st_mode):
+        fd = os.open(path, flags | os.O_NONBLOCK, 0o666)
+    except OSError as exc:
+        if exc.errno != errno.ENXIO:
+            raise
+        raise ParseError(f"{path}: not a regular file") from exc
+    try:
+        info = os.fstat(fd)
+        if not stat.S_ISREG(info.st_mode):
             raise ParseError(f"{path}: not a regular file")
+        # An empty file is not truncated: on a new one that is a metadata
+        # update, which took 96 new factor files from 1.3 to 3.3 ms
+        # (2-vCPU VM).
+        if mode == "wb" and info.st_size:
+            os.ftruncate(fd, 0)
         os.set_blocking(fd, True)
-        return open(fd, "rb")
+        return open(fd, mode)
     except BaseException:
         os.close(fd)
         raise

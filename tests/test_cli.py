@@ -4,6 +4,7 @@ import dataclasses
 import inspect
 import json
 import os
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -90,6 +91,35 @@ def test_experiment_determinism_bytes(tmp_path):
     assert main(["experiment", "exp2", "--seed", "7", "--out", str(out2)]) == 0
     for name in ("spectrum.csv", "report.json", "input.tz1"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+def cli_child(argv, threads=1, timeout=60):
+    # `tenspec` argv in a child process with `threads` BLAS threads, under a
+    # timeout, so a hang fails the test instead of stalling the suite.
+    code = f"import sys; sys.path.insert(0, {SRC!r}); from tenspec import cli; sys.exit(cli.main())"
+    return subprocess.run(
+        [sys.executable, "-c", code, *map(str, argv)],
+        capture_output=True, text=True, timeout=timeout,
+        env={**os.environ, "OPENBLAS_NUM_THREADS": str(threads)},
+    )
+
+
+def test_decompose_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # BLAS ddot (np.dot, np.vdot) splits a sum of more than 10,000 values
+    # across threads, so the relative error of this transform, whose norms
+    # sum 16,384 squares, moved in its last digits between 1 and 2 threads.
+    # Every output file must have the same bytes at either count.
+    src = tmp_path / "in.tz1"
+    write_tensor(src, random_tensor((64, 256), 7))
+    outputs = []
+    for threads in (1, 2):
+        out = tmp_path / f"threads-{threads}"
+        argv = ["decompose", src, "--groups", "1,1", "--algorithm", "transform", "--out", out]
+        done = cli_child(argv, threads)
+        assert done.returncode == 0, done.stderr
+        outputs.append({path.name: path.read_bytes() for path in out.iterdir()})
+    assert outputs[0].keys() == outputs[1].keys()
+    assert [name for name in outputs[0] if outputs[0][name] != outputs[1][name]] == []
 
 
 def test_decompose_zero_tensor(tmp_path):
@@ -756,14 +786,32 @@ def test_fifo_inputs_exit_2_without_hanging(tmp_path, fifo):
         path = manifest.parent / read_json(manifest)["factors"]["v"][0]
         path.unlink()
     os.mkfifo(path)
-    code = f"import sys; sys.path.insert(0, {SRC!r}); from tenspec import cli; sys.exit(cli.main())"
-    done = subprocess.run(
-        [sys.executable, "-c", code, *map(str, argv)],
-        capture_output=True, text=True, timeout=60,
-        env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
-    )
+    done = cli_child(argv)
     assert done.returncode == 2, done.stderr
     assert "not a regular file" in done.stderr
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+@pytest.mark.parametrize(
+    "fifo", ["spectrum.csv", "report.json", "manifest.json", "u-0001.tz1", "input.tz1"]
+)
+def test_fifo_outputs_exit_2_without_hanging(tmp_path, fifo):
+    # Opening a FIFO that nothing reads blocks forever, so an output path
+    # that is one is refused as not a regular file, and left as it was.
+    # input.tz1 is written by `experiment`, the others by `decompose`.
+    src = tmp_path / "in.tz1"
+    write_tensor(src, random_tensor((4, 3, 2), 67))
+    out = tmp_path / "out"
+    out.mkdir()
+    os.mkfifo(out / fifo)
+    if fifo == "input.tz1":
+        argv = ["experiment", "exp2", "--out", out]
+    else:
+        argv = ["decompose", src, "--groups", "1,2", "--out", out]
+    done = cli_child(argv)
+    assert done.returncode == 2, done.stderr
+    assert f"{fifo}: not a regular file" in done.stderr
+    assert stat.S_ISFIFO((out / fifo).stat().st_mode)
 
 
 def test_verify_tolerances_only_tighten(tmp_path):

@@ -322,7 +322,7 @@ def reference_turn(d, apq):
     # One pair's rotation from its pivots, through the kernel's own formula.
     parts = np.empty((1, 2))
     rotation = parts.view(np.complex128)[:, 0]
-    jacobi._half_angle(np.array([d]), np.array([apq]), parts, rotation, np.empty(1))
+    jacobi._half_angle(np.array([d]), np.array([apq]), parts, rotation)()
     return rotation[0]
 
 
@@ -339,16 +339,21 @@ def turn_columns(x, p, rotation):
 
 
 def reference_one_sided(x):
-    # One sweep of the one-sided kernel written pair by pair: each pair's d
-    # and 2 apq are the row-by-row sum of the squares of x_p + i x_q.
+    # One sweep of the one-sided kernel with the turns written pair by pair.
+    # Each round's d and 2 apq are the column sums of the squares of its
+    # pairs x_p + i x_q, all summed in one product with a row of ones, as
+    # the kernel sums them (a product per pair rounds differently); an odd
+    # round's last column holds no pair, and its sum is not read.
     x = x.copy()
-    m = x.shape[1]
+    n, m = x.shape
+    ones = np.ones(n)
     for r in range(m):
-        for p in range(r % 2, m - 1, 2):
-            c = pair_column(x, p)
-            s = 0j
-            for square in c * c:
-                s = s + square
+        pairs = range(r % 2, m - 1, 2)
+        squares = np.zeros((n, m // 2), np.complex128)
+        for j, p in enumerate(pairs):
+            squares[:, j] = np.square(pair_column(x, p))
+        sums = (ones @ squares.view(np.float64)).view(np.complex128)
+        for s, p in zip(sums, pairs):
             turn_columns(x, p, reference_turn(s.real, s.imag))
     return x
 
