@@ -15,7 +15,8 @@ exactly when every output byte and exit code is the same:
     python3 scripts/cli_digest.py --src src > change.jsonl
     diff parent.jsonl change.jsonl
 
-BLAS threads are what the environment sets.
+BLAS threads and kernel are what the environment sets; the inputs' bytes
+depend on neither (see write_inputs).
 """
 
 import argparse
@@ -26,6 +27,8 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 # name: (input file, --groups, --algorithm, extra arguments).  Each writes
 # into a directory of its own name, and each that writes a manifest is
@@ -64,8 +67,10 @@ def commands():
 def write_inputs(root):
     from tenspec import DenseTensor, GroupedTensor, gram_operator, random_tensor, write_tensor
 
-    source = GroupedTensor(random_tensor((6, 4, 6, 4), 1), (2, 2))
-    write_tensor(root / "op.tz1", gram_operator(source, side="right").tensor)
+    # Small integers, so the operator's Gram entries are exact sums, the same
+    # in whatever order a BLAS kernel adds them.
+    source = DenseTensor(np.round(4.0 * random_tensor((6, 4, 6, 4), 1).data))
+    write_tensor(root / "op.tz1", gram_operator(GroupedTensor(source, (2, 2))).tensor)
     write_tensor(root / "transform.tz1", random_tensor((24, 6, 5), 2))
     write_tensor(root / "triple.tz1", random_tensor((12, 5, 4), 3))
     write_tensor(root / "tiny.tz1", DenseTensor(random_tensor((12, 5, 4), 3).data * 1e-170))

@@ -177,8 +177,9 @@ def run_experiment(name, out_dir, seed=DEFAULT_SEED):
 
 
 def _refuse_large(path, shapes):
-    """TooLarge when decomposing a tensor of these group shapes would solve
-    an eigenproblem above ``MAX_EIGEN_ORDER``.
+    """The most components a decomposition of a tensor of these group shapes
+    has: the product of its eigenproblems' orders.  TooLarge when one of
+    those orders is above ``MAX_EIGEN_ORDER``.
 
     Each Gram is taken on the smaller side of its unfolding; a triple's
     second stage is the (J x K*r1) coupling matrix, with r1 at most
@@ -186,16 +187,18 @@ def _refuse_large(path, shapes):
     """
     sizes = [math.prod(shape) for shape in shapes]
     if len(sizes) == 2:
-        order = min(sizes)
+        orders = [min(sizes)]
     else:
         i, j, k = sizes
         r1 = min(i, j * k)
-        order = max(r1, min(j, k * r1))
+        orders = [r1, min(j, k * r1)]
+    order = max(orders)
     if order > MAX_EIGEN_ORDER:
         raise TooLarge(
             f"{path}: needs an eigenproblem of order {order}, above the "
             f"limit {MAX_EIGEN_ORDER}"
         )
+    return math.prod(orders)
 
 
 def run_decompose(path, groups, algorithm="auto", keep=None, out_dir="tenspec-out"):
@@ -252,14 +255,17 @@ def run_verify(tensor_path, manifest_path):
     triple's U and Z index is its ``pairMap`` column, every other index is
     m.  The components must use every file and no other.  ParseError for
     any other version and for a malformed manifest; TooLarge, before any
-    factor file is opened, for shapes ``decompose`` would refuse.
+    factor file is opened, for shapes ``decompose`` would refuse, and
+    ParseError for more weights than it writes for them (``_refuse_large``).
+    Each factor file's shape is checked from its header, before its payload
+    is read.
     """
     tensor = read_tensor(tensor_path)
     manifest_path = Path(manifest_path)
     try:
         with open_regular(manifest_path) as fh:
             manifest = json.loads(fh.read().decode("utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, RecursionError) as exc:  # too deeply nested
         raise ParseError(f"{manifest_path}: {exc}") from exc
     try:
         version = manifest["version"]
@@ -302,8 +308,13 @@ def run_verify(tensor_path, manifest_path):
             f"{manifest_path}: {algorithm} needs {group_count} groups"
             f"{' of one shape' if one_shape else ''}, got {list(shapes)}"
         )
-    _refuse_large(manifest_path, shapes)
+    most = _refuse_large(manifest_path, shapes)
     count = len(weights)
+    if count > most:
+        raise ParseError(
+            f"{manifest_path}: {count} weights, more than the {most} components "
+            f"of a decomposition of shapes {actual}"
+        )
     indexes = [np.arange(count)] * len(families)
     if algorithm == "triple":
         pair_map = _pair_map(manifest.get("pairMap", []), count, manifest_path)
@@ -324,15 +335,17 @@ def run_verify(tensor_path, manifest_path):
                     f"{manifest_path}: factor file {name!r} is not a plain file "
                     f"name beside the manifest"
                 )
-        try:
-            loaded = [read_tensor(manifest_path.parent / n) for n in names]
-        except OSError as exc:
-            raise ParseError(f"{manifest_path}: unreadable factor file: {exc}") from exc
-        if any(t.dims != shape for t in loaded):
-            raise ShapeMismatch(f"a {family} factor is not of shape {shape}")
-        stacks[family] = np.array([t.values for t in loaded]).reshape(
-            len(loaded), math.prod(shape)
-        )
+        stacks[family] = np.empty((len(names), math.prod(shape)))
+        for row, name in zip(stacks[family], names):
+            path = manifest_path.parent / name
+            try:
+                with open_regular(path) as fh:
+                    dims = read_header(fh, path)
+                    if dims != shape:
+                        raise ShapeMismatch(f"{path}: a {family} factor is not of shape {shape}")
+                    row[:] = read_payload(fh, path, dims).values
+            except OSError as exc:
+                raise ParseError(f"{manifest_path}: unreadable factor file: {exc}") from exc
 
     if algorithm == "op":
         result = OperatorDecomposition(weights, stacks["u"], shapes[0], spectrum=weights)

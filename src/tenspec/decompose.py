@@ -221,10 +221,6 @@ def gram_operator(a, side="right"):
     )
 
 
-def _asymmetric(asym):
-    return f"max asymmetry {asym:.3e} exceeds {jacobi.SYMMETRY_TOL:.1e} * max entry"
-
-
 def _as_rows(columns):
     return np.ascontiguousarray(columns.T)
 
@@ -259,7 +255,7 @@ def _matrix_svd(m):
     solved = eig.vectors[:, :r]
     mapped = (t.T @ solved) / weights
     left, right = (solved, mapped) if by_rows else (mapped, solved)
-    return weights, left, right, np.sqrt(np.clip(eig.eigenvalues, 0.0, None))
+    return weights, left, right, np.sqrt(eig.eigenvalues)
 
 
 def decompose_sa_nnd(a):
@@ -281,7 +277,8 @@ def decompose_sa_nnd(a):
     except NotSymmetric as exc:
         if exc.asymmetry is None:  # not finite
             raise
-        raise NotSelfAdjoint(_asymmetric(exc.asymmetry)) from exc
+        raise NotSelfAdjoint(f"max asymmetry {exc.asymmetry:.3e} * max entry exceeds "
+                             f"{jacobi.SYMMETRY_TOL:.1e} * max entry") from exc
     lam = eig.eigenvalues
     r = eig.rank
     return OperatorDecomposition(

@@ -30,7 +30,7 @@ class NotSymmetric(TenspecError):
 
     def __init__(self, message, asymmetry=None):
         super().__init__(message)
-        self.asymmetry = asymmetry  # max|a - a^T|, when that is the fault
+        self.asymmetry = asymmetry  # max|a - a^T| / max|a|, when that is the fault
 
 
 class NotSorted(TenspecError):

@@ -125,24 +125,6 @@ def asymmetry(a):
     return float(np.abs(a - a.T).max(initial=0.0)), SYMMETRY_TOL * scale
 
 
-def check_symmetric(a):
-    """Validate that ``a`` is square, finite and symmetric within ``SYMMETRY_TOL``.
-
-    Returns the matrix as a float64 array; raises NotSymmetric otherwise.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise NotSymmetric(f"expected a square matrix, got shape {a.shape}")
-    if not np.isfinite(a).all():
-        raise NotSymmetric("matrix has non-finite entries")
-    asym, limit = asymmetry(a)
-    if asym > limit:
-        raise NotSymmetric(
-            f"asymmetry {asym:.3e} exceeds {SYMMETRY_TOL:.1e} * max|a| = {limit:.3e}", asym
-        )
-    return a
-
-
 def _padded(x, rows, cols):
     # Zeros (rows x cols) with x in the top-left corner (the rest are byes),
     # laid out as the leading rows * cols floats of a buffer with two spare
@@ -165,20 +147,6 @@ def _pairs(x, first):
     # row's first (the last row's to the first spare zero), and the kernel
     # turns it by exactly 1, which moves no value (a zero's sign at most).
     return x.base[first : first + x.size].view(np.complex128).reshape(x.shape[0], x.shape[1] // 2)
-
-
-def _turns(m):
-    # For each parity `first`: its count k of real pairs, the buffer z of
-    # their rotations as real pairs, the same as complex numbers, and the
-    # m / 2 numbers that turn its view (_pairs).  Each parity has its own
-    # buffer; the odd one's last number, for the wrapping column, is set to
-    # exactly 1 + 0i here and never written again.
-    for first in (0, 1):
-        k = (m - first) // 2
-        parts = np.zeros((m // 2, 2))
-        parts[k:, 0] = 1.0
-        turns = parts.view(np.complex128)[:, 0]
-        yield first, k, parts[:k], turns[:k], turns
 
 
 def _half_angle(d, apq, parts, rotation):
@@ -269,9 +237,17 @@ def _one_sided(x, carry=None):
     real_squares, real_sums = squares.view(np.float64), sums.view(np.float64)
     ones = np.ones(n)
     rounds = []
-    for first, k, z, rotation, turns in _turns(m):
+    for first in (0, 1):
+        # Each parity turns its view by its own m / 2 numbers: the rotations
+        # of its k real pairs, set by _half_angle through their parts as real
+        # pairs, and for the odd one the wrapping column's exact 1 + 0i, set
+        # here and never written again.
+        k = (m - first) // 2
+        parts = np.zeros((m // 2, 2))
+        parts[k:, 0] = 1.0
+        turns = parts.view(np.complex128)[:, 0]
         rounds.append((
-            _pairs(x, first), _half_angle(sums.real[:k], sums.imag[:k], z, rotation),
+            _pairs(x, first), _half_angle(sums.real[:k], sums.imag[:k], parts[:k], turns[:k]),
             turns, None if carry is None else _pairs(carry, first),
         ))
 
@@ -331,8 +307,14 @@ def _cosines(x):
 
 
 def sym_eig(a):
-    """Eigendecomposition of a non-negative definite ``check_symmetric``
-    matrix by one-sided Jacobi on its pivoted Cholesky factor.
+    """Eigendecomposition of a non-negative definite matrix by one-sided
+    Jacobi on its pivoted Cholesky factor.
+
+    NotSymmetric is raised for a matrix that is not square, has non-finite
+    entries, or whose ``asymmetry`` is above its bound; that is measured on
+    the copy the sweeps run on, scaled by a power of two, which decides as
+    the unscaled matrix would and cannot overflow, and is reported relative
+    to max|a|.
 
     The factor X (n x k, X X^T = a - S up to the power-of-two scaling)
     stops at the first pivot not above min(n * eps, ``RANK_TOL`` / n) times
@@ -351,17 +333,29 @@ def sym_eig(a):
     Eigenvalues are returned non-increasing with sign-fixed orthonormal
     eigenvector columns.
     """
-    a = check_symmetric(a)
+    a = np.asarray(a, dtype=np.float64)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise NotSymmetric(f"expected a square matrix, got shape {a.shape}")
     n = a.shape[0]
     if n == 0:
         return EigenResult(np.empty(0), np.empty((0, 0)), 0, 0, 0.0)
-    # The sweeps run on a copy scaled by a power of two to max|w| < 1, so
+    top = float(np.abs(a).max())  # NaN or inf if any entry is
+    if not math.isfinite(top):
+        raise NotSymmetric("matrix has non-finite entries")
+    # The check and the sweeps run on a copy scaled by a power of two to
+    # max|half| < 1/2, so neither a - a^T nor half + half^T can overflow, and
     # squaring entries for the norms can neither overflow (entries above
     # ~1e154) nor underflow (below ~1e-154).  Power-of-two scaling is exact,
-    # so rotations, sweep counts and results are those of the unscaled
-    # matrix.  Halving before the sum keeps the symmetrization finite too.
-    exponent = math.frexp(float(np.abs(a).max()))[1]
+    # so the asymmetry's verdict, rotations, sweep counts and results are
+    # those of the unscaled matrix.
+    exponent = math.frexp(top)[1]
     half = np.ldexp(a, -exponent - 1)
+    asym, limit = asymmetry(half)
+    if asym > limit:
+        asym /= math.ldexp(top, -exponent - 1)
+        raise NotSymmetric(
+            f"asymmetry {asym:.3e} * max|a| exceeds {SYMMETRY_TOL:.1e} * max|a|", asym
+        )
     w = half + half.T
     x = _pivoted_cholesky(w)
     k = int(np.count_nonzero(x.any(axis=0)))  # every column but a bye

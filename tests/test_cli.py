@@ -19,6 +19,7 @@ from tenspec import (
     GroupedTensor,
     contract,
     decompose_transform,
+    gram_operator,
     random_tensor,
     read_tensor,
     reconstruct,
@@ -517,6 +518,24 @@ def test_decompose_refuses_oversized_input_from_its_header(tmp_path, monkeypatch
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("algorithm, message", [
+    ("op", "max asymmetry 2.000e+00 * max entry exceeds 1.0e-10 * max entry"),
+    ("auto", "Gram of the unfolding is not representable"),
+])
+def test_decompose_refuses_overflowing_asymmetry_without_a_warning(tmp_path, capsys,
+                                                                    algorithm, message):
+    # a - a^T overflows for this finite operator.  Its asymmetry is measured
+    # on the scaled copy the sweeps run on, so numpy warns of no overflow,
+    # op names a finite multiple of the max entry, and auto's transform
+    # refuses the Gram that does overflow.
+    path = tmp_path / "big.tz1"
+    write_tensor(path, DenseTensor([[1.0, 1e308], [-1e308, 1.0]]))
+    argv = ["decompose", str(path), "--groups", "1,1", "--algorithm", algorithm]
+    assert main(argv + ["--out", str(tmp_path / "o")]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_verify_refuses_oversized_shapes_before_reading_factors(tmp_path, monkeypatch, capsys):
     # The manifest's shapes get decompose's eigenproblem limit before any
     # factor file is opened: only the tensor is read.
@@ -699,6 +718,71 @@ def test_verify_misshapen_factor_exits_2(tmp_path):
     assert main(["verify", str(src), str(manifest)]) == 2
 
 
+def test_verify_refuses_misshapen_factor_from_its_header(tmp_path, monkeypatch, capsys):
+    # A factor's shape is checked from its header: the payload of a
+    # misshapen one, here 8 MB of a hole, is never read.
+    from tenspec import cli, tz1
+
+    src, manifest = make_verified_run(tmp_path)
+    factor = manifest.parent / read_json(manifest)["factors"]["u"][0]
+    sparse_tz1(factor, (2**20,))
+    read, read_payload = [], tz1.read_payload
+
+    def payload(fh, path, dims):
+        read.append(Path(path))
+        return read_payload(fh, path, dims)
+
+    monkeypatch.setattr(cli, "read_payload", payload)
+    monkeypatch.setattr(tz1, "read_payload", payload)
+    assert main(["verify", str(src), str(manifest)]) == 2
+    assert "not of shape (4,)" in capsys.readouterr().err
+    assert factor not in read
+
+
+def test_verify_refuses_more_weights_than_decompose_writes(tmp_path, monkeypatch, capsys):
+    # A decomposition of shapes I, J has at most n (op, I = J of n elements),
+    # min(I, J) (transform) or r1 min(J, K r1), r1 = min(I, JK) (triple)
+    # components.  A manifest with one weight more is refused before any
+    # factor file is opened: only the tensor and the manifest are.
+    from tenspec import cli, tz1
+
+    op = GroupedTensor(random_tensor((2, 2, 3), 5), (2, 1))
+    inputs = {
+        "op": (gram_operator(op, side="left").tensor, "2,2", 4),
+        "transform": (random_tensor((4, 3, 2), 6), "1,2", 4),
+        "triple": (random_tensor((3, 3, 2), 7), "1,1,1", 9),
+    }
+    opened, open_regular = [], tz1.open_regular
+
+    def recording(path, mode="rb"):
+        opened.append(Path(path))
+        return open_regular(path, mode)
+
+    for algorithm, (tensor, groups, most) in inputs.items():
+        src, out = tmp_path / f"{algorithm}.tz1", tmp_path / algorithm
+        write_tensor(src, tensor)
+        assert main(["decompose", str(src), "--groups", groups, "--algorithm", algorithm,
+                     "--out", str(out)]) == 0
+        good = read_json(out / "manifest.json")
+        count = most + 1
+        bad = {
+            **good,
+            "weights": good["weights"][:1] * count,
+            "factors": {f: names[:1] * count for f, names in good["factors"].items()},
+        }
+        if algorithm == "triple":
+            bad["pairMap"] = [[m, m] for m in range(1, count + 1)]
+        manifest = out / "bad.json"
+        manifest.write_text(json.dumps(bad))
+        opened.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "open_regular", recording)
+            patch.setattr(tz1, "open_regular", recording)
+            assert main(["verify", str(src), str(manifest)]) == 2, algorithm
+        assert f"{count} weights, more than the {most} components" in capsys.readouterr().err
+        assert opened == [src, manifest], algorithm
+
+
 def test_verify_missing_factor_exits_2(tmp_path):
     src, manifest = make_verified_run(tmp_path)
     factor = manifest.parent / json.loads(manifest.read_text())["factors"]["v"][0]
@@ -711,6 +795,11 @@ def test_verify_bad_manifest_exits_2(tmp_path):
     broken = manifest.parent / "broken.json"
     broken.write_text("{not json")
     assert main(["verify", str(src), str(broken)]) == 2
+    # Nested past Python's recursion limit, which json.loads raises as
+    # RecursionError, not JSONDecodeError.
+    deep = manifest.parent / "deep.json"
+    deep.write_text("[" * 100000 + "]" * 100000)
+    assert main(["verify", str(src), str(deep)]) == 2
     nofield = manifest.parent / "nofield.json"
     nofield.write_text(json.dumps({"algorithm": "transform"}))
     assert main(["verify", str(src), str(nofield)]) == 2

@@ -149,7 +149,7 @@ def test_self_adjoint_constructed_violation():
     arr[0, 0, 0, 1] = 1.0
     with pytest.raises(NotSelfAdjoint) as exc:
         decompose_sa_nnd(GroupedTensor(DenseTensor(arr), (2, 2)))
-    assert str(exc.value) == "max asymmetry 1.000e+00 exceeds 1.0e-10 * max entry"
+    assert str(exc.value) == "max asymmetry 1.000e+00 * max entry exceeds 1.0e-10 * max entry"
     assert exc.value.__cause__.asymmetry == 1.0
 
 
@@ -209,7 +209,7 @@ def test_sa_nnd_rejects_asymmetric():
     # Unequal group shapes are refused as well, before any eigensolve.
     unequal = GroupedTensor(random_tensor((2, 3), 14), (1, 1))
     for a, message in (
-        (asymmetric, "max asymmetry 1.000e+00 exceeds 1.0e-10 * max entry"),
+        (asymmetric, "max asymmetry 1.000e+00 * max entry exceeds 1.0e-10 * max entry"),
         (unequal, "group shapes differ: (2,) vs (3,)"),
     ):
         with pytest.raises(NotSelfAdjoint) as exc:

@@ -80,6 +80,31 @@ def test_non_finite_entries_raise(bad):
         sym_eig(np.array([[1.0, bad], [bad, 1.0]]))
 
 
+@pytest.mark.parametrize("k", [-1000, -500, 0, 500, 1000])
+def test_symmetry_verdict_holds_at_any_power_of_two_scale(k):
+    # sym_eig measures the asymmetry on a copy scaled by a power of two; a
+    # matrix perturbed to half or twice the bound, scaled by 2^k (every entry
+    # finite), is accepted or refused as asymmetry decides on the matrix
+    # itself.
+    for seed in range(4):
+        g = random_gram(6, seed) + 6.0 * np.eye(6)
+        gram = (g + g.T) / 2.0  # symmetric bit for bit
+        skew = np.random.Generator(np.random.PCG64(100 + seed)).random((6, 6)) - 0.5
+        skew -= skew.T  # a - a^T = 2 t skew
+        for factor in (0.5, 2.0):
+            t = factor * jacobi.SYMMETRY_TOL * np.abs(gram).max() / (2.0 * np.abs(skew).max())
+            a = np.ldexp(gram + t * skew, k)
+            assert np.isfinite(a).all()
+            asym, limit = jacobi.asymmetry(a)
+            assert (asym > limit) == (factor > 1.0)
+            if asym > limit:
+                with pytest.raises(NotSymmetric) as exc:
+                    sym_eig(a)
+                assert exc.value.asymmetry == pytest.approx(asym / np.abs(a).max(), rel=1e-12)
+            else:
+                assert sym_eig(a).rank == 6
+
+
 @pytest.mark.parametrize("scale", [1e199, 1e-200])
 def test_extreme_magnitudes(scale):
     # Squared entries overflow (or underflow) here; the eigenvalues must not.
