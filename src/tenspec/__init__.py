@@ -26,7 +26,7 @@ from .decompose import (
     reconstruct,
     residual_curve,
 )
-from .jacobi import EigenResult, numerical_rank, sym_eig
+from .jacobi import EigenResult, sym_eig
 from .oracle import OracleReport, matricized_singulars, verify_decomposition
 from .tz1 import read_tensor, write_tensor
 
@@ -48,7 +48,6 @@ __all__ = [
     "gram_operator",
     "matricized_singulars",
     "norm",
-    "numerical_rank",
     "random_tensor",
     "read_tensor",
     "reconstruct",

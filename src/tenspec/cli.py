@@ -55,7 +55,7 @@ from .errors import (
     TooLarge,
 )
 from .oracle import verify_decomposition
-from .tz1 import open_regular, read_header, read_payload, read_tensor, write_tensor
+from .tz1 import open_regular, read_header, read_payload, write_tensor
 
 DEFAULT_SEED = 42
 MANIFEST_VERSION = 2
@@ -257,15 +257,17 @@ def run_verify(tensor_path, manifest_path):
     any other version and for a malformed manifest; TooLarge, before any
     factor file is opened, for shapes ``decompose`` would refuse, and
     ParseError for more weights than it writes for them (``_refuse_large``).
-    Each factor file's shape is checked from its header, before its payload
-    is read.
+    The manifest is parsed and checked against the tensor's header before
+    any payload is read, each factor file's shape is checked from its
+    header before its payload is read, and the tensor's payload is read
+    last.
     """
-    tensor = read_tensor(tensor_path)
     manifest_path = Path(manifest_path)
     try:
         with open_regular(manifest_path) as fh:
             manifest = json.loads(fh.read().decode("utf-8"))
-    except (OSError, json.JSONDecodeError, RecursionError) as exc:  # too deeply nested
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError,
+            RecursionError) as exc:  # RecursionError: too deeply nested
         raise ParseError(f"{manifest_path}: {exc}") from exc
     try:
         version = manifest["version"]
@@ -293,59 +295,62 @@ def run_verify(tensor_path, manifest_path):
     if not isinstance(factor_names, dict):
         raise ParseError(f"{manifest_path}: factors must map family to file names")
 
-    a = GroupedTensor(tensor, groups)
-    shapes = a.group_shapes
-    actual = [list(s) for s in shapes]
-    if declared != actual:
-        raise ParseError(
-            f"{manifest_path}: declared shapes {declared} do not match "
-            f"tensor groups {actual}"
-        )
-    group_count, families = ALGORITHMS[algorithm]
-    one_shape = algorithm == "op"  # an operator maps its group onto itself
-    if len(shapes) != group_count or (one_shape and shapes[0] != shapes[1]):
-        raise ParseError(
-            f"{manifest_path}: {algorithm} needs {group_count} groups"
-            f"{' of one shape' if one_shape else ''}, got {list(shapes)}"
-        )
-    most = _refuse_large(manifest_path, shapes)
-    count = len(weights)
-    if count > most:
-        raise ParseError(
-            f"{manifest_path}: {count} weights, more than the {most} components "
-            f"of a decomposition of shapes {actual}"
-        )
-    indexes = [np.arange(count)] * len(families)
-    if algorithm == "triple":
-        pair_map = _pair_map(manifest.get("pairMap", []), count, manifest_path)
-        indexes[:2] = pair_map.T
-    stacks = {}
-    for family, shape, index in zip(families, shapes, indexes):
-        names = factor_names.get(family)
-        if not (isinstance(names, list) and all(isinstance(n, str) for n in names)):
-            raise ParseError(f"{manifest_path}: no list of {family} factor files")
-        if set(index.tolist()) != set(range(len(names))):
+    with open_regular(tensor_path) as tensor_file:
+        dims = read_header(tensor_file, tensor_path)
+        group_orders, shapes = grouping(dims, groups)
+        actual = [list(s) for s in shapes]
+        if declared != actual:
             raise ParseError(
-                f"{manifest_path}: the {count} components do not use every one "
-                f"of the {len(names)} {family} factor files and no other"
+                f"{manifest_path}: declared shapes {declared} do not match "
+                f"tensor groups {actual}"
             )
-        for name in names:
-            if name in ("", ".", "..") or Path(name).name != name or "\0" in name:
+        group_count, families = ALGORITHMS[algorithm]
+        one_shape = algorithm == "op"  # an operator maps its group onto itself
+        if len(shapes) != group_count or (one_shape and shapes[0] != shapes[1]):
+            raise ParseError(
+                f"{manifest_path}: {algorithm} needs {group_count} groups"
+                f"{' of one shape' if one_shape else ''}, got {list(shapes)}"
+            )
+        most = _refuse_large(manifest_path, shapes)
+        count = len(weights)
+        if count > most:
+            raise ParseError(
+                f"{manifest_path}: {count} weights, more than the {most} components "
+                f"of a decomposition of shapes {actual}"
+            )
+        indexes = [np.arange(count)] * len(families)
+        if algorithm == "triple":
+            pair_map = _pair_map(manifest.get("pairMap", []), count, manifest_path)
+            indexes[:2] = pair_map.T
+        stacks = {}
+        for family, shape, index in zip(families, shapes, indexes):
+            names = factor_names.get(family)
+            if not (isinstance(names, list) and all(isinstance(n, str) for n in names)):
+                raise ParseError(f"{manifest_path}: no list of {family} factor files")
+            if set(index.tolist()) != set(range(len(names))):
                 raise ParseError(
-                    f"{manifest_path}: factor file {name!r} is not a plain file "
-                    f"name beside the manifest"
+                    f"{manifest_path}: the {count} components do not use every one "
+                    f"of the {len(names)} {family} factor files and no other"
                 )
-        stacks[family] = np.empty((len(names), math.prod(shape)))
-        for row, name in zip(stacks[family], names):
-            path = manifest_path.parent / name
-            try:
-                with open_regular(path) as fh:
-                    dims = read_header(fh, path)
-                    if dims != shape:
-                        raise ShapeMismatch(f"{path}: a {family} factor is not of shape {shape}")
-                    row[:] = read_payload(fh, path, dims).values
-            except OSError as exc:
-                raise ParseError(f"{manifest_path}: unreadable factor file: {exc}") from exc
+            for name in names:
+                if name in ("", ".", "..") or Path(name).name != name or "\0" in name:
+                    raise ParseError(
+                        f"{manifest_path}: factor file {name!r} is not a plain file "
+                        f"name beside the manifest"
+                    )
+            stacks[family] = np.empty((len(names), math.prod(shape)))
+            for row, name in zip(stacks[family], names):
+                path = manifest_path.parent / name
+                try:
+                    with open_regular(path) as fh:
+                        if read_header(fh, path) != shape:
+                            raise ShapeMismatch(
+                                f"{path}: a {family} factor is not of shape {shape}"
+                            )
+                        row[:] = read_payload(fh, path, shape).values
+                except OSError as exc:
+                    raise ParseError(f"{manifest_path}: unreadable factor file: {exc}") from exc
+        a = GroupedTensor(read_payload(tensor_file, tensor_path, dims), group_orders)
 
     if algorithm == "op":
         result = OperatorDecomposition(weights, stacks["u"], shapes[0], spectrum=weights)

@@ -266,7 +266,9 @@ def decompose_sa_nnd(a):
     threshold ``jacobi.RANK_TOL`` are mapped back to eigentensors over I.
     Unequal group shapes, or an asymmetry beyond ``jacobi.SYMMETRY_TOL``
     found by the eigensolver's own check, raise NotSelfAdjoint; an operator
-    the eigensolver finds indefinite raises its NotNND (``jacobi.sym_eig``).
+    the eigensolver finds indefinite raises its NotNND, and one whose
+    largest eigenvalue is past float64's range its TenspecError
+    (``jacobi.sym_eig``).
     """
     _require_groups(a, 2, "decompose_sa_nnd")
     shape_i, shape_j = a.group_shapes

@@ -33,10 +33,6 @@ class NotSymmetric(TenspecError):
         self.asymmetry = asymmetry  # max|a - a^T| / max|a|, when that is the fault
 
 
-class NotSorted(TenspecError):
-    """A sequence expected to be non-increasing is not."""
-
-
 class NotSelfAdjoint(TenspecError):
     """A two-group tensor operator is not self-adjoint within tolerance."""
 

@@ -50,8 +50,9 @@ it joins each row's last entry to the next row's first (the last row's to
 the first spare zero).  Its rotation is exactly 1 + 0i, set once, and the
 odd rounds compute rotations for their m/2 - 1 real pairs only.  So no
 round works on a view that starts inside a row, which numpy copies at every
-call, and every round writes into buffers, through views, made once per
-solve, before the first sweep.
+call, and every round writes into buffers, through views, made before its
+kernel's first round: once per solve for a whole factor, and once per block
+pair met on the block path, which builds two buffers and a kernel for each.
 
 A factor of more than ``SINGLE_BLOCK_MAX`` columns is padded with byes and
 cut into an even count of equal column blocks about ``BLOCK_WIDTH`` wide,
@@ -70,7 +71,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoConvergence, NotNND, NotSorted, NotSymmetric
+from .errors import NoConvergence, NotNND, NotSymmetric, TenspecError
 
 SYMMETRY_TOL = 1e-10
 # Sweeps stop once no two columns of the factor have a cosine above this.
@@ -106,10 +107,12 @@ class EigenResult:
     eigenvector paired with ``eigenvalues[p]`` for the k columns of the
     pivoted Cholesky factor (k = n for a positive definite matrix), and the
     n - k eigenvalues past them are exactly 0.0, with no vector.  ``rank``
-    counts eigenvalues above the relative rank threshold (the spectrum itself
-    is never truncated here).  ``sweeps`` counts the Jacobi sweeps taken and
-    ``off_norm`` is the off-diagonal Frobenius mass of X^T X they left, for
-    the factor X, on the scale of the input (see ``sym_eig``).
+    counts eigenvalues above ``RANK_TOL`` times the largest (the spectrum
+    itself is never truncated here), all of which are finite: ``sym_eig``
+    refuses a matrix whose largest eigenvalue float64 cannot hold.
+    ``sweeps`` counts the Jacobi sweeps taken and ``off_norm`` is the
+    off-diagonal Frobenius mass of X^T X they left, for the factor X, on the
+    scale of the input (see ``sym_eig``).
     """
 
     eigenvalues: np.ndarray
@@ -230,7 +233,8 @@ def _one_sided(x, carry=None):
     # of x's buffer (_pairs); an odd round sums its wrapping column too but
     # never reads that sum, computes the m/2 - 1 rotations of its real
     # pairs, and turns the wrapping column by exactly 1.  Every view a round
-    # reads is made here, once per solve.
+    # reads is made here, once per call: once per solve for a whole factor,
+    # once per block pair met on the block path.
     n, m = x.shape
     squares = np.empty((n, m // 2), np.complex128)
     sums = np.empty(m // 2, np.complex128)
@@ -327,11 +331,14 @@ def sym_eig(a):
     odd-even order over pairs of equal blocks of about ``BLOCK_WIDTH``
     columns, padded with zero byes.  The eigenvectors are the normalized
     columns and the eigenvalues their Rayleigh quotients (rounding below 0
-    read as 0), followed by n - k zeros: ``vectors`` is n x k.  ``off_norm``
-    is the off-diagonal Frobenius mass of X^T X; after ``MAX_SWEEPS`` sweeps
-    NoConvergence is raised, carrying that mass as its residual.
-    Eigenvalues are returned non-increasing with sign-fixed orthonormal
-    eigenvector columns.
+    read as 0), followed by n - k zeros: ``vectors`` is n x k.  They are
+    scaled back by the power of two, and TenspecError is raised when the
+    largest is past float64's range (about 1.8e308; a finite matrix's can
+    be, up to n max|a|).  ``rank`` counts those above ``RANK_TOL`` times the
+    largest.  ``off_norm`` is the off-diagonal Frobenius mass of X^T X;
+    after ``MAX_SWEEPS`` sweeps NoConvergence is raised, carrying that mass
+    as its residual.  Eigenvalues are returned non-increasing with
+    sign-fixed orthonormal eigenvector columns.
     """
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -384,18 +391,17 @@ def sym_eig(a):
     # Rayleigh quotients u^T w u, not squared column norms: an exact input
     # stays exact (squared norms give 1 + eps for the identity).
     v = v / np.sqrt((v * v).sum(axis=0))
-    eigenvalues = np.ldexp(np.maximum((v * (w @ v)).sum(axis=0), 0.0), exponent)
+    with np.errstate(over="ignore"):
+        eigenvalues = np.ldexp(np.maximum((v * (w @ v)).sum(axis=0), 0.0), exponent)
+    if not np.isfinite(eigenvalues).all():
+        raise TenspecError("the largest eigenvalue is not representable in float64")
     order = np.argsort(-eigenvalues, kind="stable")
     eigenvalues = np.append(eigenvalues[order], np.zeros(n - k))
     vectors = np.ascontiguousarray(v[:, order])
     _fix_signs(vectors)
-    return EigenResult(
-        eigenvalues,
-        vectors,
-        numerical_rank(eigenvalues),
-        sweeps,
-        math.ldexp(off, exponent),
-    )
+    # The spectrum is sorted and non-negative, so a zero lambda_1 has rank 0.
+    rank = int(np.count_nonzero(eigenvalues > RANK_TOL * eigenvalues[0]))
+    return EigenResult(eigenvalues, vectors, rank, sweeps, math.ldexp(off, exponent))
 
 
 def _fix_signs(vectors):
@@ -411,21 +417,3 @@ def _fix_signs(vectors):
     # turns each into +0.0, so vectors and the files written from them are
     # canonical.
     vectors += 0.0
-
-
-def numerical_rank(eigenvalues):
-    """Count eigenvalues above ``RANK_TOL`` relative to the largest.
-
-    The sequence must be finite and non-increasing (NotSorted otherwise).
-    A spectrum whose largest value is not positive has rank 0.
-    """
-    lam = np.asarray(eigenvalues, dtype=np.float64)
-    if lam.ndim != 1:
-        raise NotSorted(f"expected a 1-d spectrum, got shape {lam.shape}")
-    bad = np.flatnonzero(~np.isfinite(lam))
-    if bad.size:
-        raise NotSorted(f"spectrum entry {bad[0]} is {lam[bad[0]]}, not finite")
-    if np.any(lam[:-1] < lam[1:]):
-        raise NotSorted("spectrum is not sorted non-increasing")
-    # A largest value that is not positive has none above its RANK_TOL share.
-    return int(np.count_nonzero(lam > RANK_TOL * lam[0])) if lam.size else 0

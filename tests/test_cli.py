@@ -35,6 +35,7 @@ from tenspec.cli import (
     run_verify,
 )
 from tenspec.errors import InvalidAxis, InvalidKeep, InvalidSplit
+from tenspec.tz1 import read_header
 
 from helpers import sparse_tz1, unit
 
@@ -440,7 +441,7 @@ def test_decompose_negative_keep_refused_before_any_work(tmp_path, monkeypatch, 
     from tenspec import cli
 
     calls = []
-    for name in ("read_tensor", "decompose_sa_nnd", "decompose_transform",
+    for name in ("read_header", "read_payload", "decompose_sa_nnd", "decompose_transform",
                  "decompose_triple"):
         monkeypatch.setattr(cli, name, lambda *args, name=name: calls.append(name))
     path = tmp_path / "k.tz1"
@@ -536,14 +537,33 @@ def test_decompose_refuses_overflowing_asymmetry_without_a_warning(tmp_path, cap
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("algorithm", ["op", "auto"])
+def test_decompose_refuses_an_eigenvalue_past_float64(tmp_path, capsys, algorithm):
+    # Every entry of the 1e308 operator is finite, its lambda_1 = 2e308 is
+    # not: refused where sym_eig scales it back, with no overflow warning
+    # from numpy.  The 8e307 one, lambda_1 = 1.6e308, decomposes and verifies.
+    big, near = tmp_path / "big.tz1", tmp_path / "near.tz1"
+    write_tensor(big, DenseTensor(np.full((2, 2), 1e308)))
+    write_tensor(near, DenseTensor(np.full((2, 2), 8e307)))
+    argv = ["--groups", "1,1", "--algorithm", algorithm]
+    assert main(["decompose", str(big), *argv, "--out", str(tmp_path / "o")]) == 2
+    assert "largest eigenvalue is not representable in float64" in capsys.readouterr().err
+    out = tmp_path / "near"
+    assert main(["decompose", str(near), *argv, "--out", str(out)]) == 0
+    assert read_json(out / "report.json")["rank"] == 1
+    assert main(["verify", str(near), str(out / "manifest.json")]) == 0
+
+
 def test_verify_refuses_oversized_shapes_before_reading_factors(tmp_path, monkeypatch, capsys):
     # The manifest's shapes get decompose's eigenproblem limit before any
-    # factor file is opened: only the tensor is read.
+    # factor file is opened: only the tensor's header is read.
     from tenspec import cli
 
     src, manifest = make_verified_run(tmp_path)
     read = []
-    monkeypatch.setattr(cli, "read_tensor", lambda path: read.append(path) or read_tensor(path))
+    monkeypatch.setattr(cli, "read_header",
+                        lambda fh, path: read.append(path) or read_header(fh, path))
     monkeypatch.setattr(cli, "MAX_EIGEN_ORDER", 3)
     assert main(["verify", str(src), str(manifest)]) == 2
     assert "order 4, above the limit 3" in capsys.readouterr().err
@@ -743,7 +763,7 @@ def test_verify_refuses_more_weights_than_decompose_writes(tmp_path, monkeypatch
     # A decomposition of shapes I, J has at most n (op, I = J of n elements),
     # min(I, J) (transform) or r1 min(J, K r1), r1 = min(I, JK) (triple)
     # components.  A manifest with one weight more is refused before any
-    # factor file is opened: only the tensor and the manifest are.
+    # factor file is opened: only the manifest and the tensor are.
     from tenspec import cli, tz1
 
     op = GroupedTensor(random_tensor((2, 2, 3), 5), (2, 1))
@@ -780,7 +800,7 @@ def test_verify_refuses_more_weights_than_decompose_writes(tmp_path, monkeypatch
             patch.setattr(tz1, "open_regular", recording)
             assert main(["verify", str(src), str(manifest)]) == 2, algorithm
         assert f"{count} weights, more than the {most} components" in capsys.readouterr().err
-        assert opened == [src, manifest], algorithm
+        assert opened == [manifest, src], algorithm
 
 
 def test_verify_missing_factor_exits_2(tmp_path):
@@ -813,6 +833,46 @@ def test_verify_bad_manifest_exits_2(tmp_path):
         bad = manifest.parent / f"bad-{k}.json"
         bad.write_text(json.dumps({**good, field: value}))
         assert main(["verify", str(src), str(bad)]) == 2, (field, value)
+
+
+@pytest.mark.parametrize("fault", [
+    "bad JSON", "not UTF-8", "version 1", "misdeclared shapes", "a weight over the bound",
+    "a missing factor file",
+])
+def test_verify_refuses_a_bad_manifest_before_reading_the_tensor(tmp_path, monkeypatch,
+                                                                  capsys, fault):
+    # The manifest is parsed and checked against the tensor's header, and
+    # its factor files read, before the tensor's payload: here 64 MB of a
+    # hole, which is never read.
+    from tenspec import cli, tz1
+
+    src, manifest = tmp_path / "big.tz1", tmp_path / "manifest.json"
+    sparse_tz1(src, (2, 2**22))
+    read_payload = tz1.read_payload
+
+    def payload(fh, path, dims):
+        if Path(path) == src:
+            pytest.fail("tensor payload read")
+        return read_payload(fh, path, dims)
+
+    monkeypatch.setattr(cli, "read_payload", payload)
+    monkeypatch.setattr(tz1, "read_payload", payload)
+    good = {  # the factor files do not exist
+        "version": MANIFEST_VERSION, "algorithm": "transform", "shapes": [[2], [2**22]],
+        "groups": [1, 1], "weights": [2.0, 1.0],
+        "factors": {"u": ["u-0001.tz1", "u-0002.tz1"], "v": ["v-0001.tz1", "v-0002.tz1"]},
+    }
+    text = {
+        "bad JSON": b"{not json",
+        "not UTF-8": b"\xff" + json.dumps(good).encode(),
+        "version 1": json.dumps({**good, "version": 1}).encode(),
+        "misdeclared shapes": json.dumps({**good, "shapes": [[2], [5]]}).encode(),
+        "a weight over the bound": json.dumps({**good, "weights": [3.0, 2.0, 1.0]}).encode(),
+        "a missing factor file": json.dumps(good).encode(),
+    }[fault]
+    manifest.write_bytes(text)
+    assert main(["verify", str(src), str(manifest)]) == 2
+    assert capsys.readouterr().err.startswith(f"tenspec: error: {manifest}: ")
 
 
 def test_verify_unreadable_weights_and_factor_names_exit_2(tmp_path):

@@ -11,12 +11,11 @@ from tenspec import (
     GroupedTensor,
     gram_operator,
     jacobi,
-    numerical_rank,
     random_tensor,
     sym_eig,
     unfold,
 )
-from tenspec.errors import NoConvergence, NotNND, NotSorted, NotSymmetric
+from tenspec.errors import NoConvergence, NotNND, NotSymmetric, TenspecError
 
 
 def random_gram(n, seed, rank=None):
@@ -689,13 +688,15 @@ def test_scaling_invariance():
 
 
 def test_numerical_rank_threshold():
-    assert numerical_rank([4.0, 2.0, 1e-16]) == 2
+    # Counted above RANK_TOL times lambda_1, from the spectrum sym_eig sorts.
+    res = sym_eig(np.diag([2.0, 1e-11, 4.0]))
+    assert list(res.eigenvalues) == [4.0, 2.0, 1e-11]
+    assert res.rank == 2
 
 
 def test_numerical_rank_zero_spectrum():
-    assert numerical_rank([0.0, 0.0, 0.0]) == 0
-    assert numerical_rank([-1.0, -2.0]) == 0
-    assert numerical_rank([]) == 0
+    assert sym_eig(np.zeros((3, 3))).rank == 0
+    assert sym_eig(np.empty((0, 0))).rank == 0
 
 
 def test_numerical_rank_of_dependent_vectors():
@@ -706,22 +707,14 @@ def test_numerical_rank_of_dependent_vectors():
         [2.0, 3.0, 0.0, 1.0],  # = 2*v0 + 3*v1
     ]
     g = [[sum(a * b for a, b in zip(u, w)) for w in vecs] for u in vecs]
-    res = sym_eig(np.array(g))
-    assert res.rank == 2
-    assert numerical_rank(res.eigenvalues) == 2
+    assert sym_eig(np.array(g)).rank == 2
 
 
-def test_numerical_rank_not_sorted():
-    with pytest.raises(NotSorted):
-        numerical_rank([1.0, 2.0])
-
-
-@pytest.mark.parametrize(
-    "spectrum, entry",
-    [([1.0, math.nan], 1), ([math.nan, 1.0], 0), ([math.inf, 1.0], 0), ([2.0, 1.0, -math.inf], 2)],
-)
-def test_numerical_rank_refuses_non_finite(spectrum, entry):
-    # A NaN compares false either way, so it passed the order check and read
-    # rank 1 after a finite top value and rank 0 in front of one.
-    with pytest.raises(NotSorted, match=f"spectrum entry {entry} is .*, not finite"):
-        numerical_rank(spectrum)
+@pytest.mark.filterwarnings("error")
+def test_refuses_an_eigenvalue_past_float64():
+    # Every entry is finite, lambda_1 = 2e308 is not: refused where it is
+    # scaled back, with no overflow warning from numpy.
+    with pytest.raises(TenspecError, match="not representable in float64"):
+        sym_eig(np.full((2, 2), 1e308))
+    res = sym_eig(np.full((2, 2), 8e307))
+    assert res.eigenvalues[0] == pytest.approx(1.6e308, rel=1e-15) and res.rank == 1

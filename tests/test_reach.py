@@ -13,9 +13,10 @@ def test_reach_lists_exactly_the_unreached_functions():
     # workload except these: `contract` (with its axis check), which only the
     # benchmark's tracer names; the eigensolver's non-convergence error; and
     # its block one-sided sweep (the function and its local sweep), which of
-    # the commands only the probe's skipped `exp1` reaches.  A function only
-    # the tests call, or only the probe's input builder, would be listed
-    # here too.
+    # the commands only the probe's skipped `exp1` reaches; and the public
+    # one-call reader `read_tensor`, since `decompose` and `verify` both check
+    # a tensor's header before they read its payload.  A function only the
+    # tests call, or only the probe's input builder, would be listed here too.
     proc = subprocess.run(
         [sys.executable, "scripts/reach.py", "--src", "src"],
         cwd=ROOT, capture_output=True, text=True, timeout=600,
@@ -29,4 +30,5 @@ def test_reach_lists_exactly_the_unreached_functions():
         ("errors", "NoConvergence.__init__"),
         ("jacobi", "_block_one_sided"),
         ("jacobi", "_block_one_sided.<locals>.sweep"),
+        ("tz1", "read_tensor"),
     }
