@@ -7,13 +7,10 @@ The input is the tensor of the `triple` benchmark workload for `--seed`
 (64 x 32 x 32, uniform entries in [-1, 1), 2048 components).  One JSON
 line per measurement goes to stdout:
 
-* `distinct_u_rows`: per block size, the min / median / max number of
-  distinct U rows (first-family rows) that a block of consecutive
-  components holds;
 * `reconstruct`: median wall time of the full `reconstruct`, with its
   relative error;
-* `curve_block`: median wall time of `residual_curve` with
-  `decompose.TERM_BLOCK` set to each block size;
+* `curve`: per source tree, median wall time of `residual_curve`, with
+  its number of points and its last point (the full sum's relative error);
 * `replay`: per source tree, median wall time of the oracle's
   `replay_reconstruction` at each block size and at the tree's own
   default (`"block": "default"`), with the largest absolute error of the
@@ -21,10 +18,16 @@ line per measurement goes to stdout:
 
 Each timing is the median of `--repeats` calls after one untimed call.
 `--src` selects the source tree to import; given more than once, the
-replay is timed in every tree, the trees taking turns at each block size,
-and the other measurements use the first tree.  A tree's replay block is
-set through `oracle.REPLAY_BUDGET` (elements of a block's outer-product
-rows, so block x 1024 here).  BLAS threads are what the environment sets.
+curve and the replay are timed in every tree on the tree's own
+decomposition, the trees taking turns (the replay's in alternating order
+at each block size), and `reconstruct` uses the first tree.  To compare a
+change with its parent:
+
+    python3 scripts/terms_probe.py --src PARENT/src --src src
+
+A tree's replay block is set through `oracle.REPLAY_BUDGET` (elements of
+a block's outer-product rows, so block x 1024 here).  BLAS threads are
+what the environment sets.
 """
 
 import argparse
@@ -84,7 +87,6 @@ def main(argv=None):
     args = parser.parse_args(argv)
     trees = [(src, load(src)) for src in args.src or ["src"]]
     ts = trees[0][1]
-    decompose = ts.decompose
 
     # The benchmark draws each input's tensor seed from the workload seed.
     seed = int(np.random.default_rng(args.seed).integers(0, 2**31, size=1)[0])
@@ -92,33 +94,23 @@ def main(argv=None):
     dec = ts.decompose_triple(a)
     blocks = [int(b) for b in args.blocks.split(",")]
 
-    p = dec.pair_map[:, 0]
-    for block in blocks:
-        counts = [len(np.unique(p[lo : lo + block])) for lo in range(0, len(p), block)]
-        row = {"distinct_u_rows": block, "min": min(counts), "max": max(counts)}
-        row["median"] = statistics.median(counts)
-        print(json.dumps(row), flush=True)
-
     rebuilt = ts.reconstruct(dec).data
     error = np.linalg.norm(rebuilt - a.tensor.data) / np.linalg.norm(a.tensor.data)
     row = {"reconstruct": median_time(lambda: ts.reconstruct(dec), args.repeats)}
     row["rel_error"] = float(error)
     print(json.dumps(row), flush=True)
 
-    saved = decompose.TERM_BLOCK
-    try:
-        for block in blocks:
-            decompose.TERM_BLOCK = block
-            seconds = median_time(lambda: ts.residual_curve(a, dec), args.repeats)
-            print(json.dumps({"curve_block": block, "s": seconds}), flush=True)
-    finally:
-        decompose.TERM_BLOCK = saved
-
-    # Each tree replays its own decomposition of the same tensor.
-    decs = [
-        t.decompose_triple(t.GroupedTensor(t.DenseTensor(a.tensor.data), (1, 1, 1)))
-        for _, t in trees
-    ]
+    # Each tree sums the curve of, and replays, its own decomposition of
+    # the same tensor.
+    grouped = [t.GroupedTensor(t.DenseTensor(a.tensor.data), (1, 1, 1)) for _, t in trees]
+    decs = [t.decompose_triple(a_k) for (_, t), a_k in zip(trees, grouped)]
+    for (src, ts_k), a_k, dec_k in zip(trees, grouped, decs):
+        row = {"curve": src}
+        row["s"] = median_time(lambda: ts_k.residual_curve(a_k, dec_k), args.repeats)
+        curve = ts_k.residual_curve(a_k, dec_k)
+        row["points"] = len(curve)
+        row["final"] = curve[-1][1]
+        print(json.dumps(row), flush=True)
     for turn, block in enumerate(blocks + [None]):
         order = list(zip(trees, decs))
         for (src, ts_k), dec_k in order[::-1] if turn % 2 else order:

@@ -20,6 +20,7 @@ same bytes, and a transform of a 300 x 400 tensor does not.
 import argparse
 import json
 import math
+import os
 import sys
 import time
 from collections import namedtuple
@@ -65,6 +66,13 @@ MANIFEST_VERSION = 2
 # (BENCH_eig.json, one_kernel, 2-vCPU VM): a minute is the longest run that
 # still reads as working rather than hung.
 MAX_EIGEN_ORDER = 2048
+# `verify` refuses, from its size, a manifest larger than `decompose` writes
+# for a tensor with as many values.  json.dumps(indent=2) gives a component
+# at most a weight line (4 spaces, a float repr of up to 24 characters, a
+# comma and a newline: 30 bytes), a pairMap entry of two numbers of up to 7
+# digits (42 bytes over 4 lines) and one file name per family, each a line
+# like `      "u-4194304.tz1",` (23 bytes with its newline).
+MANIFEST_COMPONENT_BYTES = 30 + 42 + 3 * 23
 
 
 # Each algorithm's number of mode groups and its manifest factor families
@@ -247,56 +255,77 @@ def run_decompose(path, groups, algorithm="auto", keep=None, out_dir="tenspec-ou
     return report
 
 
+def _load_manifest(manifest_path, dims):
+    """The parsed JSON of a manifest for a tensor of ``dims``.  TooLarge,
+    from the file's size before any byte is read, for a manifest larger than
+    any that ``decompose`` writes for a tensor of that many values
+    (``MANIFEST_COMPONENT_BYTES``); ParseError for an unreadable one."""
+    # M <= r1 r2 <= I J <= N components, and M <= MAX_EIGEN_ORDER^2; each
+    # mode's lines in "shapes" and "groups" (under 50 bytes), and the fixed
+    # fields and brackets (about 200), take no more room than a component.
+    values = math.prod(dims)
+    limit = (min(values, MAX_EIGEN_ORDER**2) + len(dims) + 2) * MANIFEST_COMPONENT_BYTES
+    try:
+        with open_regular(manifest_path) as fh:
+            size = os.fstat(fh.fileno()).st_size
+            if size > limit:
+                raise TooLarge(
+                    f"{manifest_path}: {size} bytes, above the limit {limit} for "
+                    f"the manifest of a tensor of {values} values"
+                )
+            return json.loads(fh.read(size).decode("utf-8"))
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError,
+            RecursionError) as exc:  # RecursionError: too deeply nested
+        raise ParseError(f"{manifest_path}: {exc}") from exc
+
+
 def run_verify(tensor_path, manifest_path):
     """Replay a version-2 manifest's factors against the tensor via the
     oracle, which judges them by its fixed standard.
 
     A family's files are its rows, and component m uses file index[m]: a
     triple's U and Z index is its ``pairMap`` column, every other index is
-    m.  The components must use every file and no other.  ParseError for
-    any other version and for a malformed manifest; TooLarge, before any
-    factor file is opened, for shapes ``decompose`` would refuse, and
-    ParseError for more weights than it writes for them (``_refuse_large``).
-    The manifest is parsed and checked against the tensor's header before
-    any payload is read, each factor file's shape is checked from its
-    header before its payload is read, and the tensor's payload is read
-    last.
+    m.  The components must use every file and no other.  The tensor's
+    header is read first, then the manifest, refused with TooLarge from its
+    size alone when it is larger than ``decompose`` writes for that tensor
+    (``_load_manifest``).  ParseError for any other version than 2 and for
+    a malformed manifest; TooLarge, before any factor file is opened, for
+    shapes ``decompose`` would refuse, and ParseError for more weights than
+    it writes for them (``_refuse_large``).  The manifest is parsed and
+    checked against the tensor's header before any payload is read, each
+    factor file's shape is checked from its header before its payload is
+    read, and the tensor's payload is read last.
     """
     manifest_path = Path(manifest_path)
-    try:
-        with open_regular(manifest_path) as fh:
-            manifest = json.loads(fh.read().decode("utf-8"))
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError,
-            RecursionError) as exc:  # RecursionError: too deeply nested
-        raise ParseError(f"{manifest_path}: {exc}") from exc
-    try:
-        version = manifest["version"]
-        if version != MANIFEST_VERSION:
-            raise ParseError(
-                f"{manifest_path}: manifest version {version!r} is not "
-                f"{MANIFEST_VERSION}; re-run decompose to write one"
-            )
-        algorithm = manifest["algorithm"]
-        declared = manifest["shapes"]
-        groups = manifest["groups"]
-        weights = manifest["weights"]
-        factor_names = manifest["factors"]
-    except (KeyError, TypeError) as exc:
-        raise ParseError(f"{manifest_path}: bad manifest field: {exc}") from exc
-    if not isinstance(weights, list) or any(  # type() is exact: a bool is no weight
-        type(w) not in (int, float) or not abs(w) <= sys.float_info.max for w in weights
-    ):
-        raise ParseError(f"{manifest_path}: weights are not finite JSON numbers")
-    weights = np.array(weights, dtype=np.float64)
-    if not isinstance(algorithm, str) or algorithm not in ALGORITHMS:
-        raise ParseError(f"{manifest_path}: unknown algorithm {algorithm!r}")
-    if not (isinstance(groups, list) and all(type(g) is int for g in groups)):
-        raise ParseError(f"{manifest_path}: groups {groups!r} are not integers")
-    if not isinstance(factor_names, dict):
-        raise ParseError(f"{manifest_path}: factors must map family to file names")
-
     with open_regular(tensor_path) as tensor_file:
         dims = read_header(tensor_file, tensor_path)
+        manifest = _load_manifest(manifest_path, dims)
+        try:
+            version = manifest["version"]
+            if version != MANIFEST_VERSION:
+                raise ParseError(
+                    f"{manifest_path}: manifest version {version!r} is not "
+                    f"{MANIFEST_VERSION}; re-run decompose to write one"
+                )
+            algorithm = manifest["algorithm"]
+            declared = manifest["shapes"]
+            groups = manifest["groups"]
+            weights = manifest["weights"]
+            factor_names = manifest["factors"]
+        except (KeyError, TypeError) as exc:
+            raise ParseError(f"{manifest_path}: bad manifest field: {exc}") from exc
+        if not isinstance(weights, list) or any(  # type() is exact: a bool is no weight
+            type(w) not in (int, float) or not abs(w) <= sys.float_info.max for w in weights
+        ):
+            raise ParseError(f"{manifest_path}: weights are not finite JSON numbers")
+        weights = np.array(weights, dtype=np.float64)
+        if not isinstance(algorithm, str) or algorithm not in ALGORITHMS:
+            raise ParseError(f"{manifest_path}: unknown algorithm {algorithm!r}")
+        if not (isinstance(groups, list) and all(type(g) is int for g in groups)):
+            raise ParseError(f"{manifest_path}: groups {groups!r} are not integers")
+        if not isinstance(factor_names, dict):
+            raise ParseError(f"{manifest_path}: factors must map family to file names")
+
         group_orders, shapes = grouping(dims, groups)
         actual = [list(s) for s in shapes]
         if declared != actual:

@@ -16,8 +16,8 @@ factors mapped from them) as arrays with one flattened factor per row.
   index.
 
 Reconstruction from the full factor set reproduces the input to floating
-point accuracy; truncating to the leading components gives the best-aligned
-partial sums since distinct terms are mutually orthogonal.
+point accuracy.  Distinct terms are mutually orthogonal, so the residual of
+the leading partial sums is non-increasing in their count.
 """
 
 import itertools
@@ -36,15 +36,6 @@ from .errors import (
     NotSymmetric,
     TenspecError,
 )
-
-# residual_curve visits components this many at a time (reconstruct takes
-# them all at once).  A block costs its term Gram plus one product per
-# distinct first-family row it holds: on a 64 x 32 x 32 triple (2048
-# components) a block holds a median of 22 distinct U rows per 32 and 33.5
-# per 128, and the curve took 55, 33, 19 and 24 ms at blocks of 32, 64, 128
-# and 256 (scripts/terms_probe.py, 2-vCPU VM; spread in BENCH_terms.json).
-TERM_BLOCK = 128
-
 
 def grouping(dims, group_orders):
     """The group orders as ints and the shapes of the 2 or 3 contiguous mode
@@ -366,43 +357,25 @@ def reconstructed_dims(decomposition):
     return sum((shape for *_, shape in decomposition.terms()[1]), ())
 
 
-def _blocks(count):
-    # Slices of at most TERM_BLOCK consecutive components covering [0, count).
-    return [
-        slice(lo, min(lo + TERM_BLOCK, count)) for lo in range(0, count, TERM_BLOCK)
-    ]
-
-
-def _rows(family, rows):
-    # The factors of the components in `rows`, one flattened factor a row.
-    stack, index, _ = family
-    return stack[index[rows]]
-
-
-def _grouped(weights, families, rows):
-    # The components in `rows` grouped by first-family row: the distinct
-    # rows `keys` and C, whose row g sums the weighted outer products of the
-    # group's other factors, so that F_1[keys]^T C is their sum.  Last-family
-    # rows are added into one slab per group at their middle-family (a
-    # triple's Z) row, and Z^T multiplies all slabs at once; a slab is no
-    # larger than its row of C while Z has at most J rows.
-    (_, index, _), *middle, last = families
-    keys, group = np.unique(index[rows], return_inverse=True)
-    shape = (len(keys),) + tuple(len(s) for s, _, _ in middle) + last[0].shape[1:]
-    at = (group,) + tuple(i[rows] for _, i, _ in middle)
+def _sum_terms(weights, families, count):
+    # Sum of the leading `count` terms as an (N_1 x rest) matrix, grouped by
+    # first-family row: C's row g sums the weighted outer products of the
+    # other factors of the terms on distinct row `keys[g]`, so that the sum
+    # is F_1[keys]^T C.  Last-family rows are added into one slab per group
+    # at their middle-family (a triple's Z) row, and Z^T multiplies all
+    # slabs at once; a slab is no larger than its row of C while Z has at
+    # most J rows.
+    (first, index, _), *middle, (last, last_index, _) = families
+    keys, group = np.unique(index[:count], return_inverse=True)
+    shape = (len(keys),) + tuple(len(s) for s, _, _ in middle) + last.shape[1:]
+    at = (group,) + tuple(i[:count] for _, i, _ in middle)
     slot = np.ravel_multi_index(at, shape[:-1])
     flat = (slot[:, None] * shape[-1] + np.arange(shape[-1])).ravel()
-    weighted = weights[rows, None] * _rows(last, rows)
+    weighted = weights[:count, None] * last[last_index[:count]]
     joint = np.bincount(flat, weighted.ravel(), math.prod(shape)).reshape(shape)
     for stack, _, _ in middle:
         joint = stack.T @ joint
-    return keys, joint.reshape(len(keys), math.prod(joint.shape[1:]))
-
-
-def _sum_terms(weights, families, count):
-    # Sum of the leading `count` terms as an (N_1 x rest) matrix.
-    keys, c = _grouped(weights, families, slice(0, count))
-    return families[0][0][keys].T @ c
+    return first[keys].T @ joint.reshape(len(keys), math.prod(joint.shape[1:]))
 
 
 def reconstruct(decomposition, keep=None):
@@ -427,25 +400,22 @@ def residual_curve(a, decomposition):
 
     Entry k is (k, ||A - S_k|| / ||A||), S_k being the sum of the k leading
     terms; an all-zero input yields [(0, 0.0)] by the 0/0 -> 0 convention,
-    as in ``core.relative_error``.  The curve is monotone non-increasing
-    because distinct components are mutually orthogonal.
+    as in ``core.relative_error``.
 
-    No partial sum is subtracted from A.  From R = A - S_M (M the count),
-    the exact identity for term t_m
+    The terms must be mutually orthogonal, as every tenspec result is and
+    every record ``verify`` passes is up to ``oracle.SINGULAR_TOL``.  Then
+    the error is Pythagorean: with R = A - S_M (M the count),
 
-        ||A - S_m||^2 = ||A - S_(m+1)||^2 + ||t_m||^2 + 2 <t_m, A - S_(m+1)>
+        ||A - S_k||^2 = ||R||^2 + sum over m >= k of ||t_m||^2,
 
-    runs backwards a block at a time, so each point is ||R||^2 plus the
-    small increments after it.  A block's later terms enter through its
-    term Gram, and A - S_hi only through P = F_1 (A - S_hi) (r1 x rest, no
-    orthonormality assumed): <t_m, A - S_hi> is w_m times P[p_m] paired with
-    t_m's other factors, and each block adds (F_1 F_1^T)[:, keys] C to P.
+    where ||t_m|| is w_m times the norms of the term's own rows (a triple's
+    W rows are not unit).  Only the full sum is subtracted from A, and the
+    curve is non-increasing by construction.
     """
     reference = a.tensor
     if not reference.data.any():
         return [(0, 0.0)]
     weights, families = decomposition.terms()
-    count = len(weights)
     # The sums run on A and the weights scaled by a power of two to below 1,
     # as in core.norm, so squares of a tiny A do not underflow and those of
     # weights far above A do not overflow.  The curve is a ratio, so wherever
@@ -454,28 +424,12 @@ def residual_curve(a, decomposition):
     exponent = math.frexp(top)[1]
     weights = np.ldexp(weights, -exponent)
     scale = math.ldexp(norm(reference), -exponent)
-    first, index, _ = families[0]
-    resid = _sum_terms(weights, families, count)
+    resid = _sum_terms(weights, families, len(weights))
     np.subtract(np.ldexp(reference.data, -exponent).reshape(resid.shape), resid, out=resid)
     resid2 = float(np.einsum("ij,ij->", resid, resid))  # as in core.norm
-    first_gram = first @ first.T
-    # drop[m] = ||A - S_m||^2 - ||A - S_(m+1)||^2; `proj` is F_1 (A - S_hi)
-    # for the block [lo, hi) being visited.
-    proj = first @ resid
-    drop = np.empty(count)
-    for rows in reversed(_blocks(count)):
-        gram = np.outer(weights[rows], weights[rows])
-        for f in families:
-            gram *= _rows(f, rows) @ _rows(f, rows).T
-        paired = proj[index[rows]]
-        for f in families[1:-1]:
-            middle = _rows(f, rows)
-            paired = paired.reshape(len(middle), middle.shape[1], -1)
-            paired = np.einsum("mj,mjk->mk", middle, paired)
-        overlap = weights[rows] * (paired * _rows(families[-1], rows)).sum(axis=1)
-        drop[rows] = np.diagonal(gram) + 2.0 * (overlap + np.triu(gram, 1).sum(axis=1))
-        keys, c = _grouped(weights, families, rows)
-        proj += first_gram[:, keys] @ c
-    err2 = resid2 + np.append(np.cumsum(drop[::-1])[::-1], 0.0)
-    errs = np.sqrt(np.maximum(err2[1:], 0.0)) / scale
-    return [(0, 1.0)] + list(zip(range(1, count + 1), errs.tolist()))
+    term2 = weights * weights
+    for rows, index, _ in families:
+        term2 *= np.einsum("ij,ij->i", rows, rows)[index]
+    err2 = resid2 + np.append(np.cumsum(term2[::-1])[::-1][1:], 0.0)
+    errs = np.sqrt(err2) / scale
+    return [(0, 1.0)] + list(zip(range(1, len(weights) + 1), errs.tolist()))

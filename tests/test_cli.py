@@ -3,6 +3,7 @@
 import dataclasses
 import inspect
 import json
+import math
 import os
 import stat
 import subprocess
@@ -763,7 +764,8 @@ def test_verify_refuses_more_weights_than_decompose_writes(tmp_path, monkeypatch
     # A decomposition of shapes I, J has at most n (op, I = J of n elements),
     # min(I, J) (transform) or r1 min(J, K r1), r1 = min(I, JK) (triple)
     # components.  A manifest with one weight more is refused before any
-    # factor file is opened: only the manifest and the tensor are.
+    # factor file is opened: only the tensor (for its header) and the
+    # manifest are.
     from tenspec import cli, tz1
 
     op = GroupedTensor(random_tensor((2, 2, 3), 5), (2, 1))
@@ -800,7 +802,61 @@ def test_verify_refuses_more_weights_than_decompose_writes(tmp_path, monkeypatch
             patch.setattr(tz1, "open_regular", recording)
             assert main(["verify", str(src), str(manifest)]) == 2, algorithm
         assert f"{count} weights, more than the {most} components" in capsys.readouterr().err
-        assert opened == [manifest, src], algorithm
+        assert opened == [src, manifest], algorithm
+
+
+def test_verify_refuses_an_oversized_manifest_before_parsing_it(tmp_path, monkeypatch,
+                                                                capsys):
+    # A manifest larger than decompose writes for a 2 x 3 tensor, here its
+    # own manifest with each weight repeated, is refused from its size:
+    # it is never parsed, however large it is.
+    from tenspec import cli
+
+    src = tmp_path / "in.tz1"
+    write_tensor(src, random_tensor((2, 3), 68))
+    out = tmp_path / "fac"
+    assert main(["decompose", str(src), "--groups", "1,1", "--out", str(out)]) == 0
+    good = read_json(out / "manifest.json")
+    manifest = out / "big.json"
+    manifest.write_text(json.dumps({**good, "weights": good["weights"] * 100}, indent=2))
+
+    def loads(*args, **kwargs):
+        pytest.fail("manifest parsed")
+
+    monkeypatch.setattr(cli.json, "loads", loads)
+    assert main(["verify", str(src), str(manifest)]) == 2
+    size = manifest.stat().st_size
+    assert f"{manifest}: {size} bytes, above the limit" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("algorithm, dims", [
+    ("op", (2, 2)), ("transform", (2, 3)), ("triple", (2, 3, 1)),
+])
+def test_widest_manifest_decompose_could_write_fits_the_size_limit(tmp_path, algorithm,
+                                                                    dims):
+    # One component per tensor value, as written by decompose's writer:
+    # every weight the longest float repr, every family one file per
+    # component under the widest name, and every pairMap number as wide as
+    # MAX_EIGEN_ORDER^2.
+    from tenspec import cli
+
+    count = math.prod(dims)
+    widest = -2.2250738585072014e-308
+    assert len(repr(widest)) == 24
+    families = cli.ALGORITHMS[algorithm].families
+    manifest = {
+        "version": MANIFEST_VERSION,
+        "algorithm": algorithm,
+        "shapes": [[d] for d in dims],
+        "groups": [1] * len(dims),
+        "weights": [widest] * count,
+        "factors": {f: [f"{f}-{cli.MAX_EIGEN_ORDER**2:04d}.tz1"] * count for f in families},
+    }
+    if algorithm == "triple":
+        manifest["pairMap"] = [[cli.MAX_EIGEN_ORDER**2] * 2] * count
+    path = tmp_path / "manifest.json"
+    cli._write_json(path, manifest)
+    assert cli._load_manifest(path, dims) == manifest
 
 
 def test_verify_missing_factor_exits_2(tmp_path):

@@ -23,7 +23,7 @@ from tenspec import (
     unfold,
 )
 from tenspec.core import relative_error
-from tenspec.decompose import TERM_BLOCK, TripleDecomposition
+from tenspec.decompose import TripleDecomposition
 from tenspec.errors import (
     GroupingMismatch,
     InvalidKeep,
@@ -620,8 +620,8 @@ def term_sum(dec, keep):
 
 
 def blocked_cases():
-    # Component counts 137, 139 and 153: more than one block, not a
-    # multiple of TERM_BLOCK.
+    # Component counts 137, 139 and 153: past 128, and none a multiple of
+    # it or of a smaller power of two.
     op = gram_operator(GroupedTensor(random_tensor((137, 10, 15), 35), (1, 2)))
     tr = GroupedTensor(random_tensor((139, 12, 15), 36), (1, 2))
     tp = GroupedTensor(random_tensor((17, 9, 20), 37), (1, 1, 1))
@@ -632,7 +632,6 @@ def blocked_cases():
     ]
     counts = [component_count(dec) for _, dec in cases]
     assert counts == [137, 139, 153]
-    assert all(c > TERM_BLOCK and c % TERM_BLOCK for c in counts)
     return cases
 
 
@@ -640,27 +639,30 @@ def test_reconstruct_blocks_match_term_loop():
     for a, dec in blocked_cases():
         count = component_count(dec)
         scale = norm(a.tensor)
-        for keep in (1, TERM_BLOCK - 1, TERM_BLOCK, TERM_BLOCK + 1, count):
+        for keep in (1, 127, 128, 129, count):
             got = reconstruct(dec, keep).data
             assert np.abs(got - term_sum(dec, keep)).max() <= 1e-14 * scale
 
 
-def check_every_keep(a, dec, monotone):
-    # reconstruct and residual_curve at every keep against the explicit
-    # partial sums, walked once.
+def check_every_keep(a, dec, orthogonal):
+    # reconstruct at every keep against the explicit partial sums, walked
+    # once, and for mutually orthogonal terms (residual_curve's contract)
+    # the curve against their errors, which must then be monotone.
     scale = norm(a.tensor)
-    curve = residual_curve(a, dec)
-    assert [k for k, _ in curve] == list(range(dec.count + 1))
     acc = np.zeros(a.tensor.dims)
     terms = explicit_terms(dec)
+    direct = []
     for keep in range(dec.count + 1):
         if keep:
             acc += next(terms)
         assert np.abs(reconstruct(dec, keep).data - acc).max() <= 1e-14 * scale
-        direct = np.sqrt(((a.tensor.data - acc) ** 2).sum()) / scale
-        assert curve[keep][1] == pytest.approx(direct, rel=1e-10, abs=1e-14)
-    errs = [e for _, e in curve]
-    assert not monotone or all(errs[i] >= errs[i + 1] for i in range(dec.count))
+        direct.append(np.sqrt(((a.tensor.data - acc) ** 2).sum()) / scale)
+    if orthogonal:
+        curve = residual_curve(a, dec)
+        assert [k for k, _ in curve] == list(range(dec.count + 1))
+        errs = [e for _, e in curve]
+        assert errs == pytest.approx(direct, rel=1e-10, abs=1e-14)
+        assert all(errs[i] >= errs[i + 1] for i in range(dec.count))
 
 
 def test_grouped_sums_with_mixed_unsorted_u_rows():
@@ -668,7 +670,7 @@ def test_grouped_sums_with_mixed_unsorted_u_rows():
     # components shuffled so that equal p are scattered over both blocks,
     # and the last three U rows folded onto the first three, which repeats
     # some (p, s) pairs.  The terms stop being orthogonal, so only
-    # exactness is checked.
+    # reconstruct's exactness is checked: the curve assumes orthogonality.
     a, dec = blocked_cases()[2]
     rng = np.random.Generator(np.random.PCG64(39))
     r1 = len(dec.u)
@@ -685,7 +687,7 @@ def test_grouped_sums_with_mixed_unsorted_u_rows():
     assert np.abs(mixed.u @ mixed.u.T - np.eye(r1)).max() > 0.1
     assert np.any(np.diff(mixed.pair_map[:, 0]) < 0)
     assert len(np.unique(mixed.pair_map, axis=0)) < dec.count
-    check_every_keep(a, mixed, monotone=False)
+    check_every_keep(a, mixed, orthogonal=False)
 
 
 def test_grouped_sums_with_one_dominant_u_row():
@@ -702,7 +704,7 @@ def test_grouped_sums_with_one_dominant_u_row():
         dec, weights=dec.weights[kept], pair_map=dec.pair_map[kept], w=dec.w[kept]
     )
     assert np.bincount(ragged.pair_map[:, 0]).tolist() == [140, 1, 1, 1, 1]
-    check_every_keep(a, ragged, monotone=True)
+    check_every_keep(a, ragged, orthogonal=True)
 
 
 # --------------------------------------------------------- residual curve

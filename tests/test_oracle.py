@@ -237,7 +237,7 @@ def test_oracle_is_independent_of_the_main_path(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the oracle called the main path")
 
-    for name in ("_grouped", "_sum_terms", "reconstruct"):
+    for name in ("_sum_terms", "reconstruct"):
         monkeypatch.setattr(decompose, name, refuse)
     monkeypatch.setattr(tenspec, "reconstruct", refuse)
     for a, dec in cases:
